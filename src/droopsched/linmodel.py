@@ -103,16 +103,17 @@ def build_rx(model: NetworkModel) -> tuple[np.ndarray, np.ndarray]:
     """Common-path sensitivity matrices from the tree structure.
 
     R[i, j] is the sum of branch resistances shared by the root paths of
-    buses i+1 and j+1 (X analogous with reactances).
+    buses i+1 and j+1 (X analogous with reactances).  The dense root-path
+    indicator is built here from the sweep plan's preorder ranges: the
+    branch at position k lies on the path of the bus fed from position
+    pos[j] iff k <= pos[j] < end[k].
     """
     plan = model.plan()  # validates radiality
-    B = plan.paths
-    R = (B * plan.r) @ B.T
-    X = (B * plan.x) @ B.T
+    pos = plan.pos[:, None]
+    B = (np.arange(len(pos)) <= pos) & (pos < plan.end)
+    R, X = ((B * w) @ B.T for w in plan.rx)
     # force exact symmetry despite the floating matmul
-    R = (R + R.T) / 2.0
-    X = (X + X.T) / 2.0
-    return R, X
+    return (R + R.T) / 2.0, (X + X.T) / 2.0
 
 
 def build_pcc_sensitivity(

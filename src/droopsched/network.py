@@ -9,6 +9,12 @@ the root toward the leaves, and branch currents are refreshed from the
 new flows and sending-end voltages.  All quantities are per-unit on a
 common power base.
 
+Both passes are O(n) array operations over one depth-first preorder of
+the branches, in which every subtree is a contiguous range: the
+backward pass is a difference of prefix sums over those ranges, and the
+forward pass a prefix sum of the voltage drops in which each subtree's
+drop is cancelled once its range closes.
+
 Sign convention: bus injections are positive for generation and negative
 for consumption; the power drawn at the point of common coupling (PCC)
 is positive when the feeder imports from the transmission grid.
@@ -45,9 +51,6 @@ class PowerFlowError(RuntimeError):
 @dataclass
 class Bus:
     id: int
-    v: float = 1.0
-    p_inj: float = 0.0
-    q_inj: float = 0.0
 
 
 @dataclass
@@ -56,9 +59,6 @@ class Branch:
     to: int
     r: float
     x: float
-    p_flow: float = 0.0
-    q_flow: float = 0.0
-    i_sq: float = 0.0
 
 
 @dataclass
@@ -68,7 +68,6 @@ class NetworkModel:
     buses: list[Bus]
     branches: list[Branch]
     v_sub: float = 1.0
-    s_base: float = 1.0e6
     controllable: set[int] = field(default_factory=set)
     _plan: "_SweepPlan | None" = field(default=None, repr=False, compare=False)
 
@@ -98,57 +97,60 @@ class PowerFlowSolution:
 
 @dataclass
 class _SweepPlan:
-    """Precomputed tree structure for vectorised sweeps.
+    """Branches laid out in depth-first preorder for O(n) sweeps.
 
-    ``desc[e, f] = 1`` iff branch f lies in the subtree hanging from branch
-    e (inclusive), so a backward accumulation is a single mat-vec.
-    ``paths[j, e] = 1`` iff branch e lies on the root path of bus j+1.
+    Every array is indexed by preorder position k, except ``pos``.  The
+    subtree hanging from the branch at k (inclusive) is the contiguous
+    range ``k:end[k]``, so a subtree sum is a difference of prefix sums
+    and the branches on the root path of position k are the j <= k with
+    ``end[j] > k``.  ``par[k]`` is the position of the parent branch
+    plus one, or 0 for a branch leaving the substation, and indexes an
+    array that carries the substation value in slot 0.  ``bus[k]`` is
+    the row (bus id - 1) of the bus the branch feeds, ``pos[j]`` the
+    position of the branch feeding bus j + 1, and ``order[k]`` the
+    caller's index of the branch, with ``inv`` its inverse.
     """
 
-    backward: list[int]
-    forward: list[int]
-    frm: np.ndarray
-    to: np.ndarray
-    r: np.ndarray
-    x: np.ndarray
-    desc: np.ndarray
-    paths: np.ndarray
-    root_edges: np.ndarray
+    order: np.ndarray
+    inv: np.ndarray
+    bus: np.ndarray
+    pos: np.ndarray
+    end: np.ndarray
+    par: np.ndarray
+    root: np.ndarray
+    rx: np.ndarray
+    rx_sq: np.ndarray
 
 
 def _build_plan(model: NetworkModel) -> _SweepPlan:
-    backward, forward = validate_radial(model)
-    nb = len(model.branches)
-    n = model.n
-    frm = np.array([b.frm for b in model.branches], dtype=np.intp)
-    to = np.array([b.to for b in model.branches], dtype=np.intp)
-    r = np.array([b.r for b in model.branches], dtype=float)
-    x = np.array([b.x for b in model.branches], dtype=float)
-
-    # root paths, built walking root->leaf so the parent row already exists
-    paths = np.zeros((n, nb))
-    for e in forward:
-        child = int(to[e])
-        parent = int(frm[e])
-        if parent != 0:
-            paths[child - 1] = paths[parent - 1]
-        paths[child - 1, e] = 1.0
-
-    # desc[e, f]: f on or below e  <=>  e lies on the root path of f's child
-    desc = np.zeros((nb, nb))
-    for f in range(nb):
-        child = int(to[f])
-        desc[:, f] = paths[child - 1, :]
-    root_edges = np.flatnonzero(frm == 0)
-    return _SweepPlan(backward, forward, frm, to, r, x, desc, paths, root_edges)
+    _, pre = validate_radial(model)
+    branches = [model.branches[e] for e in pre]
+    order = np.array(pre, dtype=np.intp)
+    bus = np.array([b.to - 1 for b in branches], dtype=np.intp)
+    pos = np.argsort(bus)
+    # parent position + 1 (0 = substation), via the branch feeding the sender
+    par = np.concatenate(([0], pos + 1))[[b.frm for b in branches]]
+    # subtree sizes in one reverse pass: children sit after their parent
+    size = [1] * len(pre)
+    parents = par.tolist()
+    for k in range(len(pre) - 1, -1, -1):
+        if parents[k]:
+            size[parents[k] - 1] += size[k]
+    end = np.arange(len(pre)) + size
+    rx = np.array([[b.r for b in branches], [b.x for b in branches]])
+    return _SweepPlan(
+        order, np.argsort(order), bus, pos, end, par, np.flatnonzero(par == 0), rx, (rx * rx).sum(axis=0)
+    )
 
 
 def validate_radial(model: NetworkModel) -> tuple[list[int], list[int]]:
     """Check the branch set forms a tree rooted at bus 0 and return sweep orders.
 
     Returns (backward, forward) lists of branch indices: leaves-to-root and
-    root-to-leaves.  Raises NetworkDataError on cycles, disconnected buses,
-    duplicate branches, or unknown bus ids.
+    root-to-leaves.  Forward is a depth-first preorder, so every subtree
+    is contiguous in it.  Branches listed child-first are reoriented in
+    place to point away from the substation.  Raises NetworkDataError on
+    cycles, disconnected buses, duplicate branches, or unknown bus ids.
     """
     ids = [b.id for b in model.buses]
     if sorted(ids) != list(range(len(ids))):
@@ -173,31 +175,26 @@ def validate_radial(model: NetworkModel) -> tuple[list[int], list[int]]:
         adj[br.frm].append((br.to, e))
         adj[br.to].append((br.frm, e))
 
-    # BFS from the substation, orienting parent->child as we go
-    depth = {0: 0}
-    order: list[int] = []
-    queue = [0]
-    while queue:
-        node = queue.pop(0)
-        for other, e in adj[node]:
-            if other in depth:
-                continue
-            depth[other] = depth[node] + 1
-            br = model.branches[e]
-            if br.frm != node:
-                # branch was listed child-first; reorient away from the root
-                br.frm, br.to = node, other
-            order.append(e)
-            queue.append(other)
-    if len(depth) != n_bus:
-        missing = sorted(set(ids) - set(depth))
+    # depth-first preorder from the substation, orienting parent->child;
+    # with n_bus - 1 branches, reaching every bus means the graph is a tree
+    visited = {0}
+    pre: list[int] = []
+    stack = [(0, other, e) for other, e in adj[0]]
+    while stack:
+        node, other, e = stack.pop()
+        if other in visited:
+            continue
+        visited.add(other)
+        br = model.branches[e]
+        if br.frm != node:
+            # branch was listed child-first; reorient away from the root
+            br.frm, br.to = node, other
+        pre.append(e)
+        stack.extend((other, nxt, f) for nxt, f in adj[other])
+    if len(visited) != n_bus:
+        missing = sorted(set(ids) - visited)
         raise NetworkDataError(f"disconnected node {missing[0]}")
-    if len(order) != len(model.branches):
-        raise NetworkDataError("cycle detected")
-
-    forward = sorted(range(len(model.branches)), key=lambda e: depth[model.branches[e].to])
-    backward = list(reversed(forward))
-    return backward, forward
+    return pre[::-1], pre
 
 
 def solve_power_flow(
@@ -214,7 +211,7 @@ def solve_power_flow(
     Converged solutions satisfy the flow, voltage-drop and current
     equations with max residual <= tol.  ``warm`` seeds voltages and
     branch currents from a previous solution; a flat start is used
-    otherwise.
+    otherwise.  Branch arrays of the result follow ``model.branches``.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -224,79 +221,65 @@ def solve_power_flow(
     q = np.asarray(q_inj, dtype=float)
     if p.shape != (n,) or q.shape != (n,):
         raise ValueError(f"injections must have shape ({n},)")
+    inj = np.stack((p, q))
+    if not np.isfinite(inj).all():
+        raise ValueError("injections must be finite")
 
-    r, x = plan.r, plan.x
-    rx_sq = r * r + x * x
-    to_idx = plan.to - 1  # branch -> child bus row
+    # everything below is in preorder position
+    inj = inj[:, plan.bus]
+    rx, rx_sq, end, last, par = plan.rx, plan.rx_sq, plan.end, plan.end - 1, plan.par
     v_sub_sq = model.v_sub**2
     if warm is None:
         v_sq = np.full(n, v_sub_sq)
-        i_sq = np.zeros(len(r))
+        i_sq = np.zeros(n)
     else:
-        v_sq = warm.v[1:] ** 2
-        i_sq = warm.i_sq.copy()
-    # sending-end bus of each branch, as index into [v_sub, v_1..v_n]
-    frm_ext = plan.frm.copy()
+        v_sq = warm.v[1:][plan.bus] ** 2
+        i_sq = warm.i_sq[plan.order]
 
-    P = np.zeros(len(r))
-    Q = np.zeros(len(r))
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        # backward: flows from leaves to root with previous-iterate losses
-        P = plan.desc @ (-p[to_idx] + r * i_sq)
-        Q = plan.desc @ (-q[to_idx] + x * i_sq)
-        # forward: squared-voltage drops from the root down
-        drop = 2.0 * (r * P + x * Q) - rx_sq * i_sq
-        v_sq_new = v_sub_sq - plan.paths @ drop
-        if np.any(v_sq_new <= 0.0):
+        # backward: subtree sums of injections and previous-iterate losses
+        y = rx * i_sq - inj
+        s = y.cumsum(axis=1)
+        S = s[:, last] - s + y
+        # forward: squared-voltage drops summed along each root path
+        drop = 2.0 * (rx * S).sum(axis=0) - rx_sq * i_sq
+        v_sq_new = v_sub_sq - (drop - np.bincount(end, drop, minlength=n + 1)[:n]).cumsum()
+        if (v_sq_new <= 0.0).any():
             raise PowerFlowError(
                 "negative squared voltage encountered: operating point infeasible"
             )
+        # squared voltages with the substation in slot 0, indexed by par
         v_ext = np.concatenate(([v_sub_sq], v_sq_new))
-        i_sq_new = (P * P + Q * Q) / v_ext[frm_ext]
-        dv = np.max(np.abs(np.sqrt(v_sq_new) - np.sqrt(v_sq)))
-        di = np.max(np.abs(i_sq_new - i_sq)) if len(r) else 0.0
+        i_sq_new = (S * S).sum(axis=0) / v_ext[par]
+        dv = np.abs(np.sqrt(v_sq_new) - np.sqrt(v_sq)).max()
+        di = np.abs(i_sq_new - i_sq).max()
         v_sq = v_sq_new
         i_sq = i_sq_new
         if dv <= tol and di <= 10.0 * tol:
             # verify the DistFlow residuals at the final iterate
-            res = _residuals(plan, p, q, P, Q, i_sq, v_sq, v_sub_sq)
-            if res <= tol:
+            if _residuals(plan, inj, S, i_sq, v_ext) <= tol:
                 converged = True
                 break
     if not converged:
         raise PowerFlowError(f"no convergence within {max_iter} iterations")
 
-    v = np.concatenate(([model.v_sub], np.sqrt(v_sq)))
-    p_pcc = float(np.sum(P[plan.root_edges]))
-    return PowerFlowSolution(v, P.copy(), Q.copy(), i_sq.copy(), p_pcc, True, iterations)
+    v = np.concatenate(([model.v_sub], np.sqrt(v_sq[plan.pos])))
+    p_pcc = float(S[0, plan.root].sum())
+    P, Q = S[:, plan.inv]
+    return PowerFlowSolution(v, P, Q, i_sq[plan.inv], p_pcc, True, iterations)
 
 
-def _residuals(plan, p, q, P, Q, i_sq, v_sq, v_sub_sq) -> float:
-    to_idx = plan.to - 1
-    child_sum_P = np.zeros_like(P)
-    child_sum_Q = np.zeros_like(Q)
-    for e in range(len(P)):
-        kids = np.flatnonzero(plan.frm == plan.to[e])
-        if len(kids):
-            child_sum_P[e] = P[kids].sum()
-            child_sum_Q[e] = Q[kids].sum()
-    res_a = P - (child_sum_P - p[to_idx] + plan.r * i_sq)
-    res_b = Q - (child_sum_Q - q[to_idx] + plan.x * i_sq)
-    v_ext = np.concatenate(([v_sub_sq], v_sq))
-    res_c = (v_ext[plan.frm] - v_sq[to_idx]) - (
-        2.0 * (plan.r * P + plan.x * Q) - (plan.r**2 + plan.x**2) * i_sq
+def _residuals(plan, inj, S, i_sq, v_ext) -> float:
+    # the current equation holds exactly: i_sq is computed from S and v_ext
+    nb = len(i_sq)
+    child = np.stack([np.bincount(plan.par, w, minlength=nb + 1)[1:] for w in S])
+    res_flow = S - (child - inj + plan.rx * i_sq)
+    res_drop = (v_ext[plan.par] - v_ext[1:]) - (
+        2.0 * (plan.rx * S).sum(axis=0) - plan.rx_sq * i_sq
     )
-    res_i = i_sq - (P * P + Q * Q) / v_ext[plan.frm]
-    return float(
-        max(
-            np.max(np.abs(res_a)),
-            np.max(np.abs(res_b)),
-            np.max(np.abs(res_c)),
-            np.max(np.abs(res_i)),
-        )
-    )
+    return float(max(np.abs(res_flow).max(), np.abs(res_drop).max()))
 
 
 def pcc_exchange(sol: PowerFlowSolution) -> float:

@@ -27,7 +27,7 @@ are kept bounded by a configurable box.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,7 +53,6 @@ class StabilityParams:
     gamma: float
     margin: float | None = None
     kf_bound: float = 10.0
-    per_unit_bounds: tuple[float, float] = field(init=False)
 
     def __post_init__(self):
         if self.gamma <= 0:
@@ -62,12 +61,6 @@ class StabilityParams:
             self.margin = 1e-6 * self.gamma
         if self.margin <= 0:
             raise ValueError("margin must be positive")
-        # admissible span of u = a - b where the scaled gains sum to zero;
-        # the region widens as a + b decreases
-        self.per_unit_bounds = (
-            (-2.0 - 2.0 * _SQRT2) * self.gamma + self.margin,
-            (-2.0 + 2.0 * _SQRT2) * self.gamma - self.margin,
-        )
 
     @property
     def quad_margin(self) -> float:
@@ -80,7 +73,7 @@ def compute_gamma(
     tau_p: np.ndarray,
     tau_q: np.ndarray,
 ) -> float:
-    """1 / lambda_max(G T) via the symmetric similarity T^1/2 G T^1/2."""
+    """1 / lambda_max(G T), the larger over the blocks T_p^1/2 R T_p^1/2 and T_q^1/2 X T_q^1/2."""
     tau_p = np.asarray(tau_p, dtype=float)
     tau_q = np.asarray(tau_q, dtype=float)
     if np.any(tau_p <= 0) or np.any(tau_q <= 0):
@@ -88,9 +81,10 @@ def compute_gamma(
     n = sm.n
     if tau_p.shape != (n,) or tau_q.shape != (n,):
         raise ValueError(f"tau vectors must have shape ({n},)")
-    sq = np.sqrt(np.concatenate([tau_p, tau_q]))
-    M = sq[:, None] * sm.gain_matrix() * sq[None, :]
-    lam_max = float(np.linalg.eigvalsh(M)[-1])
+    lam_max = max(
+        float(np.linalg.eigvalsh(sq[:, None] * M * sq)[-1])
+        for M, sq in ((sm.R, np.sqrt(tau_p)), (sm.X, np.sqrt(tau_q)))
+    )
     if lam_max <= 0:
         raise ValueError("sensitivity model is not positive definite")
     return 1.0 / lam_max

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from droopsched.network import (
     Branch,
@@ -44,6 +46,37 @@ def random_feeder(rng, n_bus):
         parent = int(rng.integers(0, j))
         branches.append(Branch(parent, j, float(rng.uniform(0.005, 0.05)), float(rng.uniform(0.005, 0.05))))
     return NetworkModel(buses=[Bus(i) for i in range(n_bus + 1)], branches=branches)
+
+
+def model_of(rows):
+    """Fresh feeder from (frm, to, r, x) rows; validation reorients branches in place."""
+    return NetworkModel(
+        buses=[Bus(i) for i in range(len(rows) + 1)],
+        branches=[Branch(*row) for row in rows],
+    )
+
+
+@st.composite
+def radial_cases(draw, max_n=40):
+    """Random, chain or star feeder as rows in random order, some child-first.
+
+    Injections are scaled by 1/n so every drawn operating point is feasible.
+    """
+    n = draw(st.integers(1, max_n))
+    shape = draw(st.sampled_from(["random", "chain", "star"]))
+    if shape == "random":
+        parents = [draw(st.integers(0, j - 1)) for j in range(1, n + 1)]
+    else:
+        parents = list(range(n)) if shape == "chain" else [0] * n
+    impedance = st.floats(1e-3, 1e-2)
+    rows = []
+    for j in draw(st.permutations(range(1, n + 1))):
+        ends = (parents[j - 1], j)
+        if draw(st.booleans()):
+            ends = ends[::-1]
+        rows.append((*ends, draw(impedance), draw(impedance)))
+    power = st.lists(st.floats(-0.2 / n, 0.2 / n), min_size=n, max_size=n)
+    return rows, np.array(draw(power)), np.array(draw(power))
 
 
 class TestValidateRadial:
@@ -158,6 +191,36 @@ class TestSolvePowerFlow:
     def test_bad_shapes(self):
         with pytest.raises(ValueError):
             solve_power_flow(two_bus(), np.zeros(2), np.zeros(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("which", ["p", "q"])
+    def test_nonfinite_injections_fail_fast(self, which, bad):
+        inj = {"p": np.full(3, -0.01), "q": np.zeros(3)}
+        inj[which][1] = bad
+        with pytest.raises(ValueError, match="injections must be finite"):
+            solve_power_flow(chain([0.01] * 3, [0.01] * 3), inj["p"], inj["q"])
+
+    @settings(max_examples=40, deadline=None)
+    @given(radial_cases())
+    def test_sweep_agrees_with_root_finder_on_any_layout(self, case):
+        rows, p, q = case
+        model = model_of(rows)
+        sol = solve_power_flow(model, p, q)
+        v_ref, pcc_ref = distflow_root(model, p, q)
+        assert np.max(np.abs(sol.v - v_ref)) < 1e-8
+        assert sol.p_pcc == pytest.approx(pcc_ref, abs=1e-8)
+
+    @settings(max_examples=40, deadline=None)
+    @given(radial_cases(), st.data())
+    def test_branch_order_only_permutes_branch_results(self, case, data):
+        rows, p, q = case
+        perm = data.draw(st.permutations(range(len(rows))))
+        base = solve_power_flow(model_of(rows), p, q, tol=1e-12)
+        sol = solve_power_flow(model_of([rows[e] for e in perm]), p, q, tol=1e-12)
+        assert np.max(np.abs(sol.v - base.v)) < 1e-10
+        assert sol.p_pcc == pytest.approx(base.p_pcc, abs=1e-10)
+        for name in ("p_flow", "q_flow", "i_sq"):
+            assert np.max(np.abs(getattr(sol, name) - getattr(base, name)[perm])) < 1e-10
 
 
 class TestPccExchange:
