@@ -32,7 +32,8 @@ import numpy as np
 
 from .droop import DerUnit, DroopGains
 from .linmodel import SchedulingPoint, SensitivityModel
-from .stability import StabilityParams, check_gains, project_gains
+from .stability import StabilityParams, project_voltage_gains
+from .stability import project_gains  # noqa: F401  perfbench/spans.py wraps scheduler.project_gains by name
 
 __all__ = [
     "SchedulerConfig",
@@ -109,7 +110,6 @@ class SchedulerConfig:
 @dataclass
 class SampleSet:
     xi: np.ndarray  # (n_samples, n_bus)
-    seed: int
 
 
 @dataclass
@@ -174,16 +174,6 @@ class SchedulerState:
             w_f=_freq_weights(der_nodes, cfg, self.seed),
         )
 
-    def gains_for(self, node: int) -> DroopGains:
-        i = self.der_nodes.index(node)
-        m = self.m
-        return DroopGains(
-            k_pv=float(self.kappa_v[i]),
-            k_pf=float(self.kappa_f[i]),
-            k_qv=float(self.kappa_v[m + i]),
-            k_qf=float(self.kappa_f[m + i]),
-        )
-
 
 def _freq_weights(der_nodes, cfg: SchedulerConfig, seed: int) -> np.ndarray:
     """Per-unit frequency-gain cost weights, fixed or drawn per node."""
@@ -202,7 +192,7 @@ def draw_samples(v_meas: np.ndarray, cfg: SchedulerConfig, seed) -> SampleSet:
     """Zero-mean Gaussian voltage-disturbance samples, per-bus std scaled."""
     rng = np.random.default_rng(seed)
     xi = rng.standard_normal((cfg.n_samples, len(v_meas))) * (cfg.noise_std * np.asarray(v_meas))
-    return SampleSet(xi=xi, seed=seed if np.isscalar(seed) else 0)
+    return SampleSet(xi=xi)
 
 
 def _dv(rho: SchedulingPoint) -> np.ndarray:
@@ -248,6 +238,19 @@ def _voltage_jacobian(sm, state, dv) -> np.ndarray:
     return np.concatenate([sm.R[:, nodes_idx] * dv_c, sm.X[:, nodes_idx] * dv_c], axis=1)
 
 
+def _hinge_args(vm, samples, cvar_hi, cvar_lo, cfg):
+    """Per-sample CVaR hinge arguments, (n_samples, n) each: upper rows, lower rows."""
+    if np.any(cvar_hi < 0) or np.any(cvar_lo < 0):
+        raise ValueError("CVaR auxiliaries must be nonnegative")
+    return vm - cfg.v_max + samples.xi + cvar_hi, cfg.v_min - vm - samples.xi + cvar_lo
+
+
+def _cvar_rows(arg_up, arg_lo, cvar_hi, cvar_lo, cfg) -> np.ndarray:
+    up = np.maximum(arg_up, 0.0).mean(axis=0) - cvar_hi * cfg.beta
+    lo = np.maximum(arg_lo, 0.0).mean(axis=0) - cvar_lo * cfg.beta
+    return np.concatenate([up, lo])
+
+
 def cvar_constraints(
     vm: np.ndarray,
     samples: SampleSet,
@@ -256,11 +259,8 @@ def cvar_constraints(
     cfg: SchedulerConfig,
 ) -> np.ndarray:
     """Sample-average CVaR surrogate values, upper rows stacked over lower."""
-    if np.any(cvar_hi < 0) or np.any(cvar_lo < 0):
-        raise ValueError("CVaR auxiliaries must be nonnegative")
-    up = np.maximum(vm - cfg.v_max + samples.xi + cvar_hi, 0.0).mean(axis=0) - cvar_hi * cfg.beta
-    lo = np.maximum(cfg.v_min - vm - samples.xi + cvar_lo, 0.0).mean(axis=0) - cvar_lo * cfg.beta
-    return np.concatenate([up, lo])
+    arg_up, arg_lo = _hinge_args(vm, samples, cvar_hi, cvar_lo, cfg)
+    return _cvar_rows(arg_up, arg_lo, cvar_hi, cvar_lo, cfg)
 
 
 def freq_error(
@@ -324,6 +324,25 @@ def lagrangian(
     )
 
 
+def _signals(arg_up, arg_lo, mu, lam, J, grad_e, cfg):
+    """(s_v, s_f, d_hi, d_lo) from the hinge arguments and the multipliers."""
+    n = arg_up.shape[1]
+    frac_up = (arg_up > 0.0).mean(axis=0)
+    frac_lo = (arg_lo > 0.0).mean(axis=0)
+    s_v = J.T @ (mu[:n] * frac_up - mu[n:] * frac_lo)
+    d_hi = mu[:n] * (frac_up - cfg.beta)
+    d_lo = mu[n:] * (frac_lo - cfg.beta)
+    s_f = (lam[1] - lam[0]) * grad_e
+    return s_v, s_f, d_hi, d_lo
+
+
+def _freq_slope(sm, state, rho) -> np.ndarray:
+    """d e / d kappa_f, shape (2m,)."""
+    n = sm.n
+    nodes_idx = np.asarray(state.der_nodes, dtype=np.intp) - 1
+    return np.concatenate([sm.H[:n][nodes_idx], sm.H[n:][nodes_idx]]) * rho.d_omega
+
+
 def gradient_signals(
     state: SchedulerState,
     sm: SensitivityModel,
@@ -340,19 +359,11 @@ def gradient_signals(
     The hinge subgradient convention is 1 for strictly positive
     arguments, 0 otherwise.
     """
-    n = sm.n
     dv = _dv(rho)
-    nodes_idx = np.asarray(state.der_nodes, dtype=np.intp) - 1
     vm = voltage_model(sm, state, rho, dv)
-    frac_up = ((vm - cfg.v_max + samples.xi + state.cvar_hi) > 0.0).mean(axis=0)
-    frac_lo = ((cfg.v_min - vm - samples.xi + state.cvar_lo) > 0.0).mean(axis=0)
+    arg_up, arg_lo = _hinge_args(vm, samples, state.cvar_hi, state.cvar_lo, cfg)
     J = _voltage_jacobian(sm, state, dv)
-    s_v = J.T @ (state.mu[:n] * frac_up) - J.T @ (state.mu[n:] * frac_lo)
-    d_hi = state.mu[:n] * (frac_up - cfg.beta)
-    d_lo = state.mu[n:] * (frac_lo - cfg.beta)
-    grad_e = np.concatenate([sm.H[:n][nodes_idx], sm.H[n:][nodes_idx]]) * rho.d_omega
-    s_f = (state.lam[1] - state.lam[0]) * grad_e
-    return s_v, s_f, d_hi, d_lo
+    return _signals(arg_up, arg_lo, state.mu, state.lam, J, _freq_slope(sm, state, rho), cfg)
 
 
 def primal_dual_step(
@@ -370,7 +381,9 @@ def primal_dual_step(
     Duals ascend on the constraint values first; the primal gain and
     CVaR-auxiliary updates then use the refreshed multipliers, with the
     voltage-gain pairs projected onto the certified-stable set and the
-    frequency gains clamped to the configured box.
+    frequency gains clamped to the configured box.  The hinge arguments
+    depend on neither multiplier, so the dual and the primal half share
+    one evaluation of them.
     """
     if sm.rho.timestamp != rho.timestamp:
         raise ValueError("stale sensitivity model: timestamp mismatch")
@@ -378,43 +391,28 @@ def primal_dual_step(
     dv = _dv(rho)
 
     vm = voltage_model(sm, state, rho, dv)
-    l_val = cvar_constraints(vm, samples, state.cvar_hi, state.cvar_lo, cfg)
-    e_val = freq_error(sm, state, rho, dv)
-    r_val = band_residual(e_val, cfg)
+    arg_up, arg_lo = _hinge_args(vm, samples, state.cvar_hi, state.cvar_lo, cfg)
+    l_val = _cvar_rows(arg_up, arg_lo, state.cvar_hi, state.cvar_lo, cfg)
+    r_val = band_residual(freq_error(sm, state, rho, dv), cfg)
 
     mu = np.maximum(state.mu + cfg.alpha_dual * (l_val - cfg.phi * state.mu), 0.0)
     lam = np.maximum(state.lam + cfg.alpha_dual * (r_val - cfg.psi * state.lam), 0.0)
 
-    refreshed = replace(state, mu=mu, lam=lam)
-    s_v, s_f, d_hi, d_lo = gradient_signals(refreshed, sm, rho, samples, cfg)
+    J = _voltage_jacobian(sm, state, dv)
+    s_v, s_f, d_hi, d_lo = _signals(arg_up, arg_lo, mu, lam, J, _freq_slope(sm, state, rho), cfg)
 
     wv = _weights_v(state, cfg)
     kappa_v = state.kappa_v - cfg.alpha_primal * (2.0 * wv**2 * state.kappa_v + s_v)
     kappa_f = state.kappa_f - cfg.alpha_primal * (2.0 * state.w_f**2 * state.kappa_f + s_f)
-
-    # per-unit stability projection in scaled-gain coordinates
-    for i in range(m):
-        g = project_gains(
-            DroopGains(
-                k_pv=float(kappa_v[i]),
-                k_pf=float(kappa_f[i]),
-                k_qv=float(kappa_v[m + i]),
-                k_qf=float(kappa_f[m + i]),
-            ),
-            float(tau_p[i]),
-            float(tau_q[i]),
-            stab,
-        )
-        kappa_v[i], kappa_v[m + i] = g.k_pv, g.k_qv
-        kappa_f[i], kappa_f[m + i] = g.k_pf, g.k_qf
+    k_pv, k_qv = project_voltage_gains(kappa_v[:m], kappa_v[m:], tau_p, tau_q, stab)
 
     cvar_hi = np.maximum(state.cvar_hi - cfg.alpha_tau * (d_hi + cfg.reg_tau * state.cvar_hi), 0.0)
     cvar_lo = np.maximum(state.cvar_lo - cfg.alpha_tau * (d_lo + cfg.reg_tau * state.cvar_lo), 0.0)
 
     return replace(
         state,
-        kappa_v=kappa_v,
-        kappa_f=kappa_f,
+        kappa_v=np.concatenate([k_pv, k_qv]),
+        kappa_f=np.clip(kappa_f, -stab.kf_bound, stab.kf_bound),
         cvar_hi=cvar_hi,
         cvar_lo=cvar_lo,
         mu=mu,
@@ -449,5 +447,11 @@ def schedule_step(
         state = primal_dual_step(state, sm, rho, samples, cfg, stab, tau_p, tau_q)
 
     state = replace(state, prev_kappa_v=state.kappa_v.copy(), prev_kappa_f=state.kappa_f.copy())
-    broadcast = {node: state.gains_for(node) for node in nodes}
+    m = len(nodes)
+    kv = state.kappa_v.tolist()
+    kf = state.kappa_f.tolist()
+    broadcast = {
+        node: DroopGains(k_pv=kv[j], k_pf=kf[j], k_qv=kv[m + j], k_qf=kf[m + j])
+        for j, node in enumerate(nodes)
+    }
     return state, broadcast

@@ -39,11 +39,13 @@ __all__ = [
     "compute_gamma",
     "check_gains",
     "project_gains",
+    "project_voltage_gains",
     "lyapunov_value",
     "closed_loop_matrix",
 ]
 
 _SQRT2 = np.sqrt(2.0)
+_EPS = np.finfo(float).eps
 
 
 @dataclass
@@ -94,6 +96,12 @@ def _scaled(gains: DroopGains, tau_p: float, tau_q: float) -> tuple[float, float
     return gains.k_pv / tau_p, gains.k_qv / tau_q
 
 
+def _quad(a, b, g):
+    """(a - b)^2 + 4 g (a + b) - 4 g^2, one evaluation order for the check and the projection."""
+    diff = a - b
+    return diff * diff + 4.0 * g * (a + b) - 4.0 * g * g
+
+
 def check_gains(
     gains: DroopGains,
     tau_p: float,
@@ -107,41 +115,84 @@ def check_gains(
     """
     a, b = _scaled(gains, tau_p, tau_q)
     g = params.gamma
-    quad = (a - b) ** 2 + 4.0 * g * (a + b) - 4.0 * g * g
-    if quad > -params.quad_margin:
+    if _quad(a, b, g) > -params.quad_margin:
         return False
     return a <= g - params.margin or b <= g - params.margin
 
 
-def _project_parabola(a: float, b: float, params: StabilityParams) -> tuple[float, float]:
-    """Exact Euclidean projection of (a, b) onto the certified region."""
+def _nearest_root(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Root of x^3 + p x + q = 0 that is largest in magnitude among those of sign -q.
+
+    That root is the foot point of the nearest boundary point: a root of
+    the other sign is farther away, and between two roots of one sign the
+    smaller is a distance maximum.
+    """
+    h = 0.5 * np.abs(q)
+    p3 = p / 3.0
+    disc = h * h + p3 * p3 * p3
+    x = np.empty_like(h)
+    one = disc >= 0.0
+    # one real root: Cardano's u + v with uv = -p/3, summed as
+    # (u^3 + v^3) / (u^2 - uv + v^2) so that no two terms cancel
+    h1, p1 = h[one], p3[one]
+    u = np.cbrt(h1 + np.sqrt(disc[one]))
+    v = p1 / u
+    x[one] = 2.0 * h1 / (u * u + p1 + v * v)
+    # three real roots: the largest of 2 r cos((arccos t - 2 pi k) / 3)
+    three = ~one
+    r = np.sqrt(-p3[three])
+    t = np.minimum(h[three] / (r * r * r), 1.0)
+    x[three] = 2.0 * r * np.cos(np.arccos(t) / 3.0)
+    return np.copysign(x, -q)
+
+
+def _onto_boundary(a: np.ndarray, b: np.ndarray, params: StabilityParams) -> tuple[np.ndarray, np.ndarray]:
+    """Projection of scaled pairs outside the certified region onto its boundary."""
     g = params.gamma
-    # rotate to w = (a-b)/sqrt2, s = (a+b)/sqrt2: region is s <= d - c/2 w^2
+    # rotate to w = (a-b)/sqrt2, s = (a+b)/sqrt2: the region is s <= d - w^2 / (2 sqrt2 g)
     w0 = (a - b) / _SQRT2
     s0 = (a + b) / _SQRT2
-    c = 1.0 / (_SQRT2 * g)
     d = (4.0 * g * g - params.quad_margin) / (4.0 * _SQRT2 * g)
-    if s0 <= d - 0.5 * c * w0 * w0:
-        return a, b
-    # land a hair inside the boundary so the check accepts despite rounding
-    d -= 1e-12 * g
-    # stationarity of the squared distance to the boundary curve:
-    # (c^2/2) w^3 + (1 + c (s0 - d)) w - w0 = 0
-    coeffs = [0.5 * c * c, 0.0, 1.0 + c * (s0 - d), -w0]
-    roots = np.roots(coeffs)
-    best = None
-    best_d = np.inf
-    for root in roots:
-        if abs(root.imag) > 1e-9 * max(1.0, abs(root.real)):
-            continue
-        w = float(root.real)
-        s = d - 0.5 * c * w * w
-        dist = (w - w0) ** 2 + (s - s0) ** 2
-        if dist < best_d:
-            best_d = dist
-            best = (w, s)
-    w, s = best
+    # stationarity of the squared distance to the boundary curve in x = w / g:
+    # x^3 + 4 (1 + (s0 - d) / (sqrt2 g)) x - 4 w0 / g = 0
+    w = g * _nearest_root(4.0 * (1.0 + (s0 - d) / (_SQRT2 * g)), -4.0 * w0 / g)
+    s = d - w * w / (2.0 * _SQRT2 * g)
+    # step inside by a bound on the rounding of the quadratic at this point,
+    # its tau rescaling included; that rounding grows with |a|, |b| >> gamma.
+    # |a| + |b| = sqrt2 max(|s|, |w|), |a - b| = sqrt2 |w|, dquad/ds = 4 sqrt2 g
+    big = np.maximum(np.abs(s), np.abs(w))
+    err = 16.0 * _EPS * (2.0 * big * (2.0 * np.abs(w) + 2.0 * _SQRT2 * g) + 2.0 * w * w + 4.0 * g * g)
+    s = s - err / (4.0 * _SQRT2 * g)
     return (s + w) / _SQRT2, (s - w) / _SQRT2
+
+
+def project_voltage_gains(
+    k_pv: np.ndarray,
+    k_qv: np.ndarray,
+    tau_p: np.ndarray,
+    tau_q: np.ndarray,
+    params: StabilityParams,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact Euclidean projection of every unit's voltage-gain pair onto the certified region.
+
+    Arrays of one shape, one entry per unit; the projection is taken in
+    the scaled pairs (k_pv / tau_p, k_qv / tau_q), and its result passes
+    check_gains.  A pair that already passes is returned bit-for-bit; a
+    clipped pair lands a rounding-sized step inside the boundary.
+    Returns new arrays.
+    """
+    k_pv = np.array(k_pv, dtype=float)
+    k_qv = np.array(k_qv, dtype=float)
+    tau_p = np.asarray(tau_p, dtype=float)
+    tau_q = np.asarray(tau_q, dtype=float)
+    a = k_pv / tau_p
+    b = k_qv / tau_q
+    clip = _quad(a, b, params.gamma) > -params.quad_margin
+    if clip.any():
+        a, b = _onto_boundary(a[clip], b[clip], params)
+        k_pv[clip] = a * tau_p[clip]
+        k_qv[clip] = b * tau_q[clip]
+    return k_pv, k_qv
 
 
 def project_gains(
@@ -152,17 +203,15 @@ def project_gains(
 ) -> DroopGains:
     """Repair a candidate gain set so it passes check_gains.
 
-    Voltage gains are projected in (k_pv/tau_p, k_qv/tau_q) coordinates
-    onto the certified region and rescaled; frequency gains are clamped
-    to the configured box.
+    Voltage gains go through project_voltage_gains; frequency gains are
+    clamped to the configured box.
     """
-    a, b = _scaled(gains, tau_p, tau_q)
-    a2, b2 = _project_parabola(a, b, params)
+    k_pv, k_qv = project_voltage_gains([gains.k_pv], [gains.k_qv], [tau_p], [tau_q], params)
     kf = params.kf_bound
     return DroopGains(
-        k_pv=a2 * tau_p,
+        k_pv=float(k_pv[0]),
         k_pf=min(kf, max(-kf, gains.k_pf)),
-        k_qv=b2 * tau_q,
+        k_qv=float(k_qv[0]),
         k_qf=min(kf, max(-kf, gains.k_qf)),
     )
 

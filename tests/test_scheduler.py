@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from droopsched.droop import PV, CapabilitySet, DerUnit
+from droopsched.droop import PV, CapabilitySet, DerUnit, DroopGains
 from droopsched.linmodel import SchedulingPoint, build_rx, build_sensitivity_model
 from droopsched.network import solve_power_flow
 from droopsched.scenarios import six_bus_feeder, six_bus_pv_units
@@ -22,7 +22,7 @@ from droopsched.scheduler import (
     schedule_step,
     voltage_model,
 )
-from droopsched.stability import StabilityParams, check_gains, compute_gamma
+from droopsched.stability import StabilityParams, check_gains, compute_gamma, project_gains
 
 from .oracles import central_difference, saddle_point
 
@@ -158,7 +158,7 @@ class TestCvarConstraints:
         vm = np.full(n, 0.99)  # 0.06 below the limit
         xi = np.random.default_rng(1).normal(0.0, 0.005, (40, n))
         xi = np.clip(xi, -0.02, 0.02)
-        out = cvar_constraints(vm, SampleSet(xi, 1), np.zeros(n), np.zeros(n), cfg)
+        out = cvar_constraints(vm, SampleSet(xi), np.zeros(n), np.zeros(n), cfg)
         assert out[:n] == pytest.approx(np.zeros(n))
 
     def test_constant_violation_averages_to_delta(self):
@@ -167,7 +167,7 @@ class TestCvarConstraints:
         delta = 0.013
         vm = np.full(n, cfg.v_max + delta)
         xi = np.zeros((25, n))
-        out = cvar_constraints(vm, SampleSet(xi, 0), np.zeros(n), np.zeros(n), cfg)
+        out = cvar_constraints(vm, SampleSet(xi), np.zeros(n), np.zeros(n), cfg)
         assert out[:n] == pytest.approx(np.full(n, delta))
         assert out[n:] == pytest.approx(np.zeros(n))
 
@@ -179,7 +179,7 @@ class TestCvarConstraints:
         xi = rng.normal(0, 0.02, (ns, n))
         t_hi = rng.uniform(0, 0.02, n)
         t_lo = rng.uniform(0, 0.02, n)
-        out = cvar_constraints(vm, SampleSet(xi, 0), t_hi, t_lo, cfg)
+        out = cvar_constraints(vm, SampleSet(xi), t_hi, t_lo, cfg)
         for i in range(n):
             up = 0.0
             lo = 0.0
@@ -192,7 +192,7 @@ class TestCvarConstraints:
     def test_rejects_negative_auxiliaries(self):
         cfg = SchedulerConfig()
         with pytest.raises(ValueError):
-            cvar_constraints(np.ones(2), SampleSet(np.zeros((5, 2)), 0), np.array([-0.1, 0]), np.zeros(2), cfg)
+            cvar_constraints(np.ones(2), SampleSet(np.zeros((5, 2))), np.array([-0.1, 0]), np.zeros(2), cfg)
 
 
 class TestFreqError:
@@ -445,6 +445,92 @@ class TestPrimalDualStep:
 
         g_lo = central_difference(L_of_lo, state.cvar_lo, h)
         assert g_lo == pytest.approx(d_lo + cfg.reg_tau * state.cvar_lo, rel=1e-6, abs=1e-9)
+
+
+def reference_step(state, sm, rho, samples, cfg, stab, tau_p, tau_q):
+    """The primal-dual step unit by unit: scalar project_gains per unit and
+    two evaluations of the voltage model, one for the dual and one for the
+    gradient signals, with J.T applied to each bound's term separately."""
+    from dataclasses import replace
+
+    n, m = sm.n, state.m
+    idx = np.asarray(state.der_nodes) - 1
+    dv = rho.v_meas - rho.v_star
+    vm = voltage_model(sm, state, rho, dv)
+    l_val = cvar_constraints(vm, samples, state.cvar_hi, state.cvar_lo, cfg)
+    r_val = band_residual(freq_error(sm, state, rho, dv), cfg)
+    mu = np.maximum(state.mu + cfg.alpha_dual * (l_val - cfg.phi * state.mu), 0.0)
+    lam = np.maximum(state.lam + cfg.alpha_dual * (r_val - cfg.psi * state.lam), 0.0)
+
+    vm = voltage_model(sm, state, rho, dv)
+    frac_up = ((vm - cfg.v_max + samples.xi + state.cvar_hi) > 0.0).mean(axis=0)
+    frac_lo = ((cfg.v_min - vm - samples.xi + state.cvar_lo) > 0.0).mean(axis=0)
+    J = np.concatenate([sm.R[:, idx] * dv[idx], sm.X[:, idx] * dv[idx]], axis=1)
+    s_v = J.T @ (mu[:n] * frac_up) - J.T @ (mu[n:] * frac_lo)
+    d_hi = mu[:n] * (frac_up - cfg.beta)
+    d_lo = mu[n:] * (frac_lo - cfg.beta)
+    s_f = (lam[1] - lam[0]) * np.concatenate([sm.H[:n][idx], sm.H[n:][idx]]) * rho.d_omega
+
+    wv = np.concatenate([np.full(m, cfg.cost_w_pv), np.full(m, cfg.cost_w_qv)])
+    kappa_v = state.kappa_v - cfg.alpha_primal * (2.0 * wv**2 * state.kappa_v + s_v)
+    kappa_f = state.kappa_f - cfg.alpha_primal * (2.0 * state.w_f**2 * state.kappa_f + s_f)
+    for i in range(m):
+        g = project_gains(
+            DroopGains(k_pv=kappa_v[i], k_pf=kappa_f[i], k_qv=kappa_v[m + i], k_qf=kappa_f[m + i]),
+            tau_p[i],
+            tau_q[i],
+            stab,
+        )
+        kappa_v[i], kappa_v[m + i] = g.k_pv, g.k_qv
+        kappa_f[i], kappa_f[m + i] = g.k_pf, g.k_qf
+    cvar_hi = np.maximum(state.cvar_hi - cfg.alpha_tau * (d_hi + cfg.reg_tau * state.cvar_hi), 0.0)
+    cvar_lo = np.maximum(state.cvar_lo - cfg.alpha_tau * (d_lo + cfg.reg_tau * state.cvar_lo), 0.0)
+    return replace(state, kappa_v=kappa_v, kappa_f=kappa_f, cvar_hi=cvar_hi, cvar_lo=cvar_lo, mu=mu, lam=lam)
+
+
+class TestFusedStep:
+    def test_matches_unit_by_unit_reference(self):
+        # tau_q far below tau_p makes k_qv / tau_q large: the stability
+        # projection clips about half of the unit-steps here, and the k_pf
+        # gains (about -4e-7 unclamped) run into the frequency-gain box
+        _, sm, rho, cfg, _, state, samples, _ = desk_instance()
+        tau_p, tau_q = np.full(sm.n, 1.0), np.full(sm.n, 0.02)
+        stab = StabilityParams(gamma=compute_gamma(sm, tau_p, tau_q), kf_bound=3e-7)
+        tau_p, tau_q = tau_p[:state.m], tau_q[:state.m]
+        keys = ("kappa_v", "kappa_f", "cvar_hi", "cvar_lo", "mu", "lam")
+        g, m = stab.gamma, state.m
+        ref = state
+        on_boundary = at_kf_bound = 0
+        for _ in range(300):
+            state = primal_dual_step(state, sm, rho, samples, cfg, stab, tau_p, tau_q)
+            ref = reference_step(ref, sm, rho, samples, cfg, stab, tau_p, tau_q)
+            for key in keys:
+                assert np.max(np.abs(getattr(state, key) - getattr(ref, key))) <= 1e-12, key
+            a, b = state.kappa_v[:m] / tau_p, state.kappa_v[m:] / tau_q
+            quad = (a - b) ** 2 + 4 * g * (a + b) - 4 * g * g
+            on_boundary += int(np.sum(quad > -stab.quad_margin - 1e-12 * (a - b) ** 2))
+            at_kf_bound += int(np.sum(np.abs(state.kappa_f) == stab.kf_bound))
+        assert on_boundary > 100 and at_kf_bound > 100
+
+    def test_broadcast_across_drop_out(self):
+        _, sm, rho, cfg, stab, state, _, _ = desk_instance()
+        units = six_bus_pv_units()
+        state, _ = schedule_step(state, sm, rho, units, cfg, stab, sample_seed=9)
+        units[1].online = False
+        out, broadcast = schedule_step(state, sm, rho, units, cfg, stab, sample_seed=10)
+        assert out.der_nodes == [4, 6]
+        m = out.m
+        expected = {}
+        for node in (4, 6):
+            i = out.der_nodes.index(node)
+            expected[node] = DroopGains(
+                k_pv=float(out.kappa_v[i]),
+                k_pf=float(out.kappa_f[i]),
+                k_qv=float(out.kappa_v[m + i]),
+                k_qf=float(out.kappa_f[m + i]),
+            )
+        assert broadcast == expected
+        assert all(type(v) is float for g in broadcast.values() for v in vars(g).values())
 
 
 class TestSaddleConvergence:

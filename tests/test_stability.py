@@ -1,7 +1,11 @@
 """Stability gate tests: gamma, certified region, projection, closed loop."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from droopsched.droop import DroopGains
 from droopsched.linmodel import SchedulingPoint, SensitivityModel, build_rx
@@ -13,6 +17,7 @@ from droopsched.stability import (
     compute_gamma,
     lyapunov_value,
     project_gains,
+    project_voltage_gains,
 )
 
 from .oracles import power_iteration_lambda_max
@@ -132,20 +137,23 @@ class TestProjectGains:
         assert out.k_qv / tau == pytest.approx(g / 2.0, rel=1e-5)
 
     def test_output_always_passes_check(self):
+        # the second case has |a|, |b| up to 1e3 gamma, where the quadratic's
+        # rounding outgrows a fixed inward step
         rng = np.random.default_rng(3)
-        g = self.params.gamma
-        for _ in range(300):
-            tau_p, tau_q = rng.uniform(0.1, 0.4, 2)
-            gains = DroopGains(
-                k_pv=float(rng.uniform(-10 * g, 10 * g)) * tau_p,
-                k_qv=float(rng.uniform(-10 * g, 10 * g)) * tau_q,
-                k_pf=float(rng.uniform(-50, 50)),
-                k_qf=float(rng.uniform(-50, 50)),
-            )
-            out = project_gains(gains, tau_p, tau_q, self.params)
-            assert check_gains(out, tau_p, tau_q, self.params)
-            assert abs(out.k_pf) <= self.params.kf_bound
-            assert abs(out.k_qf) <= self.params.kf_bound
+        for params, spread, count in ((self.params, 10.0, 300), (StabilityParams(gamma=1e-3), 1e3, 3000)):
+            g = params.gamma
+            for _ in range(count):
+                tau_p, tau_q = rng.uniform(0.1, 0.4, 2)
+                gains = DroopGains(
+                    k_pv=float(rng.uniform(-spread * g, spread * g)) * tau_p,
+                    k_qv=float(rng.uniform(-spread * g, spread * g)) * tau_q,
+                    k_pf=float(rng.uniform(-50, 50)),
+                    k_qf=float(rng.uniform(-50, 50)),
+                )
+                out = project_gains(gains, tau_p, tau_q, params)
+                assert check_gains(out, tau_p, tau_q, params)
+                assert abs(out.k_pf) <= params.kf_bound
+                assert abs(out.k_qf) <= params.kf_bound
 
     def test_first_order_optimality(self):
         # <z - proj, y - proj> <= 0 over feasible y certifies the projection
@@ -180,6 +188,120 @@ class TestProjectGains:
             d_grid = d.min()
             assert d_proj <= d_grid + 1e-12
             assert d_grid - d_proj <= 2e-4 * g
+
+    @pytest.mark.parametrize(
+        "k_pv, k_qv",
+        [(-0.24134243183401408, -0.28782471661715586), (-0.2996699900746597, -0.1590145015547797)],
+    )
+    def test_clipped_pair_far_above_gamma_passes_check(self, k_pv, k_qv):
+        # |a|, |b| ~ 300 gamma: the quadratic's rounding exceeds a fixed inward step
+        params = StabilityParams(gamma=1e-3)
+        gains = DroopGains(k_pv=k_pv, k_qv=k_qv)
+        assert not check_gains(gains, 1.0, 1.0, params)
+        assert check_gains(project_gains(gains, 1.0, 1.0, params), 1.0, 1.0, params)
+
+
+SQRT2 = np.sqrt(2.0)
+
+
+def boundary_offset(params):
+    """d of the certified region s <= d - w^2 / (2 sqrt2 gamma) in w = (a-b)/sqrt2, s = (a+b)/sqrt2."""
+    g = params.gamma
+    return (4 * g * g - params.quad_margin) / (4 * SQRT2 * g)
+
+
+@st.composite
+def scaled_pairs(draw, params, count):
+    """Scaled pairs (a, b): signed magnitudes from 1e-3 gamma to 1e3 gamma, or
+    points within a relative 1e-6 of the curve where the projection cubic
+    has a double root (there the three-root form takes over from Cardano)."""
+    g = params.gamma
+    a, b = np.empty(count), np.empty(count)
+    for i in range(count):
+        if draw(st.booleans()):
+            mag = st.floats(-3.0, 3.0)
+            sign = st.sampled_from([-1.0, 1.0])
+            a[i] = draw(sign) * g * 10 ** draw(mag)
+            b[i] = draw(sign) * g * 10 ** draw(mag)
+        else:
+            # x^3 + p x + q = 0 with x = w/g has a double root at p = -3 (2|x0|)^(2/3),
+            # p = 4 (1 + (s0 - d) / (sqrt2 g)); outside the region for |x0| > 4
+            x0 = draw(st.sampled_from([-1.0, 1.0])) * 10 ** draw(st.floats(np.log10(5.0), 3.0))
+            p = -3.0 * (2.0 * abs(x0)) ** (2.0 / 3.0) * (1.0 + draw(st.floats(-1e-6, 1e-6)))
+            s0 = boundary_offset(params) + SQRT2 * g * (p / 4.0 - 1.0)
+            a[i], b[i] = (s0 + x0 * g) / SQRT2, (s0 - x0 * g) / SQRT2
+    return a, b
+
+
+@st.composite
+def projection_cases(draw, count=6):
+    params = StabilityParams(gamma=10 ** draw(st.floats(-4.0, 2.0)))
+    taus = st.lists(st.floats(0.05, 1.0), min_size=count, max_size=count)
+    tau_p, tau_q = np.array(draw(taus)), np.array(draw(taus))
+    a, b = draw(scaled_pairs(params, count))
+    return params, tau_p, tau_q, a, b
+
+
+def project_scaled(a, b, tau_p, tau_q, params):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        k_pv, k_qv = project_voltage_gains(a * tau_p, b * tau_q, tau_p, tau_q, params)
+    return k_pv / tau_p, k_qv / tau_q
+
+
+class TestProjectionProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(projection_cases())
+    def test_feasible_idempotent_and_equal_to_scalar(self, case):
+        params, tau_p, tau_q, a, b = case
+        k_pv, k_qv = a * tau_p, b * tau_q
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out_pv, out_qv = project_voltage_gains(k_pv, k_qv, tau_p, tau_q, params)
+            again_pv, again_qv = project_voltage_gains(out_pv, out_qv, tau_p, tau_q, params)
+            scalar = [
+                project_gains(DroopGains(k_pv=kp, k_qv=kq), tp, tq, params)
+                for kp, kq, tp, tq in zip(k_pv, k_qv, tau_p, tau_q)
+            ]
+        for i, g in enumerate(scalar):
+            assert (g.k_pv, g.k_qv) == (out_pv[i], out_qv[i])
+            assert check_gains(g, tau_p[i], tau_q[i], params)
+        scale = np.hypot(out_pv, out_qv) + params.gamma * tau_p
+        assert np.all(np.hypot(again_pv - out_pv, again_qv - out_qv) <= 1e-12 * scale)
+
+    @settings(max_examples=150, deadline=None)
+    @given(projection_cases(), st.floats(-6.0, 3.0), st.integers(0, 2**32 - 1))
+    def test_non_expansive(self, case, log_step, seed):
+        # against an independent pair and against one 10^log_step * gamma away
+        params, tau_p, tau_q, a, b = case
+        rng = np.random.default_rng(seed)
+        g = params.gamma
+        step = g * 10**log_step
+        near = (a + step * rng.standard_normal(a.size), b + step * rng.standard_normal(a.size))
+        pa, pb = project_scaled(a, b, tau_p, tau_q, params)
+        for ya, yb in (near, (a[::-1], b[::-1])):
+            qa, qb = project_scaled(ya, yb, tau_p, tau_q, params)
+            slack = 1e-10 * (np.hypot(a, b) + np.hypot(ya, yb) + g)
+            assert np.all(np.hypot(pa - qa, pb - qb) <= np.hypot(a - ya, b - yb) + slack)
+
+    @settings(max_examples=100, deadline=None)
+    @given(projection_cases(count=1), st.integers(0, 2**32 - 1))
+    def test_first_order_optimality(self, case, seed):
+        # <z - P(z), y - P(z)> <= 0 for every feasible y certifies the projection;
+        # y is sampled near P(z) along the boundary curve and inside it
+        params, tau_p, tau_q, a, b = case
+        g = params.gamma
+        pa, pb = project_scaled(a, b, tau_p, tau_q, params)
+        rng = np.random.default_rng(seed)
+        w = (pa - pb) / SQRT2 + g * rng.choice([-1.0, 1.0], 200) * 10 ** rng.uniform(-6, 3, 200)
+        s = boundary_offset(params) - w * w / (2 * SQRT2 * g) - g * 10 ** rng.uniform(-9, 3, 200)
+        ya, yb = (s + w) / SQRT2, (s - w) / SQRT2
+        feasible = (ya - yb) ** 2 + 4 * g * (ya + yb) - 4 * g * g <= -params.quad_margin
+        ya, yb = ya[feasible], yb[feasible]
+        assert ya.size > 50
+        ip = (a - pa) * (ya - pa) + (b - pb) * (yb - pb)
+        slack = 1e-10 * (np.hypot(a, b) + g) * (np.hypot(ya - pa, yb - pb) + np.hypot(a - pa, b - pb) + g)
+        assert np.all(ip <= slack)
 
 
 class TestLyapunovValue:
