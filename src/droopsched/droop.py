@@ -1,6 +1,6 @@
 """DER unit model: droop input law, capability projection, filter dynamics.
 
-Each controllable unit tracks its input command through first-order
+Each DER unit tracks its input command through first-order
 inner-loop dynamics,
 
     tau_p * dp/dt = u_p - p,      tau_q * dq/dt = u_q - q,
@@ -197,31 +197,18 @@ def project_capability(cap: CapabilitySet, p: float, q: float) -> tuple[float, f
     return _load_project(cap, p, q)
 
 
-def _step_outputs(
-    p_c: float,
-    q_c: float,
-    u_p: float,
-    u_q: float,
-    dt: float,
-    tau_p: float,
-    tau_q: float,
-    cap: CapabilitySet,
-) -> tuple[float, float]:
-    """One forward-Euler step of the inner loops followed by projection."""
-    p = p_c + dt / tau_p * (u_p - p_c)
-    q = q_c + dt / tau_q * (u_q - q_c)
-    return project_capability(cap, p, q)
-
-
 def step_der(unit: DerUnit, u_p: float, u_q: float, dt: float) -> DerUnit:
-    """Advance a unit by one integration step of its filter dynamics.
+    """Advance a unit by one forward-Euler step of its filter dynamics.
 
+    The new outputs are projected onto the unit's capability set.
     Requires 0 < dt < min(tau_p, tau_q) so the explicit update stays in
     the monotone regime.
     """
     if not 0.0 < dt < min(unit.tau_p, unit.tau_q):
         raise ValueError("dt must satisfy 0 < dt < min(tau_p, tau_q)")
-    p, q = _step_outputs(unit.p_c, unit.q_c, u_p, u_q, dt, unit.tau_p, unit.tau_q, unit.cap)
+    p = unit.p_c + dt / unit.tau_p * (u_p - unit.p_c)
+    q = unit.q_c + dt / unit.tau_q * (u_q - unit.q_c)
+    p, q = project_capability(unit.cap, p, q)
     return replace(unit, p_c=p, q_c=q)
 
 

@@ -2,7 +2,7 @@
 
 Bus voltage magnitudes are approximated as an affine map of injections,
 
-    v  =  R (p_c + p_d) + X (q_c + q_d) + v0,
+    v  =  R p + X q + v0,
 
 with R and X the voltage/active- and voltage/reactive-power sensitivity
 matrices.  They are assembled analytically from the tree structure:
@@ -53,6 +53,9 @@ class SchedulingPoint:
 
     def __post_init__(self):
         self.v_meas = np.asarray(self.v_meas, dtype=float)
+        for name in ("v_meas", "r_t", "omega", "omega_star", "v_star"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
         if np.any(self.v_meas <= 0):
             raise ValueError("measured voltages must be strictly positive")
         if self.omega_star <= 0:
@@ -161,11 +164,10 @@ def build_sensitivity_model(
     q_base: np.ndarray,
     rx: tuple[np.ndarray, np.ndarray] | None = None,
     hp0: tuple[np.ndarray, float] | None = None,
-    p_sched: float | None = None,
 ) -> SensitivityModel:
     """Assemble the full affine model anchored at ``rho``.
 
-    ``p_ctrl``/``q_ctrl`` are the controllable injections in whatever
+    ``p_ctrl``/``q_ctrl`` are the controlled injections in whatever
     coordinates the caller will feed back into the model (absolute
     outputs, or deviations from dispatch); the offset v0 is chosen so the
     model reproduces ``rho.v_meas`` exactly at those coordinates.
@@ -177,25 +179,15 @@ def build_sensitivity_model(
     if hp0 is not None:
         H, P0 = hp0
     else:
-        H, P0 = build_pcc_sensitivity(model, rho, p_base, q_base, p_sched=p_sched)
+        H, P0 = build_pcc_sensitivity(model, rho, p_base, q_base)
     v0 = rho.v_meas - R @ p_ctrl - X @ q_ctrl
     return SensitivityModel(R=R, X=X, v0=v0, H=H, P0=P0, rho=rho)
 
 
-def predict_voltage(
-    sm: SensitivityModel,
-    p_c: np.ndarray,
-    q_c: np.ndarray,
-    p_d: np.ndarray | None = None,
-    q_d: np.ndarray | None = None,
-) -> np.ndarray:
-    """Affine voltage estimate v = R(p_c + p_d) + X(q_c + q_d) + v0."""
-    p = np.asarray(p_c, dtype=float)
-    q = np.asarray(q_c, dtype=float)
-    if p_d is not None:
-        p = p + p_d
-    if q_d is not None:
-        q = q + q_d
+def predict_voltage(sm: SensitivityModel, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Affine voltage estimate v = R p + X q + v0."""
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
     if p.shape != (sm.n,) or q.shape != (sm.n,):
         raise ValueError(f"injection vectors must have shape ({sm.n},)")
     return sm.R @ p + sm.X @ q + sm.v0

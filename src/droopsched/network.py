@@ -40,6 +40,9 @@ __all__ = [
 ]
 
 
+_MAX_ITER = 100  # sweep iterations before solve_power_flow gives up
+
+
 class NetworkDataError(ValueError):
     """Raised for malformed network topology or branch data."""
 
@@ -63,12 +66,11 @@ class Branch:
 
 @dataclass
 class NetworkModel:
-    """Radial feeder: buses (0 = substation), branches, and DER host set."""
+    """Radial feeder: buses (0 = substation) and branches."""
 
     buses: list[Bus]
     branches: list[Branch]
     v_sub: float = 1.0
-    controllable: set[int] = field(default_factory=set)
     _plan: "_SweepPlan | None" = field(default=None, repr=False, compare=False)
 
     @property
@@ -202,7 +204,6 @@ def solve_power_flow(
     p_inj: np.ndarray,
     q_inj: np.ndarray,
     tol: float = 1e-8,
-    max_iter: int = 100,
     warm: "PowerFlowSolution | None" = None,
 ) -> PowerFlowSolution:
     """Backward-Forward Sweep over the DistFlow recursion.
@@ -238,7 +239,7 @@ def solve_power_flow(
 
     converged = False
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, _MAX_ITER + 1):
         # backward: subtree sums of injections and previous-iterate losses
         y = rx * i_sq - inj
         s = y.cumsum(axis=1)
@@ -263,7 +264,7 @@ def solve_power_flow(
                 converged = True
                 break
     if not converged:
-        raise PowerFlowError(f"no convergence within {max_iter} iterations")
+        raise PowerFlowError(f"no convergence within {_MAX_ITER} iterations")
 
     v = np.concatenate(([model.v_sub], np.sqrt(v_sq[plan.pos])))
     p_pcc = float(S[0, plan.root].sum())

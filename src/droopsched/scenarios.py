@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .droop import LOAD, PV, CapabilitySet, DerUnit
+from .droop import PV, CapabilitySet, DerUnit
 from .network import Branch, Bus, NetworkModel
 
 __all__ = [
@@ -22,8 +22,6 @@ __all__ = [
     "clear_sky_availability",
     "daily_load_shape",
     "square_wave_frequency",
-    "constant_frequency",
-    "write_profile_files",
 ]
 
 
@@ -37,12 +35,7 @@ def six_bus_feeder() -> NetworkModel:
         Branch(2, 5, 0.026, 0.022),
         Branch(3, 6, 0.024, 0.022),
     ]
-    model = NetworkModel(
-        buses=[Bus(i) for i in range(7)],
-        branches=branches,
-        controllable={4, 5, 6},
-    )
-    return model
+    return NetworkModel(buses=[Bus(i) for i in range(7)], branches=branches)
 
 
 def six_bus_pv_units(s_max=0.40, pf_min=0.80, tau=0.2) -> list[DerUnit]:
@@ -109,43 +102,3 @@ def square_wave_frequency(duration_s: float, amplitude: float = 0.001, half_peri
     edge = np.minimum(np.minimum(phase, np.abs(phase - 1.0)), np.abs(phase - 2.0))
     ramp = np.clip(edge * half_period_s / transition_s, 0.0, 1.0)
     return omega_star + amplitude * sign * ramp
-
-
-def constant_frequency(duration_s: float, omega: float = 1.0) -> np.ndarray:
-    return np.full(int(duration_s) + 1, omega)
-
-
-def write_profile_files(
-    outdir,
-    model: NetworkModel,
-    load_p: dict[int, np.ndarray],
-    load_q: dict[int, np.ndarray],
-    pv_avail: dict[int, np.ndarray],
-    frequency: np.ndarray,
-) -> dict[str, str]:
-    """Write long-format 1-second profile CSVs; returns the path map."""
-    import os
-
-    os.makedirs(outdir, exist_ok=True)
-    paths = {
-        "loads": os.path.join(outdir, "loads.csv"),
-        "pv": os.path.join(outdir, "pv.csv"),
-        "frequency": os.path.join(outdir, "frequency.csv"),
-    }
-    with open(paths["loads"], "w") as fh:
-        fh.write("time_s,node,p_pu,q_pu\n")
-        for node in sorted(load_p):
-            ps, qs = load_p[node], load_q[node]
-            for k in range(len(ps)):
-                fh.write(f"{float(k)!r},{node},{float(ps[k])!r},{float(qs[k])!r}\n")
-    with open(paths["pv"], "w") as fh:
-        fh.write("time_s,node,p_avail_pu\n")
-        for node in sorted(pv_avail):
-            vals = pv_avail[node]
-            for k in range(len(vals)):
-                fh.write(f"{float(k)!r},{node},{float(vals[k])!r}\n")
-    with open(paths["frequency"], "w") as fh:
-        fh.write("time_s,omega_pu\n")
-        for k in range(len(frequency)):
-            fh.write(f"{float(k)!r},{float(frequency[k])!r}\n")
-    return paths

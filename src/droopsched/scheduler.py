@@ -26,11 +26,11 @@ band edge).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .droop import DerUnit, DroopGains
+from .droop import DerUnit, DroopGains, tso_requirement
 from .linmodel import SchedulingPoint, SensitivityModel
 from .stability import StabilityParams, project_voltage_gains
 from .stability import project_gains  # noqa: F401  perfbench/spans.py wraps scheduler.project_gains by name
@@ -86,7 +86,6 @@ class SchedulerConfig:
     cost_w_qv: float = 0.1
     cost_w_f: float | None = None
     tau_s: float = 30.0
-    inner_iters: int = 1
 
     def __post_init__(self):
         if self.alpha_tau is None:
@@ -103,8 +102,8 @@ class SchedulerConfig:
             raise ValueError("n_samples must be at least 1")
         if self.noise_std < 0:
             raise ValueError("noise_std must be nonnegative")
-        if self.tau_s <= 0 or self.inner_iters < 1:
-            raise ValueError("tau_s must be positive, inner_iters at least 1")
+        if self.tau_s <= 0:
+            raise ValueError("tau_s must be positive")
 
 
 @dataclass
@@ -195,47 +194,35 @@ def draw_samples(v_meas: np.ndarray, cfg: SchedulerConfig, seed) -> SampleSet:
     return SampleSet(xi=xi)
 
 
-def _dv(rho: SchedulingPoint) -> np.ndarray:
-    return rho.v_meas - rho.v_star
+def _affine(sm: SensitivityModel, state: SchedulerState, rho: SchedulingPoint):
+    """Voltage prediction, tracking error and their gain slopes at ``rho``.
+
+    Gathers the online units' columns once: G = [R[:, idx], X[:, idx]]
+    (n, 2m), h = [H_p[idx], H_q[idx]] (2m,), and u, the measured voltage
+    deviation at each unit repeated for its p and its q slot.  The
+    voltage prediction is affine in kappa_v with slope G u, the tracking
+    error affine in kappa_f with slope h d_omega; the other gain block
+    enters through the previous broadcast.
+    """
+    idx = np.asarray(state.der_nodes, dtype=np.intp) - 1
+    G = np.concatenate([sm.R[:, idx], sm.X[:, idx]], axis=1)
+    h = sm.H[np.concatenate([idx, idx + sm.n])]
+    u = np.tile(rho.v_meas[idx] - rho.v_star, 2)
+    d_omega = rho.d_omega
+    vm = G @ (state.kappa_v * u + state.prev_kappa_f * d_omega) + sm.v0
+    delivered = h @ (state.prev_kappa_v * u + state.kappa_f * d_omega) + sm.P0
+    e = float(delivered - tso_requirement(rho.r_t, rho.omega, rho.omega_star))
+    return vm, e, G * u, h * d_omega
 
 
-def _deviation_injections(state, nodes_idx, kv, kf, dv, d_omega, n):
-    """Stacked droop-response deviations for gain blocks (kv, kf)."""
-    m = len(nodes_idx)
-    p = np.zeros(n)
-    q = np.zeros(n)
-    dv_c = dv[nodes_idx]
-    p[nodes_idx] = kv[:m] * dv_c + kf[:m] * d_omega
-    q[nodes_idx] = kv[m:] * dv_c + kf[m:] * d_omega
-    return p, q
-
-
-def voltage_model(
-    sm: SensitivityModel,
-    state: SchedulerState,
-    rho: SchedulingPoint,
-    dv: np.ndarray | None = None,
-) -> np.ndarray:
+def voltage_model(sm: SensitivityModel, state: SchedulerState, rho: SchedulingPoint) -> np.ndarray:
     """Deterministic voltage prediction, linear in the current kappa_v.
 
     The frequency response uses the previously broadcast gains as a
-    feedforward term; the measured voltage deviation dv is held constant
+    feedforward term; the measured voltage deviation is held constant
     within the step.
     """
-    if dv is None:
-        dv = _dv(rho)
-    nodes_idx = np.asarray(state.der_nodes, dtype=np.intp) - 1
-    p, q = _deviation_injections(
-        state, nodes_idx, state.kappa_v, state.prev_kappa_f, dv, rho.d_omega, sm.n
-    )
-    return sm.R @ p + sm.X @ q + sm.v0
-
-
-def _voltage_jacobian(sm, state, dv) -> np.ndarray:
-    """d v_pred / d kappa_v, shape (n, 2m)."""
-    nodes_idx = np.asarray(state.der_nodes, dtype=np.intp) - 1
-    dv_c = dv[nodes_idx]
-    return np.concatenate([sm.R[:, nodes_idx] * dv_c, sm.X[:, nodes_idx] * dv_c], axis=1)
+    return _affine(sm, state, rho)[0]
 
 
 def _hinge_args(vm, samples, cvar_hi, cvar_lo, cfg):
@@ -263,26 +250,13 @@ def cvar_constraints(
     return _cvar_rows(arg_up, arg_lo, cvar_hi, cvar_lo, cfg)
 
 
-def freq_error(
-    sm: SensitivityModel,
-    state: SchedulerState,
-    rho: SchedulingPoint,
-    dv: np.ndarray | None = None,
-) -> float:
-    """Tracking error of the PCC adjustment against the droop requirement.
+def freq_error(sm: SensitivityModel, state: SchedulerState, rho: SchedulingPoint) -> float:
+    """Tracking error of the PCC adjustment against the TSO requirement.
 
     Linear in the current kappa_f; the voltage-droop contribution to the
     exchange enters through the previous period's gains.
     """
-    if dv is None:
-        dv = _dv(rho)
-    n = sm.n
-    nodes_idx = np.asarray(state.der_nodes, dtype=np.intp) - 1
-    p, q = _deviation_injections(
-        state, nodes_idx, state.prev_kappa_v, state.kappa_f, dv, rho.d_omega, n
-    )
-    delivered = sm.P0 + sm.H[:n] @ p + sm.H[n:] @ q
-    return float(delivered - rho.r_t * rho.d_omega)
+    return _affine(sm, state, rho)[1]
 
 
 def band_residual(e: float, cfg: SchedulerConfig) -> np.ndarray:
@@ -309,10 +283,9 @@ def lagrangian(
     cfg: SchedulerConfig,
 ) -> float:
     """Regularized Lagrangian value at the state's primal/dual point."""
-    dv = _dv(rho)
-    vm = voltage_model(sm, state, rho, dv)
+    vm, e, _, _ = _affine(sm, state, rho)
     l_val = cvar_constraints(vm, samples, state.cvar_hi, state.cvar_lo, cfg)
-    r_val = band_residual(freq_error(sm, state, rho, dv), cfg)
+    r_val = band_residual(e, cfg)
     tau = np.concatenate([state.cvar_hi, state.cvar_lo])
     return (
         cost(state, cfg)
@@ -336,13 +309,6 @@ def _signals(arg_up, arg_lo, mu, lam, J, grad_e, cfg):
     return s_v, s_f, d_hi, d_lo
 
 
-def _freq_slope(sm, state, rho) -> np.ndarray:
-    """d e / d kappa_f, shape (2m,)."""
-    n = sm.n
-    nodes_idx = np.asarray(state.der_nodes, dtype=np.intp) - 1
-    return np.concatenate([sm.H[:n][nodes_idx], sm.H[n:][nodes_idx]]) * rho.d_omega
-
-
 def gradient_signals(
     state: SchedulerState,
     sm: SensitivityModel,
@@ -359,11 +325,9 @@ def gradient_signals(
     The hinge subgradient convention is 1 for strictly positive
     arguments, 0 otherwise.
     """
-    dv = _dv(rho)
-    vm = voltage_model(sm, state, rho, dv)
+    vm, _, J, grad_e = _affine(sm, state, rho)
     arg_up, arg_lo = _hinge_args(vm, samples, state.cvar_hi, state.cvar_lo, cfg)
-    J = _voltage_jacobian(sm, state, dv)
-    return _signals(arg_up, arg_lo, state.mu, state.lam, J, _freq_slope(sm, state, rho), cfg)
+    return _signals(arg_up, arg_lo, state.mu, state.lam, J, grad_e, cfg)
 
 
 def primal_dual_step(
@@ -383,23 +347,21 @@ def primal_dual_step(
     voltage-gain pairs projected onto the certified-stable set and the
     frequency gains clamped to the configured box.  The hinge arguments
     depend on neither multiplier, so the dual and the primal half share
-    one evaluation of them.
+    one evaluation of them and of the gathered model.
     """
     if sm.rho.timestamp != rho.timestamp:
         raise ValueError("stale sensitivity model: timestamp mismatch")
     m = state.m
-    dv = _dv(rho)
 
-    vm = voltage_model(sm, state, rho, dv)
+    vm, e, J, grad_e = _affine(sm, state, rho)
     arg_up, arg_lo = _hinge_args(vm, samples, state.cvar_hi, state.cvar_lo, cfg)
     l_val = _cvar_rows(arg_up, arg_lo, state.cvar_hi, state.cvar_lo, cfg)
-    r_val = band_residual(freq_error(sm, state, rho, dv), cfg)
+    r_val = band_residual(e, cfg)
 
     mu = np.maximum(state.mu + cfg.alpha_dual * (l_val - cfg.phi * state.mu), 0.0)
     lam = np.maximum(state.lam + cfg.alpha_dual * (r_val - cfg.psi * state.lam), 0.0)
 
-    J = _voltage_jacobian(sm, state, dv)
-    s_v, s_f, d_hi, d_lo = _signals(arg_up, arg_lo, mu, lam, J, _freq_slope(sm, state, rho), cfg)
+    s_v, s_f, d_hi, d_lo = _signals(arg_up, arg_lo, mu, lam, J, grad_e, cfg)
 
     wv = _weights_v(state, cfg)
     kappa_v = state.kappa_v - cfg.alpha_primal * (2.0 * wv**2 * state.kappa_v + s_v)
@@ -432,9 +394,9 @@ def schedule_step(
     """One full measurement -> dual -> signal -> primal cycle.
 
     Realigns the gain slots to the currently online units, draws this
-    period's disturbance samples, performs ``cfg.inner_iters`` gradient
-    cycles on the frozen measurement, rotates the feedforward gains, and
-    returns the per-unit broadcast.
+    period's disturbance samples, performs one gradient cycle on the
+    frozen measurement, rotates the feedforward gains, and returns the
+    per-unit broadcast.
     """
     online = [u for u in ders if u.online]
     nodes = [u.node for u in online]
@@ -443,8 +405,7 @@ def schedule_step(
     tau_q = np.array([u.tau_q for u in online])
 
     samples = draw_samples(rho.v_meas, cfg, sample_seed)
-    for _ in range(cfg.inner_iters):
-        state = primal_dual_step(state, sm, rho, samples, cfg, stab, tau_p, tau_q)
+    state = primal_dual_step(state, sm, rho, samples, cfg, stab, tau_p, tau_q)
 
     state = replace(state, prev_kappa_v=state.kappa_v.copy(), prev_kappa_f=state.kappa_f.copy())
     m = len(nodes)

@@ -53,16 +53,16 @@ class StabilityParams:
     """Network-wide stability constant and strictness margins."""
 
     gamma: float
-    margin: float | None = None
     kf_bound: float = 10.0
 
     def __post_init__(self):
         if self.gamma <= 0:
             raise ValueError("gamma must be positive")
-        if self.margin is None:
-            self.margin = 1e-6 * self.gamma
-        if self.margin <= 0:
-            raise ValueError("margin must be positive")
+
+    @property
+    def margin(self) -> float:
+        """Strictness margin of the linear conditions, relative to gamma."""
+        return 1e-6 * self.gamma
 
     @property
     def quad_margin(self) -> float:

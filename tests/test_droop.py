@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from droopsched.droop import (
     LOAD,
@@ -173,6 +175,63 @@ class TestProjectCapability:
         cap.p_avail = -0.5
         with pytest.raises(CapabilityError, match="empty feasible set"):
             project_capability(cap, 0.1, 0.0)
+
+
+@st.composite
+def capability_sets(draw, kind):
+    """Capability sets of one kind, degenerate ones included: pf 1.0 (a
+    segment on the p axis), p_avail 0 (a single point), p_min == p_max."""
+    pf = draw(st.one_of(st.just(1.0), st.floats(0.01, 1.0)))
+    if kind == PV:
+        s_max = draw(st.floats(0.1, 2.0))
+        p_avail = s_max * draw(st.one_of(st.just(0.0), st.floats(0.0, 1.5)))
+        return CapabilitySet(kind=PV, s_max=s_max, pf_min=pf, p_avail=p_avail)
+    p_min = draw(st.floats(-2.0, 1.0))
+    p_max = p_min + draw(st.one_of(st.just(0.0), st.floats(0.0, 2.0)))
+    return CapabilitySet(kind=LOAD, p_min=p_min, p_max=p_max, pf_fixed=pf)
+
+
+def feasible_points(cap, rng, count=300):
+    """Points of the set from its own parametrisation, about a third of them
+    on its boundary; independent of project_capability."""
+    u = np.clip(rng.uniform(-0.25, 1.25, (2, count)), 0.0, 1.0)
+    if cap.kind == PV:
+        t = math.tan(math.acos(cap.pf_min))
+        p = u[0] * min(cap.p_avail, cap.s_max)
+        q_max = np.minimum(t * p, np.sqrt(np.maximum(cap.s_max**2 - p * p, 0.0)))
+        q = q_max * (2.0 * u[1] - 1.0)
+    else:
+        t = math.tan(math.acos(cap.pf_fixed))
+        p = cap.p_min + u[0] * (cap.p_max - cap.p_min)
+        q = p * t
+    pts = np.column_stack([p, q])
+    return pts[[cap.contains(a, b, tol=0.0) for a, b in pts.tolist()]]
+
+
+points = st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0))
+
+
+@pytest.mark.parametrize("kind", [PV, LOAD])
+class TestProjectCapabilityProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), z=points, seed=st.integers(0, 2**32 - 1))
+    def test_feasible_idempotent_and_nearest(self, kind, data, z, seed):
+        cap = data.draw(capability_sets(kind))
+        proj = np.array(project_capability(cap, *z))
+        assert cap.contains(*proj)
+        assert np.hypot(*(np.array(project_capability(cap, *proj)) - proj)) <= 1e-12
+        ys = feasible_points(cap, np.random.default_rng(seed))
+        assert len(ys) > 0
+        dist = np.hypot(*(np.array(z) - proj))
+        assert np.all(dist <= np.hypot(*(np.array(z) - ys).T) + 1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), a=points, b=points)
+    def test_non_expansive(self, kind, data, a, b):
+        cap = data.draw(capability_sets(kind))
+        pa = np.array(project_capability(cap, *a))
+        pb = np.array(project_capability(cap, *b))
+        assert np.hypot(*(pa - pb)) <= np.hypot(*(np.array(a) - np.array(b))) + 1e-12
 
 
 class TestStepDer:

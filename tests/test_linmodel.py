@@ -198,3 +198,26 @@ class TestSensitivityModelInvariants:
         rho = SchedulingPoint(v_meas=sol.v[1:], r_t=0.02, omega=1.0, omega_star=1.0)
         sm = build_sensitivity_model(model, rho, p_c, q_c, p_c, q_c)
         assert predict_voltage(sm, p_c, q_c) == pytest.approx(sol.v[1:], abs=1e-14)
+
+
+class TestSchedulingPoint:
+    FINITE = dict(v_meas=[1.0, 1.01], r_t=0.02, omega=1.0, omega_star=1.0, v_star=1.0)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("v_meas", [1.0, np.nan]),
+            ("v_meas", [np.inf, 1.0]),
+            ("omega", np.nan),
+            ("omega", np.inf),
+            ("omega", -np.inf),
+            ("omega_star", np.inf),
+            ("r_t", np.nan),
+            ("r_t", -np.inf),
+            ("v_star", np.nan),
+        ],
+    )
+    def test_non_finite_measurement_raises_naming_the_field(self, name, value):
+        SchedulingPoint(**self.FINITE)
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            SchedulingPoint(**{**self.FINITE, name: value})

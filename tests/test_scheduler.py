@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from droopsched.droop import PV, CapabilitySet, DerUnit, DroopGains
-from droopsched.linmodel import SchedulingPoint, build_rx, build_sensitivity_model
+from droopsched.droop import PV, CapabilitySet, DerUnit, DroopGains, tso_requirement
+from droopsched.linmodel import SchedulingPoint, build_rx, build_sensitivity_model, predict_voltage
 from droopsched.network import solve_power_flow
-from droopsched.scenarios import six_bus_feeder, six_bus_pv_units
+from droopsched.scenarios import random_radial_feeder, six_bus_feeder, six_bus_pv_units
 from droopsched.scheduler import (
     SampleSet,
     SchedulerConfig,
@@ -456,13 +456,13 @@ def reference_step(state, sm, rho, samples, cfg, stab, tau_p, tau_q):
     n, m = sm.n, state.m
     idx = np.asarray(state.der_nodes) - 1
     dv = rho.v_meas - rho.v_star
-    vm = voltage_model(sm, state, rho, dv)
+    vm = voltage_model(sm, state, rho)
     l_val = cvar_constraints(vm, samples, state.cvar_hi, state.cvar_lo, cfg)
-    r_val = band_residual(freq_error(sm, state, rho, dv), cfg)
+    r_val = band_residual(freq_error(sm, state, rho), cfg)
     mu = np.maximum(state.mu + cfg.alpha_dual * (l_val - cfg.phi * state.mu), 0.0)
     lam = np.maximum(state.lam + cfg.alpha_dual * (r_val - cfg.psi * state.lam), 0.0)
 
-    vm = voltage_model(sm, state, rho, dv)
+    vm = voltage_model(sm, state, rho)
     frac_up = ((vm - cfg.v_max + samples.xi + state.cvar_hi) > 0.0).mean(axis=0)
     frac_lo = ((cfg.v_min - vm - samples.xi + state.cvar_lo) > 0.0).mean(axis=0)
     J = np.concatenate([sm.R[:, idx] * dv[idx], sm.X[:, idx] * dv[idx]], axis=1)
@@ -486,6 +486,47 @@ def reference_step(state, sm, rho, samples, cfg, stab, tau_p, tau_q):
     cvar_hi = np.maximum(state.cvar_hi - cfg.alpha_tau * (d_hi + cfg.reg_tau * state.cvar_hi), 0.0)
     cvar_lo = np.maximum(state.cvar_lo - cfg.alpha_tau * (d_lo + cfg.reg_tau * state.cvar_lo), 0.0)
     return replace(state, kappa_v=kappa_v, kappa_f=kappa_f, cvar_hi=cvar_hi, cvar_lo=cvar_lo, mu=mu, lam=lam)
+
+
+def scattered_response(state, rho, n, kv, kf):
+    """Droop responses of the online units, unit by unit, on a bus vector."""
+    m = state.m
+    p, q = np.zeros(n), np.zeros(n)
+    for j, node in enumerate(state.der_nodes):
+        dv = rho.v_meas[node - 1] - rho.v_star
+        p[node - 1] = kv[j] * dv + kf[j] * rho.d_omega
+        q[node - 1] = kv[m + j] * dv + kf[m + j] * rho.d_omega
+    return p, q
+
+
+class TestGatheredModel:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_linmodel_on_scattered_injections(self, seed):
+        # unsorted online nodes, m < n, then a realigned drop-out and m = 0
+        from dataclasses import replace
+
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 40))
+        model = random_radial_feeder(n, rng)
+        nodes = [int(k) for k in rng.permutation(np.arange(1, n + 1))[: int(rng.integers(1, n))]]
+        p_base, q_base = rng.uniform(-0.03, 0.03, (2, n))
+        sol = solve_power_flow(model, p_base, q_base)
+        rho = SchedulingPoint(
+            v_meas=sol.v[1:], r_t=0.02, omega=1.0 + rng.uniform(-2e-3, 2e-3), omega_star=1.0, v_star=0.99
+        )
+        hp0 = (rng.uniform(-1.1, -0.9, 2 * n), float(rng.normal(0.0, 1e-3)))
+        sm = build_sensitivity_model(model, rho, *rng.normal(0.0, 0.01, (2, n)), p_base, q_base, hp0=hp0)
+        cfg = SchedulerConfig()
+        full = SchedulerState.initial(nodes, n, cfg, seed=seed)
+        gains = ("kappa_v", "kappa_f", "prev_kappa_v", "prev_kappa_f")
+        full = replace(full, **{key: rng.normal(0.0, 1.0, 2 * full.m) for key in gains})
+        dropped = full.realigned([k for k in nodes if k != nodes[0]], cfg)
+        for state in (full, dropped, full.realigned([], cfg)):
+            p, q = scattered_response(state, rho, n, state.kappa_v, state.prev_kappa_f)
+            assert np.max(np.abs(voltage_model(sm, state, rho) - predict_voltage(sm, p, q))) <= 1e-12
+            p, q = scattered_response(state, rho, n, state.prev_kappa_v, state.kappa_f)
+            e = sm.P0 + sm.H @ np.concatenate([p, q]) - tso_requirement(rho.r_t, rho.omega, rho.omega_star)
+            assert abs(freq_error(sm, state, rho) - e) <= 1e-12
 
 
 class TestFusedStep:
