@@ -74,8 +74,8 @@ class CapabilitySet:
         if self.kind not in (PV, LOAD):
             raise CapabilityError(f"unknown capability kind {self.kind!r}")
         if self.kind == PV:
-            if self.s_max <= 0:
-                raise CapabilityError("s_max must be positive")
+            if not 0.0 < self.s_max < math.inf:
+                raise CapabilityError("s_max must be finite and positive")
             if not 0.0 < self.pf_min <= 1.0:
                 raise CapabilityError("pf_min must lie in (0, 1]")
         else:
@@ -110,8 +110,10 @@ class DerUnit:
     online: bool = True
 
     def __post_init__(self):
-        if self.tau_p <= 0 or self.tau_q <= 0:
-            raise ValueError("inner-loop time constants must be positive")
+        if not 0.0 < self.tau_p < math.inf:
+            raise ValueError("tau_p must be finite and positive")
+        if not 0.0 < self.tau_q < math.inf:
+            raise ValueError("tau_q must be finite and positive")
 
 
 def droop_input(

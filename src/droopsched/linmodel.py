@@ -53,7 +53,7 @@ class SchedulingPoint:
 
     def __post_init__(self):
         self.v_meas = np.asarray(self.v_meas, dtype=float)
-        for name in ("v_meas", "r_t", "omega", "omega_star", "v_star"):
+        for name in ("v_meas", "r_t", "omega", "omega_star", "v_star", "timestamp"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} must be finite")
         if np.any(self.v_meas <= 0):
@@ -93,14 +93,6 @@ class SensitivityModel:
     def n(self) -> int:
         return self.R.shape[0]
 
-    def gain_matrix(self) -> np.ndarray:
-        """Block-diagonal [[R, 0], [0, X]] used by the stability machinery."""
-        n = self.n
-        G = np.zeros((2 * n, 2 * n))
-        G[:n, :n] = self.R
-        G[n:, n:] = self.X
-        return G
-
 
 def build_rx(model: NetworkModel) -> tuple[np.ndarray, np.ndarray]:
     """Common-path sensitivity matrices from the tree structure.
@@ -135,7 +127,7 @@ def build_pcc_sensitivity(
     exchange minus the scheduled exchange ``p_sched``; when no schedule
     is supplied the base point itself is the schedule and P0 = 0.
     """
-    if step <= 0:
+    if not step > 0:
         raise ValueError("step must be positive")
     n = model.n
     p_base = np.asarray(p_base, dtype=float)

@@ -35,7 +35,6 @@ __all__ = [
     "PowerFlowError",
     "validate_radial",
     "solve_power_flow",
-    "pcc_exchange",
     "load_network",
 ]
 
@@ -125,7 +124,7 @@ class _SweepPlan:
 
 
 def _build_plan(model: NetworkModel) -> _SweepPlan:
-    _, pre = validate_radial(model)
+    pre = validate_radial(model)
     branches = [model.branches[e] for e in pre]
     order = np.array(pre, dtype=np.intp)
     bus = np.array([b.to - 1 for b in branches], dtype=np.intp)
@@ -145,13 +144,13 @@ def _build_plan(model: NetworkModel) -> _SweepPlan:
     )
 
 
-def validate_radial(model: NetworkModel) -> tuple[list[int], list[int]]:
-    """Check the branch set forms a tree rooted at bus 0 and return sweep orders.
+def validate_radial(model: NetworkModel) -> list[int]:
+    """Check the branch set forms a tree rooted at bus 0 and return its preorder.
 
-    Returns (backward, forward) lists of branch indices: leaves-to-root and
-    root-to-leaves.  Forward is a depth-first preorder, so every subtree
-    is contiguous in it.  Branches listed child-first are reoriented in
-    place to point away from the substation.  Raises NetworkDataError on
+    Returns the branch indices in depth-first preorder from the
+    substation, so every subtree is contiguous in it and its reverse runs
+    leaves-to-root.  Branches listed child-first are reoriented in place
+    to point away from the substation.  Raises NetworkDataError on
     cycles, disconnected buses, duplicate branches, or unknown bus ids.
     """
     ids = [b.id for b in model.buses]
@@ -196,7 +195,7 @@ def validate_radial(model: NetworkModel) -> tuple[list[int], list[int]]:
     if len(visited) != n_bus:
         missing = sorted(set(ids) - visited)
         raise NetworkDataError(f"disconnected node {missing[0]}")
-    return pre[::-1], pre
+    return pre
 
 
 def solve_power_flow(
@@ -214,8 +213,8 @@ def solve_power_flow(
     branch currents from a previous solution; a flat start is used
     otherwise.  Branch arrays of the result follow ``model.branches``.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < np.inf:
+        raise ValueError("tol must be finite and positive")
     plan = model.plan()
     n = model.n
     p = np.asarray(p_inj, dtype=float)
@@ -281,13 +280,6 @@ def _residuals(plan, inj, S, i_sq, v_ext) -> float:
         2.0 * (plan.rx * S).sum(axis=0) - plan.rx_sq * i_sq
     )
     return float(max(np.abs(res_flow).max(), np.abs(res_drop).max()))
-
-
-def pcc_exchange(sol: PowerFlowSolution) -> float:
-    """Signed active power at the PCC; positive = import from the grid."""
-    if not sol.converged:
-        raise PowerFlowError("power flow did not converge")
-    return sol.p_pcc
 
 
 def load_network(path) -> NetworkModel:

@@ -38,28 +38,26 @@ def six_bus_feeder() -> NetworkModel:
     return NetworkModel(buses=[Bus(i) for i in range(7)], branches=branches)
 
 
-def six_bus_pv_units(s_max=0.40, pf_min=0.80, tau=0.2) -> list[DerUnit]:
-    """Three PV inverters at the feeder ends of the bundled 6-bus feeder."""
+def six_bus_pv_units() -> list[DerUnit]:
+    """Three PV inverters at the feeder ends of the bundled 6-bus feeder: 0.4 pu, pf 0.8, tau 0.2 s."""
     return [
-        DerUnit(node=node, cap=CapabilitySet(kind=PV, s_max=s_max, pf_min=pf_min), tau_p=tau, tau_q=tau)
+        DerUnit(node=node, cap=CapabilitySet(kind=PV, s_max=0.40, pf_min=0.80), tau_p=0.2, tau_q=0.2)
         for node in (4, 5, 6)
     ]
 
 
-def random_radial_feeder(n_bus: int, rng: np.random.Generator, r_range=(0.005, 0.05), x_range=(0.005, 0.05)) -> NetworkModel:
-    """Random tree: bus j attaches to a uniformly chosen earlier bus."""
+def random_radial_feeder(n_bus: int, rng: np.random.Generator) -> NetworkModel:
+    """Random tree: bus j attaches to a uniformly chosen earlier bus, r and x uniform on [0.005, 0.05]."""
     branches = []
     for j in range(1, n_bus + 1):
         parent = int(rng.integers(0, j))
-        branches.append(
-            Branch(parent, j, float(rng.uniform(*r_range)), float(rng.uniform(*x_range)))
-        )
+        branches.append(Branch(parent, j, float(rng.uniform(0.005, 0.05)), float(rng.uniform(0.005, 0.05))))
     return NetworkModel(buses=[Bus(i) for i in range(n_bus + 1)], branches=branches)
 
 
-def ieee37_shaped_feeder(seed: int = 37) -> NetworkModel:
+def ieee37_shaped_feeder() -> NetworkModel:
     """36-branch feeder with depth/branching statistics like the 37-bus system."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(37)
     branches = []
     parent_pool = [0]
     next_id = 1
@@ -76,13 +74,9 @@ def ieee37_shaped_feeder(seed: int = 37) -> NetworkModel:
     return NetworkModel(buses=[Bus(i) for i in range(37)], branches=branches)
 
 
-def clear_sky_availability(duration_s: float, peak: float, t_mid: float | None = None, half_width: float | None = None) -> np.ndarray:
+def clear_sky_availability(duration_s: float, peak: float, t_mid: float, half_width: float) -> np.ndarray:
     """Parabolic irradiance arc at 1-second resolution, clipped at zero."""
     t = np.arange(0.0, duration_s + 1.0)
-    if t_mid is None:
-        t_mid = duration_s / 2.0
-    if half_width is None:
-        half_width = duration_s / 2.0
     arc = peak * (1.0 - ((t - t_mid) / half_width) ** 2)
     return np.maximum(arc, 0.0)
 
@@ -93,12 +87,12 @@ def daily_load_shape(duration_s: float, base: float, swing: float = 0.0, period_
     return base + swing * 0.5 * (1.0 - np.cos(2.0 * np.pi * t / period_s))
 
 
-def square_wave_frequency(duration_s: float, amplitude: float = 0.001, half_period_s: float = 600.0, omega_star: float = 1.0, transition_s: float = 2.0) -> np.ndarray:
-    """Frequency replay alternating +/- amplitude with smooth transitions."""
+def square_wave_frequency(duration_s: float, amplitude: float = 0.001, half_period_s: float = 600.0, omega_star: float = 1.0) -> np.ndarray:
+    """Frequency replay alternating +/- amplitude with 2-second linear transitions."""
     t = np.arange(0.0, duration_s + 1.0)
     phase = (t % (2.0 * half_period_s)) / half_period_s
     sign = np.where(phase < 1.0, 1.0, -1.0)
-    # smooth the edges over transition_s seconds to avoid replay steps
+    # ramp the edges over 2 s to avoid replay steps
     edge = np.minimum(np.minimum(phase, np.abs(phase - 1.0)), np.abs(phase - 2.0))
-    ramp = np.clip(edge * half_period_s / transition_s, 0.0, 1.0)
+    ramp = np.clip(edge * half_period_s / 2.0, 0.0, 1.0)
     return omega_star + amplitude * sign * ramp

@@ -14,12 +14,14 @@ With a = k_pv / tau_p and b = k_qv / tau_q the certified region is
 
     (a - b)^2 + 4*gamma*(a + b) - 4*gamma^2 < 0,
 
-intersected with (a < gamma or b < gamma); the quadratic inequality in
-fact forces both linear ones.  Note the linear term couples the *sum*
-a + b: this is what the Schur-complement expansion of the 2x2 symmetric
-part produces, and the eigenvalue sweep in the test suite confirms the
-sum form is the sound one.  The region is convex (a parabola sublevel
-set), so candidate gains can be repaired by exact Euclidean projection.
+which needs no linear side condition: the left side equals
+(a - b - 2*gamma)^2 + 8*gamma*(a - gamma), and the same with a and b
+swapped, so it forces both a < gamma and b < gamma.  Note the linear
+term couples the *sum* a + b: this is what the Schur-complement
+expansion of the 2x2 symmetric part produces, and the eigenvalue sweep
+in the test suite confirms the sum form is the sound one.  The region
+is convex (a parabola sublevel set), so candidate gains can be repaired
+by exact Euclidean projection.
 
 Frequency-droop gains do not enter the voltage stability analysis; they
 are kept bounded by a configurable box.
@@ -40,7 +42,6 @@ __all__ = [
     "check_gains",
     "project_gains",
     "project_voltage_gains",
-    "lyapunov_value",
     "closed_loop_matrix",
 ]
 
@@ -50,24 +51,19 @@ _EPS = np.finfo(float).eps
 
 @dataclass
 class StabilityParams:
-    """Network-wide stability constant and strictness margins."""
+    """Network-wide stability constant and strictness margin."""
 
     gamma: float
     kf_bound: float = 10.0
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
-
-    @property
-    def margin(self) -> float:
-        """Strictness margin of the linear conditions, relative to gamma."""
-        return 1e-6 * self.gamma
+        if not 0.0 < self.gamma < np.inf:
+            raise ValueError("gamma must be finite and positive")
 
     @property
     def quad_margin(self) -> float:
-        """Slack required of the quadratic form, scale-consistent with margin."""
-        return 4.0 * self.gamma * self.margin
+        """Slack required of the quadratic form: 4 gamma times 1e-6 gamma."""
+        return 4.0 * self.gamma * (1e-6 * self.gamma)
 
 
 def compute_gamma(
@@ -78,22 +74,17 @@ def compute_gamma(
     """1 / lambda_max(G T), the larger over the blocks T_p^1/2 R T_p^1/2 and T_q^1/2 X T_q^1/2."""
     tau_p = np.asarray(tau_p, dtype=float)
     tau_q = np.asarray(tau_q, dtype=float)
-    if np.any(tau_p <= 0) or np.any(tau_q <= 0):
-        raise ValueError("time constants must be positive")
+    for name, tau in (("tau_p", tau_p), ("tau_q", tau_q)):
+        if not ((0.0 < tau) & (tau < np.inf)).all():
+            raise ValueError(f"{name} must be finite and positive")
     n = sm.n
     if tau_p.shape != (n,) or tau_q.shape != (n,):
         raise ValueError(f"tau vectors must have shape ({n},)")
-    lam_max = max(
+    # R and X are positive definite (SensitivityModel checks), so lam_max > 0
+    return 1.0 / max(
         float(np.linalg.eigvalsh(sq[:, None] * M * sq)[-1])
         for M, sq in ((sm.R, np.sqrt(tau_p)), (sm.X, np.sqrt(tau_q)))
     )
-    if lam_max <= 0:
-        raise ValueError("sensitivity model is not positive definite")
-    return 1.0 / lam_max
-
-
-def _scaled(gains: DroopGains, tau_p: float, tau_q: float) -> tuple[float, float]:
-    return gains.k_pv / tau_p, gains.k_qv / tau_q
 
 
 def _quad(a, b, g):
@@ -108,16 +99,12 @@ def check_gains(
     tau_q: float,
     params: StabilityParams,
 ) -> bool:
-    """True iff the voltage-gain pair satisfies the certified conditions.
+    """True iff the scaled voltage-gain pair lies in the certified region.
 
-    Strictness is enforced through params.margin; the boundary itself is
-    rejected.
+    The quadratic form must be at most -params.quad_margin, so the
+    boundary itself is rejected, and so is a NaN.
     """
-    a, b = _scaled(gains, tau_p, tau_q)
-    g = params.gamma
-    if _quad(a, b, g) > -params.quad_margin:
-        return False
-    return a <= g - params.margin or b <= g - params.margin
+    return _quad(gains.k_pv / tau_p, gains.k_qv / tau_q, params.gamma) <= -params.quad_margin
 
 
 def _nearest_root(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -214,15 +201,6 @@ def project_gains(
         k_qv=float(k_qv[0]),
         k_qf=min(kf, max(-kf, gains.k_qf)),
     )
-
-
-def lyapunov_value(sm: SensitivityModel, dx: np.ndarray) -> float:
-    """Quadratic energy 0.5 * dx' G dx of a state deviation."""
-    dx = np.asarray(dx, dtype=float)
-    n = sm.n
-    if dx.shape != (2 * n,):
-        raise ValueError(f"dx must have shape ({2 * n},)")
-    return 0.5 * float(dx[:n] @ (sm.R @ dx[:n]) + dx[n:] @ (sm.X @ dx[n:]))
 
 
 def closed_loop_matrix(

@@ -7,12 +7,27 @@ eigenvalues come from dense general-purpose solvers, and the scheduler's
 saddle point comes from an exact solve of the slack-variable QP of its
 CVaR-constrained Lagrangian, which certifies its own accuracy through a
 subgradient bound and raises when it cannot.
+
+The module also holds the references only the tests evaluate, kept out
+of the package because nothing in it calls them:
+
+* ``cost`` and ``lagrangian``, the scheduler's objective and its
+  regularized Lagrangian, whose finite differences the gradient-signal
+  test checks.  ``lagrangian`` composes the scheduler's public pieces
+  (voltage model, CVaR rows, tracking error, band rows).
+* ``lyapunov_value``, the energy 0.5 dx' blkdiag(R, X) dx the stability
+  tests track along closed-loop trajectories.
+* ``two_clause_check_gains``, the stability gate as first written: the
+  quadratic inequality and the linear clause (a or b below gamma with a
+  1e-6 gamma margin), against which the one-inequality gate is checked.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy import optimize
+
+from droopsched.scheduler import band_residual, cvar_constraints, freq_error, voltage_model
 
 
 def distflow_root(model, p_inj, q_inj, tol=1e-12):
@@ -275,3 +290,43 @@ def saddle_point(sm, rho, nodes, xi, cfg, w_f):
         raise AssertionError(f"saddle point not certified: error bound {err:.3g} ({qp.message})")
     kv, kf, tau, _, _ = terms(z)
     return dict(kappa_v=kv, kappa_f=kf, cvar_hi=tau[:n], cvar_lo=tau[n:], mu=mu, lam=lam)
+
+
+def cost(state, cfg):
+    """Weighted quadratic control effort of the scheduled gains."""
+    m = state.m
+    wv = np.concatenate([np.full(m, cfg.cost_w_pv), np.full(m, cfg.cost_w_qv)])
+    return float(np.sum((wv * state.kappa_v) ** 2) + np.sum((state.w_f * state.kappa_f) ** 2))
+
+
+def lagrangian(state, sm, rho, samples, cfg):
+    """Regularized Lagrangian value at the state's primal/dual point."""
+    l_val = cvar_constraints(voltage_model(sm, state, rho), samples, state.cvar_hi, state.cvar_lo, cfg)
+    r_val = band_residual(freq_error(sm, state, rho), cfg)
+    tau = np.concatenate([state.cvar_hi, state.cvar_lo])
+    return (
+        cost(state, cfg)
+        + float(state.mu @ l_val)
+        + float(state.lam @ r_val)
+        - 0.5 * cfg.phi * float(state.mu @ state.mu)
+        - 0.5 * cfg.psi * float(state.lam @ state.lam)
+        + 0.5 * cfg.reg_tau * float(tau @ tau)
+    )
+
+
+def lyapunov_value(sm, dx):
+    """Quadratic energy 0.5 * dx' G dx of a state deviation, G = blkdiag(R, X)."""
+    dx = np.asarray(dx, dtype=float)
+    n = sm.n
+    if dx.shape != (2 * n,):
+        raise ValueError(f"dx must have shape ({2 * n},)")
+    return 0.5 * float(dx[:n] @ (sm.R @ dx[:n]) + dx[n:] @ (sm.X @ dx[n:]))
+
+
+def two_clause_check_gains(k_pv, k_qv, tau_p, tau_q, gamma):
+    """Stability gate with its linear clause: quadratic slack, then a or b below gamma."""
+    a, b = k_pv / tau_p, k_qv / tau_q
+    margin = 1e-6 * gamma
+    if (a - b) * (a - b) + 4.0 * gamma * (a + b) - 4.0 * gamma * gamma > -(4.0 * gamma * margin):
+        return False
+    return a <= gamma - margin or b <= gamma - margin

@@ -176,6 +176,11 @@ class TestProjectCapability:
         with pytest.raises(CapabilityError, match="empty feasible set"):
             project_capability(cap, 0.1, 0.0)
 
+    @pytest.mark.parametrize("s_max", [0.0, -1.0, np.nan, np.inf])
+    def test_rejects_bad_s_max(self, s_max):
+        with pytest.raises(CapabilityError, match="^s_max must be finite and positive$"):
+            pv_cap(s_max=s_max)
+
 
 @st.composite
 def capability_sets(draw, kind):
@@ -272,6 +277,12 @@ class TestStepDer:
             step_der(u, 0.0, 0.0, 0.05)
         with pytest.raises(ValueError):
             step_der(u, 0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("bad", [0.0, -0.2, np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["tau_p", "tau_q"])
+    def test_rejects_bad_time_constants(self, name, bad):
+        with pytest.raises(ValueError, match=f"^{name} must be finite and positive$"):
+            pv_unit(**{name: bad})
 
 
 class TestLoadDerUnits:

@@ -215,6 +215,7 @@ class TestSchedulingPoint:
             ("r_t", np.nan),
             ("r_t", -np.inf),
             ("v_star", np.nan),
+            ("timestamp", np.nan),
         ],
     )
     def test_non_finite_measurement_raises_naming_the_field(self, name, value):

@@ -12,7 +12,6 @@ from droopsched.network import (
     NetworkModel,
     PowerFlowError,
     load_network,
-    pcc_exchange,
     solve_power_flow,
     validate_radial,
 )
@@ -82,9 +81,7 @@ def radial_cases(draw, max_n=40):
 class TestValidateRadial:
     def test_single_branch_orders(self):
         model = two_bus()
-        backward, forward = validate_radial(model)
-        assert backward == [0]
-        assert forward == [0]
+        assert validate_radial(model) == [0]
 
     def test_triangle_is_cycle(self):
         model = NetworkModel(
@@ -99,7 +96,8 @@ class TestValidateRadial:
             buses=[Bus(i) for i in range(4)],
             branches=[Branch(0, 1, 0.01, 0.01), Branch(1, 2, 0.01, 0.01), Branch(1, 3, 0.01, 0.01)],
         )
-        backward, _ = validate_radial(model)
+        # leaves-to-root is the preorder reversed
+        backward = validate_radial(model)[::-1]
         assert backward.index(1) < backward.index(0)
         assert backward.index(2) < backward.index(0)
 
@@ -192,6 +190,11 @@ class TestSolvePowerFlow:
         with pytest.raises(ValueError):
             solve_power_flow(two_bus(), np.zeros(2), np.zeros(2))
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, np.nan, np.inf])
+    def test_rejects_bad_tol(self, tol):
+        with pytest.raises(ValueError, match="^tol must be finite and positive$"):
+            solve_power_flow(two_bus(), np.zeros(1), np.zeros(1), tol=tol)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("which", ["p", "q"])
     def test_nonfinite_injections_fail_fast(self, which, bad):
@@ -226,18 +229,18 @@ class TestSolvePowerFlow:
 class TestPccExchange:
     def test_zero_case(self):
         sol = solve_power_flow(two_bus(), np.zeros(1), np.zeros(1))
-        assert pcc_exchange(sol) == 0.0
+        assert sol.p_pcc == 0.0
 
     def test_pure_load_import_exceeds_load(self):
         rng = np.random.default_rng(3)
         model = random_feeder(rng, 4)
         p = -rng.uniform(0.01, 0.15, 4)
         sol = solve_power_flow(model, p, np.zeros(4))
-        assert pcc_exchange(sol) >= -p.sum()
+        assert sol.p_pcc >= -p.sum()
 
     def test_two_bus_value(self):
         sol = solve_power_flow(two_bus(), np.array([-0.10]), np.array([0.0]), tol=1e-13)
-        assert pcc_exchange(sol) == pytest.approx(TWO_BUS_LOAD_PCC, abs=1e-12)
+        assert sol.p_pcc == pytest.approx(TWO_BUS_LOAD_PCC, abs=1e-12)
 
 
 class TestLoadNetwork:

@@ -8,23 +8,20 @@ from droopsched.linmodel import SchedulingPoint, build_rx, build_sensitivity_mod
 from droopsched.network import solve_power_flow
 from droopsched.scenarios import random_radial_feeder, six_bus_feeder, six_bus_pv_units
 from droopsched.scheduler import (
-    SampleSet,
     SchedulerConfig,
     SchedulerState,
     band_residual,
-    cost,
     cvar_constraints,
     draw_samples,
     freq_error,
     gradient_signals,
-    lagrangian,
     primal_dual_step,
     schedule_step,
     voltage_model,
 )
 from droopsched.stability import StabilityParams, check_gains, compute_gamma, project_gains
 
-from .oracles import central_difference, saddle_point
+from .oracles import central_difference, cost, lagrangian, saddle_point
 
 
 def desk_instance(
@@ -88,25 +85,50 @@ def simple_state(nodes=(4, 5, 6), n=6, cfg=None, seed=0):
     return SchedulerState.initial(list(nodes), n, cfg, seed=seed)
 
 
+class TestSchedulerConfig:
+    @pytest.mark.parametrize(
+        "kw, message",
+        [
+            (dict(alpha_primal=np.nan), "alpha_primal must be finite and positive"),
+            (dict(alpha_dual=0.0), "alpha_dual must be finite and positive"),
+            (dict(alpha_tau=np.inf), "alpha_tau must be finite and positive"),
+            (dict(phi=-1.0), "phi must be finite and positive"),
+            (dict(psi=np.nan), "psi must be finite and positive"),
+            (dict(reg_tau=np.nan), "reg_tau must be finite and positive"),
+            (dict(tau_s=np.nan), "tau_s must be finite and positive"),
+            (dict(tau_s=np.inf), "tau_s must be finite and positive"),
+            (dict(v_min=np.nan), "v_min must be below v_max"),
+            (dict(v_max=np.nan), "v_min must be below v_max"),
+            (dict(e_max=np.nan), "e_min must be below e_max"),
+            (dict(noise_std=np.nan), "noise_std must be finite and nonnegative"),
+            (dict(noise_std=np.inf), "noise_std must be finite and nonnegative"),
+            (dict(beta=np.nan), r"beta must lie in \(0, 1\)"),
+        ],
+    )
+    def test_rejects_nan_inf_and_out_of_range_naming_the_field(self, kw, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SchedulerConfig(**kw)
+
+
 class TestDrawSamples:
     def test_zero_noise_gives_zero_samples(self):
         cfg = SchedulerConfig(noise_std=0.0)
         s = draw_samples(np.ones(4), cfg, 3)
-        assert np.all(s.xi == 0.0)
+        assert np.all(s == 0.0)
 
     def test_deterministic_under_seed(self):
         cfg = SchedulerConfig()
         a = draw_samples(np.ones(4), cfg, 17)
         b = draw_samples(np.ones(4), cfg, 17)
-        assert np.array_equal(a.xi, b.xi)
+        assert np.array_equal(a, b)
 
     def test_moments(self):
         cfg = SchedulerConfig(n_samples=100_000)
         v = np.array([1.0, 1.05])
         s = draw_samples(v, cfg, 5)
         std = cfg.noise_std * v
-        assert np.all(np.abs(s.xi.mean(axis=0)) < 3 * std / np.sqrt(cfg.n_samples))
-        assert s.xi.std(axis=0) == pytest.approx(std, rel=0.02)
+        assert np.all(np.abs(s.mean(axis=0)) < 3 * std / np.sqrt(cfg.n_samples))
+        assert s.std(axis=0) == pytest.approx(std, rel=0.02)
 
     def test_defaults_match_reported_protocol(self):
         cfg = SchedulerConfig()
@@ -158,7 +180,7 @@ class TestCvarConstraints:
         vm = np.full(n, 0.99)  # 0.06 below the limit
         xi = np.random.default_rng(1).normal(0.0, 0.005, (40, n))
         xi = np.clip(xi, -0.02, 0.02)
-        out = cvar_constraints(vm, SampleSet(xi), np.zeros(n), np.zeros(n), cfg)
+        out = cvar_constraints(vm, xi, np.zeros(n), np.zeros(n), cfg)
         assert out[:n] == pytest.approx(np.zeros(n))
 
     def test_constant_violation_averages_to_delta(self):
@@ -167,7 +189,7 @@ class TestCvarConstraints:
         delta = 0.013
         vm = np.full(n, cfg.v_max + delta)
         xi = np.zeros((25, n))
-        out = cvar_constraints(vm, SampleSet(xi), np.zeros(n), np.zeros(n), cfg)
+        out = cvar_constraints(vm, xi, np.zeros(n), np.zeros(n), cfg)
         assert out[:n] == pytest.approx(np.full(n, delta))
         assert out[n:] == pytest.approx(np.zeros(n))
 
@@ -179,7 +201,7 @@ class TestCvarConstraints:
         xi = rng.normal(0, 0.02, (ns, n))
         t_hi = rng.uniform(0, 0.02, n)
         t_lo = rng.uniform(0, 0.02, n)
-        out = cvar_constraints(vm, SampleSet(xi), t_hi, t_lo, cfg)
+        out = cvar_constraints(vm, xi, t_hi, t_lo, cfg)
         for i in range(n):
             up = 0.0
             lo = 0.0
@@ -192,7 +214,7 @@ class TestCvarConstraints:
     def test_rejects_negative_auxiliaries(self):
         cfg = SchedulerConfig()
         with pytest.raises(ValueError):
-            cvar_constraints(np.ones(2), SampleSet(np.zeros((5, 2))), np.array([-0.1, 0]), np.zeros(2), cfg)
+            cvar_constraints(np.ones(2), np.zeros((5, 2)), np.array([-0.1, 0]), np.zeros(2), cfg)
 
 
 class TestFreqError:
@@ -398,8 +420,8 @@ class TestPrimalDualStep:
 
         def hinge_pattern(st):
             vm = voltage_model(sm, st, rho)
-            a_up = vm - cfg.v_max + samples.xi + st.cvar_hi
-            a_lo = cfg.v_min - vm - samples.xi + st.cvar_lo
+            a_up = vm - cfg.v_max + samples + st.cvar_hi
+            a_lo = cfg.v_min - vm - samples + st.cvar_lo
             return np.concatenate([a_up > 0, a_lo > 0])
 
         def no_kink_in_stencil(st):
@@ -463,8 +485,8 @@ def reference_step(state, sm, rho, samples, cfg, stab, tau_p, tau_q):
     lam = np.maximum(state.lam + cfg.alpha_dual * (r_val - cfg.psi * state.lam), 0.0)
 
     vm = voltage_model(sm, state, rho)
-    frac_up = ((vm - cfg.v_max + samples.xi + state.cvar_hi) > 0.0).mean(axis=0)
-    frac_lo = ((cfg.v_min - vm - samples.xi + state.cvar_lo) > 0.0).mean(axis=0)
+    frac_up = ((vm - cfg.v_max + samples + state.cvar_hi) > 0.0).mean(axis=0)
+    frac_lo = ((cfg.v_min - vm - samples + state.cvar_lo) > 0.0).mean(axis=0)
     J = np.concatenate([sm.R[:, idx] * dv[idx], sm.X[:, idx] * dv[idx]], axis=1)
     s_v = J.T @ (mu[:n] * frac_up) - J.T @ (mu[n:] * frac_lo)
     d_hi = mu[:n] * (frac_up - cfg.beta)
@@ -581,7 +603,7 @@ class TestSaddleConvergence:
         model, sm, rho, cfg, stab, state, samples, nodes = desk_instance()
         taus = np.full(3, 0.2)
         keys = ("kappa_v", "kappa_f", "cvar_hi", "cvar_lo", "mu", "lam")
-        ref = saddle_point(sm, rho, nodes, samples.xi, cfg, state.w_f)
+        ref = saddle_point(sm, rho, nodes, samples, cfg, state.w_f)
 
         # fixed point: started at the exact saddle, every key stays near it
         # (the hinge subgradients make the iterates dither around the

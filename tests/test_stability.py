@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import block_diag
 
 from droopsched.droop import DroopGains
 from droopsched.linmodel import SchedulingPoint, SensitivityModel, build_rx
@@ -15,12 +16,11 @@ from droopsched.stability import (
     check_gains,
     closed_loop_matrix,
     compute_gamma,
-    lyapunov_value,
     project_gains,
     project_voltage_gains,
 )
 
-from .oracles import power_iteration_lambda_max
+from .oracles import lyapunov_value, power_iteration_lambda_max, two_clause_check_gains
 
 
 def make_sm(R, X):
@@ -50,7 +50,7 @@ class TestComputeGamma:
         n = sm.n
         taus = np.full(n, 0.2)
         g = compute_gamma(sm, taus, taus)
-        GT = sm.gain_matrix() @ np.diag(np.concatenate([taus, taus]))
+        GT = block_diag(sm.R, sm.X) @ np.diag(np.concatenate([taus, taus]))
         lam = power_iteration_lambda_max(GT)
         assert abs(g - 1.0 / lam) <= 1e-10 * abs(g)
         assert g > 0
@@ -71,6 +71,18 @@ class TestComputeGamma:
         sm = make_sm(np.eye(1), np.eye(1))
         with pytest.raises(ValueError):
             compute_gamma(sm, np.array([0.0]), np.array([0.2]))
+        for name in ("tau_p", "tau_q"):
+            for bad in (-0.2, np.nan, np.inf):
+                taus = {"tau_p": np.array([0.2]), "tau_q": np.array([0.2]), name: np.array([bad])}
+                with pytest.raises(ValueError, match=f"^{name} must be finite and positive$"):
+                    compute_gamma(sm, **taus)
+
+
+class TestStabilityParams:
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_or_non_positive_gamma(self, gamma):
+        with pytest.raises(ValueError, match="^gamma must be finite and positive$"):
+            StabilityParams(gamma=gamma)
 
 
 class TestCheckGains:
@@ -100,6 +112,36 @@ class TestCheckGains:
 
     def test_deep_negative_pairs_pass(self):
         assert check_gains(DroopGains(k_pv=-1.0, k_qv=-1.2), 0.2, 0.2, self.params)
+
+    def test_nan_scaled_gain_fails(self):
+        # a NaN time constant makes the quadratic NaN; the gate must not open
+        assert not check_gains(DroopGains(k_pv=-0.1, k_qv=-0.1), np.nan, 0.2, self.params)
+        assert not check_gains(DroopGains(k_pv=-0.1, k_qv=-0.1), 0.2, np.nan, self.params)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(-4.0, 2.0), st.integers(0, 2**32 - 1))
+    def test_one_inequality_equals_two_clause_rule(self, log_gamma, seed):
+        # pairs within 1e-6 gamma to 1e3 gamma of (gamma, gamma) and of the
+        # boundary parabola, in random directions
+        params = StabilityParams(gamma=10**log_gamma)
+        g = params.gamma
+        rng = np.random.default_rng(seed)
+        count = 100
+        w = g * rng.choice([-1.0, 1.0], count) * 10 ** rng.uniform(-3.0, 3.0, count)
+        s = boundary_offset(params) - w * w / (2 * SQRT2 * g)
+        a0 = np.concatenate([np.full(count, g), (s + w) / SQRT2])
+        b0 = np.concatenate([np.full(count, g), (s - w) / SQRT2])
+        r = g * 10 ** rng.uniform(-6.0, 3.0, 2 * count)
+        theta = rng.uniform(0.0, 2 * np.pi, 2 * count)
+        tau_p, tau_q = rng.uniform(0.05, 1.0, (2, 2 * count))
+        k_pv = (a0 + r * np.cos(theta)) * tau_p
+        k_qv = (b0 + r * np.sin(theta)) * tau_q
+        verdicts = []
+        for kp, kq, tp, tq in zip(k_pv.tolist(), k_qv.tolist(), tau_p.tolist(), tau_q.tolist()):
+            verdict = check_gains(DroopGains(k_pv=kp, k_qv=kq), tp, tq, params)
+            assert verdict == two_clause_check_gains(kp, kq, tp, tq, g)
+            verdicts.append(verdict)
+        assert any(verdicts[count:]) and not all(verdicts[count:])
 
     def test_locality(self):
         # the verdict for one unit depends only on its own pair and taus
@@ -318,7 +360,7 @@ class TestLyapunovValue:
     def test_matches_quadratic_form_oracle(self):
         sm = six_bus_sm()
         rng = np.random.default_rng(8)
-        G = sm.gain_matrix()
+        G = block_diag(sm.R, sm.X)
         for _ in range(20):
             dx = rng.standard_normal(2 * sm.n)
             ref = 0.5 * dx @ G @ dx
