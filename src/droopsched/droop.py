@@ -78,9 +78,11 @@ class CapabilitySet:
                 raise CapabilityError("s_max must be finite and positive")
             if not 0.0 < self.pf_min <= 1.0:
                 raise CapabilityError("pf_min must lie in (0, 1]")
+            if not self.p_avail >= 0.0:
+                raise CapabilityError("empty feasible set: p_avail must be >= 0")
         else:
-            if self.p_min > self.p_max:
-                raise CapabilityError("empty feasible set: p_min > p_max")
+            if not self.p_min <= self.p_max:
+                raise CapabilityError("empty feasible set: p_min must be <= p_max")
             if not 0.0 < self.pf_fixed <= 1.0:
                 raise CapabilityError("pf_fixed must lie in (0, 1]")
 
@@ -151,8 +153,9 @@ def _seg_project(p: float, q: float, a, b) -> tuple[float, float]:
 
 
 def _pv_project(cap: CapabilitySet, p: float, q: float) -> tuple[float, float]:
-    if cap.p_avail < 0:
-        raise CapabilityError("empty feasible set: negative available power")
+    # p_avail may be overwritten after construction, so it is checked here too
+    if not cap.p_avail >= 0.0:
+        raise CapabilityError("empty feasible set: p_avail must be >= 0")
     if cap.contains(p, q, tol=1e-12):
         return p, q
     s = cap.s_max
@@ -193,7 +196,13 @@ def _load_project(cap: CapabilitySet, p: float, q: float) -> tuple[float, float]
 
 
 def project_capability(cap: CapabilitySet, p: float, q: float) -> tuple[float, float]:
-    """Euclidean projection of an operating point onto the capability set."""
+    """Euclidean projection of an operating point onto the capability set.
+
+    Raises ValueError when ``p`` or ``q`` is not finite.
+    """
+    for name, value in (("p", p), ("q", q)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite")
     if cap.kind == PV:
         return _pv_project(cap, p, q)
     return _load_project(cap, p, q)

@@ -7,9 +7,12 @@ Bus voltage magnitudes are approximated as an affine map of injections,
 with R and X the voltage/active- and voltage/reactive-power sensitivity
 matrices.  They are assembled analytically from the tree structure:
 entry (i, j) sums the branch resistances (reactances) on the common part
-of the root paths of buses i and j, which makes both matrices symmetric
-positive definite by construction whenever every branch has a strictly
-positive impedance component.
+of the root paths of buses i and j, so R = B diag(r) B^T with B the
+invertible root-path indicator.  Both are symmetric by construction; R
+is positive definite exactly when every branch has r > 0, and X exactly
+when every branch has x > 0.  A feeder may have a branch with r = 0 or
+x = 0 (not both), and the power flow solves on it, but SensitivityModel
+rejects the singular matrix that results.
 
 The PCC projection H and the flow constant P0 linearise the active power
 drawn at the substation, H by central finite differences of the

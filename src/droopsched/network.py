@@ -208,10 +208,12 @@ def solve_power_flow(
     """Backward-Forward Sweep over the DistFlow recursion.
 
     ``p_inj``/``q_inj`` are indexed over non-substation buses (bus 1..n).
-    Converged solutions satisfy the flow, voltage-drop and current
-    equations with max residual <= tol.  ``warm`` seeds voltages and
-    branch currents from a previous solution; a flat start is used
-    otherwise.  Branch arrays of the result follow ``model.branches``.
+    The branch currents are the only iterate: each iteration derives
+    flows and squared voltages from them, and the sweep stops once the
+    currents settle and the flow, voltage-drop and current equations hold
+    with max residual <= tol.  ``warm`` contributes only its branch
+    currents; a cold start begins from zero currents.  Branch arrays of
+    the result follow ``model.branches``.
     """
     if not 0.0 < tol < np.inf:
         raise ValueError("tol must be finite and positive")
@@ -229,15 +231,8 @@ def solve_power_flow(
     inj = inj[:, plan.bus]
     rx, rx_sq, end, last, par = plan.rx, plan.rx_sq, plan.end, plan.end - 1, plan.par
     v_sub_sq = model.v_sub**2
-    if warm is None:
-        v_sq = np.full(n, v_sub_sq)
-        i_sq = np.zeros(n)
-    else:
-        v_sq = warm.v[1:][plan.bus] ** 2
-        i_sq = warm.i_sq[plan.order]
+    i_sq = np.zeros(n) if warm is None else warm.i_sq[plan.order]
 
-    converged = False
-    iterations = 0
     for iterations in range(1, _MAX_ITER + 1):
         # backward: subtree sums of injections and previous-iterate losses
         y = rx * i_sq - inj
@@ -245,24 +240,20 @@ def solve_power_flow(
         S = s[:, last] - s + y
         # forward: squared-voltage drops summed along each root path
         drop = 2.0 * (rx * S).sum(axis=0) - rx_sq * i_sq
-        v_sq_new = v_sub_sq - (drop - np.bincount(end, drop, minlength=n + 1)[:n]).cumsum()
-        if (v_sq_new <= 0.0).any():
+        v_sq = v_sub_sq - (drop - np.bincount(end, drop, minlength=n + 1)[:n]).cumsum()
+        if (v_sq <= 0.0).any():
             raise PowerFlowError(
                 "negative squared voltage encountered: operating point infeasible"
             )
         # squared voltages with the substation in slot 0, indexed by par
-        v_ext = np.concatenate(([v_sub_sq], v_sq_new))
+        v_ext = np.concatenate(([v_sub_sq], v_sq))
         i_sq_new = (S * S).sum(axis=0) / v_ext[par]
-        dv = np.abs(np.sqrt(v_sq_new) - np.sqrt(v_sq)).max()
         di = np.abs(i_sq_new - i_sq).max()
-        v_sq = v_sq_new
         i_sq = i_sq_new
-        if dv <= tol and di <= 10.0 * tol:
-            # verify the DistFlow residuals at the final iterate
-            if _residuals(plan, inj, S, i_sq, v_ext) <= tol:
-                converged = True
-                break
-    if not converged:
+        # the residuals at this iterate depend only on the change in currents
+        if di <= 10.0 * tol and _residuals(plan, inj, S, i_sq, v_ext) <= tol:
+            break
+    else:
         raise PowerFlowError(f"no convergence within {_MAX_ITER} iterations")
 
     v = np.concatenate(([model.v_sub], np.sqrt(v_sq[plan.pos])))

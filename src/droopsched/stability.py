@@ -59,6 +59,8 @@ class StabilityParams:
     def __post_init__(self):
         if not 0.0 < self.gamma < np.inf:
             raise ValueError("gamma must be finite and positive")
+        if not self.kf_bound >= 0.0:
+            raise ValueError("kf_bound must be non-negative")
 
     @property
     def quad_margin(self) -> float:

@@ -169,12 +169,28 @@ class TestProjectCapability:
             assert np.linalg.norm(pa - pb) <= np.linalg.norm(a - b) + 1e-12
 
     def test_empty_set_raises(self):
-        with pytest.raises(CapabilityError, match="empty feasible set"):
-            CapabilitySet(kind=LOAD, p_min=0.2, p_max=-0.2)
-        cap = pv_cap()
-        cap.p_avail = -0.5
-        with pytest.raises(CapabilityError, match="empty feasible set"):
-            project_capability(cap, 0.1, 0.0)
+        for limits in ({"p_min": 0.2, "p_max": -0.2}, {"p_min": np.nan}, {"p_max": np.nan}):
+            with pytest.raises(CapabilityError, match="empty feasible set"):
+                CapabilitySet(kind=LOAD, **{"p_min": -0.2, "p_max": 0.0, **limits})
+        for bad in (-0.5, np.nan):
+            with pytest.raises(CapabilityError, match="empty feasible set"):
+                pv_cap(p_avail=bad)
+            cap = pv_cap()
+            cap.p_avail = bad
+            with pytest.raises(CapabilityError, match="empty feasible set"):
+                project_capability(cap, 0.1, 0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("which", ["p", "q"])
+    @pytest.mark.parametrize(
+        "cap",
+        [pv_cap(), CapabilitySet(kind=LOAD, p_min=-0.4, p_max=0.1, pf_fixed=0.95)],
+        ids=[PV, LOAD],
+    )
+    def test_nonfinite_point_raises(self, cap, which, bad):
+        point = {"p": 0.05, "q": 0.0, which: bad}
+        with pytest.raises(ValueError, match=f"^{which} must be finite$"):
+            project_capability(cap, point["p"], point["q"])
 
     @pytest.mark.parametrize("s_max", [0.0, -1.0, np.nan, np.inf])
     def test_rejects_bad_s_max(self, s_max):
@@ -277,6 +293,13 @@ class TestStepDer:
             step_der(u, 0.0, 0.0, 0.05)
         with pytest.raises(ValueError):
             step_der(u, 0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("v_local, p_star", [(np.nan, 0.2), (1.0, np.nan)])
+    def test_nan_droop_input_raises(self, v_local, p_star):
+        u = pv_unit(p_c=0.1, p_star=p_star, gains=DroopGains(k_pv=-1.0))
+        u_p, u_q = droop_input(u, v_local, 1.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="^p must be finite$"):
+            step_der(u, u_p, u_q, 0.01)
 
     @pytest.mark.parametrize("bad", [0.0, -0.2, np.nan, np.inf])
     @pytest.mark.parametrize("name", ["tau_p", "tau_q"])

@@ -71,6 +71,19 @@ class TestBuildRx:
             assert np.linalg.eigvalsh(R)[0] > 1e-12
             assert np.linalg.eigvalsh(X)[0] > 1e-12
 
+    @pytest.mark.parametrize(
+        "name, rs, xs",
+        [("R", [0.01, 0.0], [0.02, 0.02]), ("X", [0.01, 0.01], [0.0, 0.02])],
+    )
+    def test_zero_resistance_or_reactance_branch_is_singular(self, name, rs, xs):
+        # validate_radial admits r = 0 or x = 0, and the power flow solves
+        model = chain(rs, xs)
+        n = model.n
+        p = np.array([-0.05, -0.05])
+        solve_power_flow(model, p, np.zeros(n))
+        with pytest.raises(ValueError, match=f"^{name} must be positive definite$"):
+            build_sensitivity_model(model, flat_rho(n), np.zeros(n), np.zeros(n), p, np.zeros(n))
+
 
 class TestPccSensitivity:
     def test_lossless_limit_active_entries_near_minus_one(self):

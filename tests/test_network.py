@@ -1,5 +1,7 @@
 """Power-flow solver tests against independent nonlinear oracles."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -180,6 +182,16 @@ class TestSolvePowerFlow:
         again = solve_power_flow(model, p, q, warm=sol)
         assert again.iterations <= 2
         assert np.allclose(again.v, sol.v, atol=1e-10)
+        # a warm solution contributes only its branch currents
+        bogus = solve_power_flow(model, p, q, warm=replace(sol, v=np.full(3, 2.0)))
+        for name in ("v", "p_flow", "q_flow", "i_sq", "p_pcc", "iterations"):
+            assert np.array_equal(getattr(bogus, name), getattr(again, name))
+        # a warm start from other injections converges to the cold solution
+        tol = 1e-8
+        other = solve_power_flow(model, -p, 3.0 * q, tol=tol)
+        moved = solve_power_flow(model, p, q, tol=tol, warm=other)
+        assert np.max(np.abs(moved.v - sol.v)) <= 10 * tol
+        assert moved.p_pcc == pytest.approx(sol.p_pcc, abs=10 * tol)
 
     def test_nonconvergence_raises(self):
         # absurd load collapses the voltage
@@ -212,6 +224,22 @@ class TestSolvePowerFlow:
         v_ref, pcc_ref = distflow_root(model, p, q)
         assert np.max(np.abs(sol.v - v_ref)) < 1e-8
         assert sol.p_pcc == pytest.approx(pcc_ref, abs=1e-8)
+
+    @settings(max_examples=40, deadline=None)
+    @given(radial_cases(), st.data())
+    def test_warm_start_from_other_injections_agrees_with_root_finder(self, case, data):
+        rows, p, q = case
+        n = len(p)
+        power = st.lists(st.floats(-0.2 / n, 0.2 / n), min_size=n, max_size=n)
+        model, tol = model_of(rows), 1e-8
+        warm = solve_power_flow(model, np.array(data.draw(power)), np.array(data.draw(power)), tol=tol)
+        sol = solve_power_flow(model, p, q, tol=tol, warm=warm)
+        cold = solve_power_flow(model, p, q, tol=tol)
+        v_ref, pcc_ref = distflow_root(model, p, q)
+        assert np.max(np.abs(sol.v - v_ref)) < 1e-8
+        assert sol.p_pcc == pytest.approx(pcc_ref, abs=1e-8)
+        assert np.max(np.abs(sol.v - cold.v)) <= 10 * tol
+        assert sol.p_pcc == pytest.approx(cold.p_pcc, abs=10 * tol)
 
     @settings(max_examples=40, deadline=None)
     @given(radial_cases(), st.data())

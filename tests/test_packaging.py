@@ -1,5 +1,7 @@
-"""Packaging metadata: exported names and declared entry points resolve."""
+"""Packaging metadata and hygiene: exported names and declared entry points
+resolve, and the package holds no unused import or unread private name."""
 
+import ast
 import importlib
 import pkgutil
 from pathlib import Path
@@ -9,6 +11,7 @@ import pytest
 import droopsched
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+PACKAGE = Path(droopsched.__file__).parent
 MODULES = sorted(m.name for m in pkgutil.iter_modules(droopsched.__path__))
 
 
@@ -27,3 +30,43 @@ def test_console_scripts_resolve_to_callables():
         module_name, _, attr = target.partition(":")
         module = importlib.import_module(module_name)
         assert callable(getattr(module, attr, None)), f"{script} = {target!r} is not a callable"
+
+
+def _reads(tree):
+    """Every name a module reads, bare or as an attribute."""
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return names | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+
+
+def _defines(node):
+    """Names a module-level statement defines, other than by import."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def test_no_unused_imports_or_private_names():
+    """Every import is read, exported in ``__all__`` or marked ``# noqa: F401``
+    with a reason; every module-level private name is read in the package."""
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    package_reads = set().union(*map(_reads, trees.values()))
+    problems = []
+    for name, tree in trees.items():
+        lines = sources[name].splitlines()
+        used = _reads(tree)
+        for node in tree.body:
+            if "__all__" in _defines(node):
+                used |= set(ast.literal_eval(node.value))
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__":
+                reason = lines[node.lineno - 1].partition("# noqa: F401")[2].strip()
+                for alias in node.names:
+                    bound = (alias.asname or alias.name).partition(".")[0]
+                    if bound not in used and not reason:
+                        problems.append(f"{name}:{node.lineno}: unused import {bound!r}")
+            for defined in _defines(node):
+                if defined.startswith("_") and not defined.endswith("__") and defined not in package_reads:
+                    problems.append(f"{name}:{node.lineno}: {defined!r} is never read")
+    assert not problems, "\n".join(problems)

@@ -84,6 +84,15 @@ class TestStabilityParams:
         with pytest.raises(ValueError, match="^gamma must be finite and positive$"):
             StabilityParams(gamma=gamma)
 
+    @pytest.mark.parametrize("kf_bound", [np.nan, -1.0, -np.inf])
+    def test_rejects_nan_or_negative_kf_bound(self, kf_bound):
+        with pytest.raises(ValueError, match="^kf_bound must be non-negative$"):
+            StabilityParams(gamma=1.0, kf_bound=kf_bound)
+
+    @pytest.mark.parametrize("kf_bound", [0.0, np.inf])
+    def test_accepts_zero_and_unbounded_kf_bound(self, kf_bound):
+        assert StabilityParams(gamma=1.0, kf_bound=kf_bound).kf_bound == kf_bound
+
 
 class TestCheckGains:
     def setup_method(self):
