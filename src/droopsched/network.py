@@ -151,12 +151,16 @@ def validate_radial(model: NetworkModel) -> list[int]:
     substation, so every subtree is contiguous in it and its reverse runs
     leaves-to-root.  Branches listed child-first are reoriented in place
     to point away from the substation.  Raises NetworkDataError on
-    cycles, disconnected buses, duplicate branches, or unknown bus ids.
+    cycles, disconnected buses, duplicate branches, unknown bus ids,
+    impedances that are negative, zero in both parts or not finite, or a
+    feeder with no bus besides the substation.
     """
     ids = [b.id for b in model.buses]
     if sorted(ids) != list(range(len(ids))):
         raise NetworkDataError("bus ids must be 0..n with 0 the substation")
     n_bus = len(ids)
+    if n_bus < 2:
+        raise NetworkDataError("feeder needs at least one bus besides the substation")
     if len(model.branches) != n_bus - 1:
         raise NetworkDataError(
             "cycle detected or disconnected node: "
@@ -167,8 +171,8 @@ def validate_radial(model: NetworkModel) -> list[int]:
     for e, br in enumerate(model.branches):
         if br.frm not in adj or br.to not in adj:
             raise NetworkDataError(f"branch ({br.frm},{br.to}) references unknown bus")
-        if br.r < 0 or br.x < 0 or (br.r == 0 and br.x == 0):
-            raise NetworkDataError(f"branch ({br.frm},{br.to}) needs r,x >= 0, not both zero")
+        if not (0.0 <= br.r < np.inf and 0.0 <= br.x < np.inf) or (br.r == 0 and br.x == 0):
+            raise NetworkDataError(f"branch ({br.frm},{br.to}) needs finite r,x >= 0, not both zero")
         key = (min(br.frm, br.to), max(br.frm, br.to))
         if key in seen_pairs:
             raise NetworkDataError(f"duplicate branch {key}")
@@ -213,10 +217,13 @@ def solve_power_flow(
     currents settle and the flow, voltage-drop and current equations hold
     with max residual <= tol.  ``warm`` contributes only its branch
     currents; a cold start begins from zero currents.  Branch arrays of
-    the result follow ``model.branches``.
+    the result follow ``model.branches``.  ``model.v_sub`` is checked on
+    every call, since it may change after the sweep plan is cached.
     """
     if not 0.0 < tol < np.inf:
         raise ValueError("tol must be finite and positive")
+    if not 0.0 < model.v_sub < np.inf:
+        raise NetworkDataError("v_sub must be finite and positive")
     plan = model.plan()
     n = model.n
     p = np.asarray(p_inj, dtype=float)

@@ -19,9 +19,10 @@ feedforward: the voltage model uses the frequency gains broadcast in the
 previous period, the tracking error uses the previous voltage gains.
 
 Layouts: kappa_v = (k_pv per online unit, then k_qv per unit), kappa_f
-analogous with (k_pf, k_qf).  mu has one entry per upper-bound row
-followed by one per lower-bound row; lambda = (lower band edge, upper
-band edge).
+analogous with (k_pf, k_qf).  The 2n CVaR rows are the per-bus upper
+bounds followed by the per-bus lower bounds; mu and the CVaR auxiliaries
+cvar share that layout, so mu[i] and cvar[i] both belong to row i.
+lambda = (lower band edge, upper band edge).
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ __all__ = [
     "cvar_constraints",
     "freq_error",
     "band_residual",
+    "gradient_signals",
     "primal_dual_step",
     "schedule_step",
 ]
@@ -54,21 +56,22 @@ _WF_STREAM = 104729  # rng stream tag for per-node cost weights
 class SchedulerConfig:
     """Step sizes, regularization, risk level, and constraint bounds.
 
-    ``alpha_tau`` is the step size of the CVaR-auxiliary block; left
-    unset it equals ``alpha_primal`` (the plain single-step iteration).
-    The auxiliaries see an effective curvature of roughly (multiplier
-    magnitude) x (sample density at the hinge kink), which on stiff
-    instances is orders of magnitude above the gain blocks' curvature,
-    so a smaller dedicated step keeps the iteration convergent without
-    slowing the gains.  An auxiliary whose multiplier is zero feels only
-    ``reg_tau`` and contracts only at the rate ``alpha_tau * reg_tau``
-    per step, so a small ``alpha_tau`` slows those auxiliaries even
-    though the gains keep their speed.
+    ``alpha_tau`` is the step size of the CVaR-auxiliary block.  Its
+    default equals the default ``alpha_primal`` (the plain single-step
+    iteration), but it is a field of its own: setting ``alpha_primal``
+    leaves it unchanged.  The auxiliaries see an effective curvature of
+    roughly (multiplier magnitude) x (sample density at the hinge kink),
+    which on stiff instances is orders of magnitude above the gain
+    blocks' curvature, so a smaller dedicated step keeps the iteration
+    convergent without slowing the gains.  An auxiliary whose multiplier
+    is zero feels only ``reg_tau`` and contracts only at the rate
+    ``alpha_tau * reg_tau`` per step, so a small ``alpha_tau`` slows
+    those auxiliaries even though the gains keep their speed.
     """
 
     alpha_primal: float = 0.8
     alpha_dual: float = 0.4
-    alpha_tau: float | None = None
+    alpha_tau: float = 0.8
     phi: float = 3e-4
     psi: float = 3e-4
     reg_tau: float = 3e-4
@@ -85,8 +88,6 @@ class SchedulerConfig:
     tau_s: float = 30.0
 
     def __post_init__(self):
-        if self.alpha_tau is None:
-            self.alpha_tau = self.alpha_primal
         for name in ("alpha_primal", "alpha_dual", "alpha_tau", "phi", "psi", "reg_tau", "tau_s"):
             if not 0.0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be finite and positive")
@@ -107,8 +108,7 @@ class SchedulerState:
     der_nodes: list[int]
     kappa_v: np.ndarray
     kappa_f: np.ndarray
-    cvar_hi: np.ndarray
-    cvar_lo: np.ndarray
+    cvar: np.ndarray
     mu: np.ndarray
     lam: np.ndarray
     prev_kappa_v: np.ndarray
@@ -127,8 +127,7 @@ class SchedulerState:
             der_nodes=list(der_nodes),
             kappa_v=np.zeros(2 * m),
             kappa_f=np.zeros(2 * m),
-            cvar_hi=np.zeros(n_bus),
-            cvar_lo=np.zeros(n_bus),
+            cvar=np.zeros(2 * n_bus),
             mu=np.zeros(2 * n_bus),
             lam=np.zeros(2),
             prev_kappa_v=np.zeros(2 * m),
@@ -222,29 +221,20 @@ def voltage_model(sm: SensitivityModel, state: SchedulerState, rho: SchedulingPo
     return _affine(sm, state, rho)[0]
 
 
-def _hinge_args(vm, samples, cvar_hi, cvar_lo, cfg):
-    """Per-sample CVaR hinge arguments, (n_samples, n) each: upper rows, lower rows."""
-    if np.any(cvar_hi < 0) or np.any(cvar_lo < 0):
+def _hinge_args(vm, samples, cvar, cfg):
+    """Per-sample CVaR hinge arguments, (n_samples, 2n): upper rows, then lower rows."""
+    if np.any(cvar < 0):
         raise ValueError("CVaR auxiliaries must be nonnegative")
-    return vm - cfg.v_max + samples + cvar_hi, cfg.v_min - vm - samples + cvar_lo
+    return np.concatenate([vm - cfg.v_max + samples, cfg.v_min - vm - samples], axis=1) + cvar
 
 
-def _cvar_rows(arg_up, arg_lo, cvar_hi, cvar_lo, cfg) -> np.ndarray:
-    up = np.maximum(arg_up, 0.0).mean(axis=0) - cvar_hi * cfg.beta
-    lo = np.maximum(arg_lo, 0.0).mean(axis=0) - cvar_lo * cfg.beta
-    return np.concatenate([up, lo])
+def _cvar_rows(arg, cvar, cfg) -> np.ndarray:
+    return np.maximum(arg, 0.0).mean(axis=0) - cvar * cfg.beta
 
 
-def cvar_constraints(
-    vm: np.ndarray,
-    samples: np.ndarray,
-    cvar_hi: np.ndarray,
-    cvar_lo: np.ndarray,
-    cfg: SchedulerConfig,
-) -> np.ndarray:
+def cvar_constraints(vm: np.ndarray, samples: np.ndarray, cvar: np.ndarray, cfg: SchedulerConfig) -> np.ndarray:
     """Sample-average CVaR surrogate values, upper rows stacked over lower."""
-    arg_up, arg_lo = _hinge_args(vm, samples, cvar_hi, cvar_lo, cfg)
-    return _cvar_rows(arg_up, arg_lo, cvar_hi, cvar_lo, cfg)
+    return _cvar_rows(_hinge_args(vm, samples, cvar, cfg), cvar, cfg)
 
 
 def freq_error(sm: SensitivityModel, state: SchedulerState, rho: SchedulingPoint) -> float:
@@ -261,16 +251,15 @@ def band_residual(e: float, cfg: SchedulerConfig) -> np.ndarray:
     return np.array([cfg.e_min - e, e - cfg.e_max])
 
 
-def _signals(arg_up, arg_lo, mu, lam, J, grad_e, cfg):
-    """(s_v, s_f, d_hi, d_lo) from the hinge arguments and the multipliers."""
-    n = arg_up.shape[1]
-    frac_up = (arg_up > 0.0).mean(axis=0)
-    frac_lo = (arg_lo > 0.0).mean(axis=0)
-    s_v = J.T @ (mu[:n] * frac_up - mu[n:] * frac_lo)
-    d_hi = mu[:n] * (frac_up - cfg.beta)
-    d_lo = mu[n:] * (frac_lo - cfg.beta)
+def _signals(arg, mu, lam, J, grad_e, cfg):
+    """(s_v, s_f, d) from the hinge arguments and the multipliers."""
+    n = J.shape[0]
+    frac = (arg > 0.0).mean(axis=0)
+    w = mu * frac
+    s_v = J.T @ (w[:n] - w[n:])
+    d = mu * (frac - cfg.beta)
     s_f = (lam[1] - lam[0]) * grad_e
-    return s_v, s_f, d_hi, d_lo
+    return s_v, s_f, d
 
 
 def gradient_signals(
@@ -279,19 +268,18 @@ def gradient_signals(
     rho: SchedulingPoint,
     samples: np.ndarray,
     cfg: SchedulerConfig,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Constraint-derivative signals at the state's current multipliers.
 
-    Returns (s_v, s_f, d_hi, d_lo): the gain-directed signals stack the
-    chain rule of the CVaR rows (through the voltage model) and of the
-    tracking band (through the error slope); the auxiliary-directed
-    signals hold the active-sample fractions against the risk level.
-    The hinge subgradient convention is 1 for strictly positive
+    Returns (s_v, s_f, d): the gain-directed signals stack the chain rule
+    of the CVaR rows (through the voltage model) and of the tracking band
+    (through the error slope); the auxiliary-directed signal d, one entry
+    per CVaR row, holds the active-sample fractions against the risk
+    level.  The hinge subgradient convention is 1 for strictly positive
     arguments, 0 otherwise.
     """
     vm, _, J, grad_e = _affine(sm, state, rho)
-    arg_up, arg_lo = _hinge_args(vm, samples, state.cvar_hi, state.cvar_lo, cfg)
-    return _signals(arg_up, arg_lo, state.mu, state.lam, J, grad_e, cfg)
+    return _signals(_hinge_args(vm, samples, state.cvar, cfg), state.mu, state.lam, J, grad_e, cfg)
 
 
 def primal_dual_step(
@@ -318,29 +306,25 @@ def primal_dual_step(
     m = state.m
 
     vm, e, J, grad_e = _affine(sm, state, rho)
-    arg_up, arg_lo = _hinge_args(vm, samples, state.cvar_hi, state.cvar_lo, cfg)
-    l_val = _cvar_rows(arg_up, arg_lo, state.cvar_hi, state.cvar_lo, cfg)
+    arg = _hinge_args(vm, samples, state.cvar, cfg)
+    l_val = _cvar_rows(arg, state.cvar, cfg)
     r_val = band_residual(e, cfg)
 
     mu = np.maximum(state.mu + cfg.alpha_dual * (l_val - cfg.phi * state.mu), 0.0)
     lam = np.maximum(state.lam + cfg.alpha_dual * (r_val - cfg.psi * state.lam), 0.0)
 
-    s_v, s_f, d_hi, d_lo = _signals(arg_up, arg_lo, mu, lam, J, grad_e, cfg)
+    s_v, s_f, d = _signals(arg, mu, lam, J, grad_e, cfg)
 
     wv = np.concatenate([np.full(m, cfg.cost_w_pv), np.full(m, cfg.cost_w_qv)])
     kappa_v = state.kappa_v - cfg.alpha_primal * (2.0 * wv**2 * state.kappa_v + s_v)
     kappa_f = state.kappa_f - cfg.alpha_primal * (2.0 * state.w_f**2 * state.kappa_f + s_f)
     k_pv, k_qv = project_voltage_gains(kappa_v[:m], kappa_v[m:], tau_p, tau_q, stab)
 
-    cvar_hi = np.maximum(state.cvar_hi - cfg.alpha_tau * (d_hi + cfg.reg_tau * state.cvar_hi), 0.0)
-    cvar_lo = np.maximum(state.cvar_lo - cfg.alpha_tau * (d_lo + cfg.reg_tau * state.cvar_lo), 0.0)
-
     return replace(
         state,
         kappa_v=np.concatenate([k_pv, k_qv]),
         kappa_f=np.clip(kappa_f, -stab.kf_bound, stab.kf_bound),
-        cvar_hi=cvar_hi,
-        cvar_lo=cvar_lo,
+        cvar=np.maximum(state.cvar - cfg.alpha_tau * (d + cfg.reg_tau * state.cvar), 0.0),
         mu=mu,
         lam=lam,
     )

@@ -35,7 +35,9 @@ def distflow_root(model, p_inj, q_inj, tol=1e-12):
 
     Unknowns are stacked (P, Q, v_sq) per branch / non-substation bus.
     Returns the bus voltage magnitudes (including the substation) and the
-    PCC active power.
+    PCC active power.  The root is certified by its own residual, max |F|
+    <= tol, not by the solver's success flag: hybr can report "not making
+    good progress" at a point whose residual is already at rounding level.
     """
     nb = len(model.branches)
     n = len(model.buses) - 1
@@ -65,7 +67,9 @@ def distflow_root(model, p_inj, q_inj, tol=1e-12):
 
     z0 = np.concatenate([np.zeros(2 * nb), np.full(n, model.v_sub**2)])
     sol = optimize.root(residual, z0, method="hybr", tol=tol)
-    assert sol.success, sol.message
+    worst = np.abs(residual(sol.x)).max()
+    if not worst <= tol:
+        raise AssertionError(f"DistFlow root not certified: max residual {worst:.3g} ({sol.message})")
     P = sol.x[:nb]
     v = np.concatenate(([model.v_sub], np.sqrt(sol.x[2 * nb :])))
     p_pcc = P[np.flatnonzero(frm == 0)].sum()
@@ -289,7 +293,7 @@ def saddle_point(sm, rho, nodes, xi, cfg, w_f):
     if not err <= 5e-5:
         raise AssertionError(f"saddle point not certified: error bound {err:.3g} ({qp.message})")
     kv, kf, tau, _, _ = terms(z)
-    return dict(kappa_v=kv, kappa_f=kf, cvar_hi=tau[:n], cvar_lo=tau[n:], mu=mu, lam=lam)
+    return dict(kappa_v=kv, kappa_f=kf, cvar=tau, mu=mu, lam=lam)
 
 
 def cost(state, cfg):
@@ -301,16 +305,15 @@ def cost(state, cfg):
 
 def lagrangian(state, sm, rho, samples, cfg):
     """Regularized Lagrangian value at the state's primal/dual point."""
-    l_val = cvar_constraints(voltage_model(sm, state, rho), samples, state.cvar_hi, state.cvar_lo, cfg)
+    l_val = cvar_constraints(voltage_model(sm, state, rho), samples, state.cvar, cfg)
     r_val = band_residual(freq_error(sm, state, rho), cfg)
-    tau = np.concatenate([state.cvar_hi, state.cvar_lo])
     return (
         cost(state, cfg)
         + float(state.mu @ l_val)
         + float(state.lam @ r_val)
         - 0.5 * cfg.phi * float(state.mu @ state.mu)
         - 0.5 * cfg.psi * float(state.lam @ state.lam)
-        + 0.5 * cfg.reg_tau * float(tau @ tau)
+        + 0.5 * cfg.reg_tau * float(state.cvar @ state.cvar)
     )
 
 

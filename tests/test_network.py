@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from droopsched.network import (
@@ -128,6 +128,17 @@ class TestValidateRadial:
         assert (model.branches[0].frm, model.branches[0].to) == (0, 1)
         assert (model.branches[1].frm, model.branches[1].to) == (1, 2)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("which", ["r", "x"])
+    def test_rejects_impedance_that_is_not_finite(self, which, bad):
+        model = two_bus(**{which: bad})
+        with pytest.raises(NetworkDataError, match=r"needs finite r,x >= 0"):
+            validate_radial(model)
+
+    def test_rejects_feeder_with_only_the_substation(self):
+        with pytest.raises(NetworkDataError, match="at least one bus besides the substation"):
+            validate_radial(NetworkModel(buses=[Bus(0)], branches=[]))
+
 
 class TestSolvePowerFlow:
     def test_zero_injection_flat(self):
@@ -215,8 +226,20 @@ class TestSolvePowerFlow:
         with pytest.raises(ValueError, match="injections must be finite"):
             solve_power_flow(chain([0.01] * 3, [0.01] * 3), inj["p"], inj["q"])
 
+    @pytest.mark.parametrize("v_sub", [np.nan, np.inf, -1.0, 0.0])
+    def test_rejects_bad_substation_voltage_after_plan_is_cached(self, v_sub):
+        model = two_bus()
+        solve_power_flow(model, np.array([-0.1]), np.zeros(1))
+        model.v_sub = v_sub
+        with pytest.raises(NetworkDataError, match="^v_sub must be finite and positive$"):
+            solve_power_flow(model, np.array([-0.1]), np.zeros(1))
+
     @settings(max_examples=40, deadline=None)
     @given(radial_cases())
+    # one-branch cases at which scipy's hybr reports "not making good
+    # progress" although its root has a residual at rounding level
+    @example(([(0, 1, 0.005859375, 0.0078125)], np.array([0.03125]), np.array([0.0])))
+    @example(([(0, 1, 0.00390625, 0.001)], np.array([0.0]), np.array([0.0625])))
     def test_sweep_agrees_with_root_finder_on_any_layout(self, case):
         rows, p, q = case
         model = model_of(rows)
@@ -289,4 +312,11 @@ class TestLoadNetwork:
         path = tmp_path / "net.csv"
         path.write_text("from,to,r_pu,x_pu\n0,1,0.01\n")
         with pytest.raises(NetworkDataError, match="net.csv:2"):
+            load_network(path)
+
+    @pytest.mark.parametrize("field", ["nan", "inf"])
+    def test_impedance_that_is_not_finite_is_rejected(self, tmp_path, field):
+        path = tmp_path / "net.csv"
+        path.write_text(f"from,to,r_pu,x_pu\n0,1,0.01,0.02\n1,2,{field},0.025\n")
+        with pytest.raises(NetworkDataError, match=r"branch \(1,2\) needs finite r,x >= 0"):
             load_network(path)

@@ -1,5 +1,6 @@
 """Packaging metadata and hygiene: exported names and declared entry points
-resolve, and the package holds no unused import or unread private name."""
+resolve, every public definition is exported, and the package holds no
+unused import or unread private name."""
 
 import ast
 import importlib
@@ -20,6 +21,19 @@ def test_every_exported_name_exists(name):
     module = importlib.import_module(f"droopsched.{name}")
     missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
     assert not missing, f"droopsched.{name}.__all__ names missing attributes: {missing}"
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_public_definition_is_exported(name):
+    module = importlib.import_module(f"droopsched.{name}")
+    tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+    public = [
+        node.name
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    ]
+    missing = [defined for defined in public if defined not in getattr(module, "__all__", ())]
+    assert not missing, f"droopsched.{name} defines public names missing from __all__: {missing}"
 
 
 def test_console_scripts_resolve_to_callables():

@@ -1,5 +1,7 @@
 """Scheduler tests: CVaR surrogates, gradients, saddle tracking, plug-and-play."""
 
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
@@ -109,6 +111,33 @@ class TestSchedulerConfig:
         with pytest.raises(ValueError, match=f"^{message}$"):
             SchedulerConfig(**kw)
 
+    # a valid value other than the default, for every field
+    OTHER = dict(
+        alpha_primal=0.1,
+        alpha_dual=0.2,
+        alpha_tau=0.3,
+        phi=1e-3,
+        psi=2e-3,
+        reg_tau=4e-3,
+        beta=0.2,
+        n_samples=7,
+        noise_std=0.02,
+        v_min=0.9,
+        v_max=1.1,
+        e_min=-0.02,
+        e_max=0.02,
+        cost_w_pv=0.5,
+        cost_w_qv=0.6,
+        cost_w_f=1.0,
+        tau_s=10.0,
+    )
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(SchedulerConfig)])
+    def test_replace_agrees_with_construction(self, name):
+        value = self.OTHER[name]
+        assert getattr(SchedulerConfig(), name) != value
+        assert replace(SchedulerConfig(), **{name: value}) == SchedulerConfig(**{name: value})
+
 
 class TestDrawSamples:
     def test_zero_noise_gives_zero_samples(self):
@@ -148,8 +177,6 @@ class TestVoltageModel:
     def test_affine_in_kappa_v(self):
         _, sm, rho, cfg, _, state, _, _ = desk_instance()
         rng = np.random.default_rng(0)
-        from dataclasses import replace
-
         k1 = rng.normal(0, 1, 2 * state.m)
         k2 = rng.normal(0, 1, 2 * state.m)
         a = 0.37
@@ -160,8 +187,6 @@ class TestVoltageModel:
 
     def test_gradient_matches_finite_differences(self):
         _, sm, rho, cfg, _, state, _, _ = desk_instance()
-        from dataclasses import replace
-
         dv = rho.v_meas - rho.v_star
         idx = np.asarray(state.der_nodes) - 1
         for i_bus in range(sm.n):
@@ -180,7 +205,7 @@ class TestCvarConstraints:
         vm = np.full(n, 0.99)  # 0.06 below the limit
         xi = np.random.default_rng(1).normal(0.0, 0.005, (40, n))
         xi = np.clip(xi, -0.02, 0.02)
-        out = cvar_constraints(vm, xi, np.zeros(n), np.zeros(n), cfg)
+        out = cvar_constraints(vm, xi, np.zeros(2 * n), cfg)
         assert out[:n] == pytest.approx(np.zeros(n))
 
     def test_constant_violation_averages_to_delta(self):
@@ -189,7 +214,7 @@ class TestCvarConstraints:
         delta = 0.013
         vm = np.full(n, cfg.v_max + delta)
         xi = np.zeros((25, n))
-        out = cvar_constraints(vm, xi, np.zeros(n), np.zeros(n), cfg)
+        out = cvar_constraints(vm, xi, np.zeros(2 * n), cfg)
         assert out[:n] == pytest.approx(np.full(n, delta))
         assert out[n:] == pytest.approx(np.zeros(n))
 
@@ -201,7 +226,7 @@ class TestCvarConstraints:
         xi = rng.normal(0, 0.02, (ns, n))
         t_hi = rng.uniform(0, 0.02, n)
         t_lo = rng.uniform(0, 0.02, n)
-        out = cvar_constraints(vm, xi, t_hi, t_lo, cfg)
+        out = cvar_constraints(vm, xi, np.concatenate([t_hi, t_lo]), cfg)
         for i in range(n):
             up = 0.0
             lo = 0.0
@@ -214,7 +239,7 @@ class TestCvarConstraints:
     def test_rejects_negative_auxiliaries(self):
         cfg = SchedulerConfig()
         with pytest.raises(ValueError):
-            cvar_constraints(np.ones(2), np.zeros((5, 2)), np.array([-0.1, 0]), np.zeros(2), cfg)
+            cvar_constraints(np.ones(2), np.zeros((5, 2)), np.array([-0.1, 0, 0, 0]), cfg)
 
 
 class TestFreqError:
@@ -225,8 +250,6 @@ class TestFreqError:
 
     def test_affine_slope_matches_finite_differences(self):
         _, sm, rho, cfg, _, state, _, _ = desk_instance()
-        from dataclasses import replace
-
         def e_of(kf):
             return freq_error(sm, replace(state, kappa_f=kf), rho)
 
@@ -237,8 +260,6 @@ class TestFreqError:
 
     def test_exact_cancellation(self):
         _, sm, rho, cfg, _, state, _, _ = desk_instance()
-        from dataclasses import replace
-
         idx = np.asarray(state.der_nodes) - 1
         h_p = sm.H[: sm.n][idx]
         kf = np.zeros(2 * state.m)
@@ -259,8 +280,6 @@ class TestCost:
         assert cost(state, SchedulerConfig()) == 0.0
 
     def test_single_active_gain_weighting(self):
-        from dataclasses import replace
-
         cfg = SchedulerConfig(cost_w_f=1.0)
         state = simple_state(cfg=cfg)
         kv = np.zeros(2 * state.m)
@@ -271,8 +290,6 @@ class TestCost:
         assert cost(replace(state, kappa_v=kv2), cfg) == pytest.approx(0.01)
 
     def test_quadratic_homogeneity(self):
-        from dataclasses import replace
-
         cfg = SchedulerConfig(cost_w_f=1.0)
         rng = np.random.default_rng(2)
         state = simple_state(cfg=cfg)
@@ -292,15 +309,11 @@ class TestCost:
 class TestLagrangian:
     def test_reduces_to_cost_when_duals_zero(self):
         _, sm, rho, cfg, _, state, samples, _ = desk_instance()
-        from dataclasses import replace
-
         state = replace(state, kappa_v=np.full(2 * state.m, -0.2))
         assert lagrangian(state, sm, rho, samples, cfg) == pytest.approx(cost(state, cfg))
 
     def test_strict_concavity_in_mu(self):
         _, sm, rho, cfg, _, state, samples, _ = desk_instance()
-        from dataclasses import replace
-
         rng = np.random.default_rng(3)
         mu1 = rng.uniform(0, 2, 2 * sm.n)
         mu2 = rng.uniform(0, 2, 2 * sm.n)
@@ -313,20 +326,17 @@ class TestLagrangian:
 
     def test_matches_term_by_term_oracle(self):
         _, sm, rho, cfg, _, state, samples, _ = desk_instance()
-        from dataclasses import replace
-
         rng = np.random.default_rng(4)
         state = replace(
             state,
             kappa_v=rng.normal(0, 0.5, 2 * state.m),
             kappa_f=rng.normal(0, 0.5, 2 * state.m),
-            cvar_hi=rng.uniform(0, 0.02, sm.n),
-            cvar_lo=rng.uniform(0, 0.02, sm.n),
+            cvar=rng.uniform(0, 0.02, 2 * sm.n),
             mu=rng.uniform(0, 3, 2 * sm.n),
             lam=rng.uniform(0, 3, 2),
         )
         vm = voltage_model(sm, state, rho)
-        l_val = cvar_constraints(vm, samples, state.cvar_hi, state.cvar_lo, cfg)
+        l_val = cvar_constraints(vm, samples, state.cvar, cfg)
         r_val = band_residual(freq_error(sm, state, rho), cfg)
         expected = (
             cost(state, cfg)
@@ -334,7 +344,7 @@ class TestLagrangian:
             + state.lam @ r_val
             - cfg.phi / 2 * state.mu @ state.mu
             - cfg.psi / 2 * state.lam @ state.lam
-            + cfg.reg_tau / 2 * (state.cvar_hi @ state.cvar_hi + state.cvar_lo @ state.cvar_lo)
+            + cfg.reg_tau / 2 * state.cvar @ state.cvar
         )
         assert lagrangian(state, sm, rho, samples, cfg) == pytest.approx(expected, rel=1e-12)
 
@@ -345,8 +355,6 @@ class TestPrimalDualStep:
         model, sm, rho, cfg, stab, state, samples, nodes = desk_instance(
             pv_inj=0.0, noise_std=0.0, omega=1.0
         )
-        from dataclasses import replace
-
         cfg2 = SchedulerConfig(
             alpha_primal=0.8, alpha_dual=0.4, cost_w_f=1.0, e_min=-1.0, e_max=1.0
         )
@@ -362,7 +370,7 @@ class TestPrimalDualStep:
         cfg2 = SchedulerConfig(alpha_dual=0.4, phi=1e-8, noise_std=0.0, n_samples=5, cost_w_f=1.0)
         samples = draw_samples(rho.v_meas, cfg2, 1)
         vm = voltage_model(sm, state, rho)
-        l0 = cvar_constraints(vm, samples, state.cvar_hi, state.cvar_lo, cfg2)
+        l0 = cvar_constraints(vm, samples, state.cvar, cfg2)
         taus = np.full(3, 0.2)
         out = primal_dual_step(state, sm, rho, samples, cfg2, stab, taus, taus)
         violated = l0 > 0
@@ -376,8 +384,7 @@ class TestPrimalDualStep:
             state = primal_dual_step(state, sm, rho, samples, cfg, stab, taus, taus)
             assert np.all(state.mu >= 0)
             assert np.all(state.lam >= 0)
-            assert np.all(state.cvar_hi >= 0)
-            assert np.all(state.cvar_lo >= 0)
+            assert np.all(state.cvar >= 0)
 
     def test_stability_gate_after_every_step(self):
         from droopsched.droop import DroopGains
@@ -393,8 +400,6 @@ class TestPrimalDualStep:
 
     def test_stale_model_rejected(self):
         _, sm, rho, cfg, stab, state, samples, _ = desk_instance()
-        from dataclasses import replace as drep
-
         rho2 = SchedulingPoint(
             v_meas=rho.v_meas, r_t=rho.r_t, omega=rho.omega, omega_star=1.0, timestamp=rho.timestamp + 30
         )
@@ -404,15 +409,12 @@ class TestPrimalDualStep:
     def test_gradient_signals_match_lagrangian_differences(self):
         # s_t, d_t against central finite differences at a non-kink point
         _, sm, rho, cfg, stab, state, samples, _ = desk_instance()
-        from dataclasses import replace
-
         rng = np.random.default_rng(31)
         state = replace(
             state,
             kappa_v=rng.normal(0, 0.3, 2 * state.m),
             kappa_f=rng.normal(0, 0.3, 2 * state.m),
-            cvar_hi=rng.uniform(0.001, 0.02, sm.n),
-            cvar_lo=rng.uniform(0.001, 0.02, sm.n),
+            cvar=rng.uniform(0.001, 0.02, 2 * sm.n),
             mu=rng.uniform(0.1, 2, 2 * sm.n),
             lam=rng.uniform(0.1, 2, 2),
         )
@@ -420,8 +422,8 @@ class TestPrimalDualStep:
 
         def hinge_pattern(st):
             vm = voltage_model(sm, st, rho)
-            a_up = vm - cfg.v_max + samples + st.cvar_hi
-            a_lo = cfg.v_min - vm - samples + st.cvar_lo
+            a_up = vm - cfg.v_max + samples + st.cvar[: sm.n]
+            a_lo = cfg.v_min - vm - samples + st.cvar[sm.n :]
             return np.concatenate([a_up > 0, a_lo > 0])
 
         def no_kink_in_stencil(st):
@@ -430,7 +432,7 @@ class TestPrimalDualStep:
             # between x - h e_k and x + h e_k iff both ends keep the
             # centre's activation pattern
             centre = hinge_pattern(st)
-            for key in ("kappa_v", "kappa_f", "cvar_hi", "cvar_lo"):
+            for key in ("kappa_v", "kappa_f", "cvar"):
                 x = getattr(st, key)
                 for k in range(x.size):
                     for step in (-h, h):
@@ -441,7 +443,7 @@ class TestPrimalDualStep:
             return True
 
         assert no_kink_in_stencil(state)
-        s_v, s_f, d_hi, d_lo = gradient_signals(state, sm, rho, samples, cfg)
+        s_v, s_f, d = gradient_signals(state, sm, rho, samples, cfg)
         wv = np.concatenate([np.full(state.m, cfg.cost_w_pv), np.full(state.m, cfg.cost_w_qv)])
 
         def L_of_kv(kv):
@@ -456,37 +458,30 @@ class TestPrimalDualStep:
         g_kf = central_difference(L_of_kf, state.kappa_f, h)
         assert g_kf == pytest.approx(2 * state.w_f**2 * state.kappa_f + s_f, rel=1e-6, abs=1e-9)
 
-        def L_of_hi(t):
-            return lagrangian(replace(state, cvar_hi=t), sm, rho, samples, cfg)
+        def L_of_cvar(t):
+            return lagrangian(replace(state, cvar=t), sm, rho, samples, cfg)
 
-        g_hi = central_difference(L_of_hi, state.cvar_hi, h)
-        assert g_hi == pytest.approx(d_hi + cfg.reg_tau * state.cvar_hi, rel=1e-6, abs=1e-9)
-
-        def L_of_lo(t):
-            return lagrangian(replace(state, cvar_lo=t), sm, rho, samples, cfg)
-
-        g_lo = central_difference(L_of_lo, state.cvar_lo, h)
-        assert g_lo == pytest.approx(d_lo + cfg.reg_tau * state.cvar_lo, rel=1e-6, abs=1e-9)
+        g_cvar = central_difference(L_of_cvar, state.cvar, h)
+        assert g_cvar == pytest.approx(d + cfg.reg_tau * state.cvar, rel=1e-6, abs=1e-9)
 
 
 def reference_step(state, sm, rho, samples, cfg, stab, tau_p, tau_q):
     """The primal-dual step unit by unit: scalar project_gains per unit and
     two evaluations of the voltage model, one for the dual and one for the
     gradient signals, with J.T applied to each bound's term separately."""
-    from dataclasses import replace
-
     n, m = sm.n, state.m
     idx = np.asarray(state.der_nodes) - 1
     dv = rho.v_meas - rho.v_star
     vm = voltage_model(sm, state, rho)
-    l_val = cvar_constraints(vm, samples, state.cvar_hi, state.cvar_lo, cfg)
+    l_val = cvar_constraints(vm, samples, state.cvar, cfg)
     r_val = band_residual(freq_error(sm, state, rho), cfg)
     mu = np.maximum(state.mu + cfg.alpha_dual * (l_val - cfg.phi * state.mu), 0.0)
     lam = np.maximum(state.lam + cfg.alpha_dual * (r_val - cfg.psi * state.lam), 0.0)
 
     vm = voltage_model(sm, state, rho)
-    frac_up = ((vm - cfg.v_max + samples + state.cvar_hi) > 0.0).mean(axis=0)
-    frac_lo = ((cfg.v_min - vm - samples + state.cvar_lo) > 0.0).mean(axis=0)
+    cvar_hi, cvar_lo = state.cvar[:n], state.cvar[n:]
+    frac_up = ((vm - cfg.v_max + samples + cvar_hi) > 0.0).mean(axis=0)
+    frac_lo = ((cfg.v_min - vm - samples + cvar_lo) > 0.0).mean(axis=0)
     J = np.concatenate([sm.R[:, idx] * dv[idx], sm.X[:, idx] * dv[idx]], axis=1)
     s_v = J.T @ (mu[:n] * frac_up) - J.T @ (mu[n:] * frac_lo)
     d_hi = mu[:n] * (frac_up - cfg.beta)
@@ -505,9 +500,10 @@ def reference_step(state, sm, rho, samples, cfg, stab, tau_p, tau_q):
         )
         kappa_v[i], kappa_v[m + i] = g.k_pv, g.k_qv
         kappa_f[i], kappa_f[m + i] = g.k_pf, g.k_qf
-    cvar_hi = np.maximum(state.cvar_hi - cfg.alpha_tau * (d_hi + cfg.reg_tau * state.cvar_hi), 0.0)
-    cvar_lo = np.maximum(state.cvar_lo - cfg.alpha_tau * (d_lo + cfg.reg_tau * state.cvar_lo), 0.0)
-    return replace(state, kappa_v=kappa_v, kappa_f=kappa_f, cvar_hi=cvar_hi, cvar_lo=cvar_lo, mu=mu, lam=lam)
+    cvar_hi = np.maximum(cvar_hi - cfg.alpha_tau * (d_hi + cfg.reg_tau * cvar_hi), 0.0)
+    cvar_lo = np.maximum(cvar_lo - cfg.alpha_tau * (d_lo + cfg.reg_tau * cvar_lo), 0.0)
+    cvar = np.concatenate([cvar_hi, cvar_lo])
+    return replace(state, kappa_v=kappa_v, kappa_f=kappa_f, cvar=cvar, mu=mu, lam=lam)
 
 
 def scattered_response(state, rho, n, kv, kf):
@@ -525,8 +521,6 @@ class TestGatheredModel:
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_linmodel_on_scattered_injections(self, seed):
         # unsorted online nodes, m < n, then a realigned drop-out and m = 0
-        from dataclasses import replace
-
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 40))
         model = random_radial_feeder(n, rng)
@@ -560,7 +554,7 @@ class TestFusedStep:
         tau_p, tau_q = np.full(sm.n, 1.0), np.full(sm.n, 0.02)
         stab = StabilityParams(gamma=compute_gamma(sm, tau_p, tau_q), kf_bound=3e-7)
         tau_p, tau_q = tau_p[:state.m], tau_q[:state.m]
-        keys = ("kappa_v", "kappa_f", "cvar_hi", "cvar_lo", "mu", "lam")
+        keys = ("kappa_v", "kappa_f", "cvar", "mu", "lam")
         g, m = stab.gamma, state.m
         ref = state
         on_boundary = at_kf_bound = 0
@@ -598,11 +592,9 @@ class TestFusedStep:
 
 class TestSaddleConvergence:
     def test_iterates_approach_oracle_saddle(self):
-        from dataclasses import replace
-
         model, sm, rho, cfg, stab, state, samples, nodes = desk_instance()
         taus = np.full(3, 0.2)
-        keys = ("kappa_v", "kappa_f", "cvar_hi", "cvar_lo", "mu", "lam")
+        keys = ("kappa_v", "kappa_f", "cvar", "mu", "lam")
         ref = saddle_point(sm, rho, nodes, samples, cfg, state.w_f)
 
         # fixed point: started at the exact saddle, every key stays near it
@@ -620,17 +612,15 @@ class TestSaddleConvergence:
         # steps, to 5e-4 near 24 000 and 1.8e-4 (2.8x under the bound) at
         # 30 000.  Auxiliaries are left to the fixed-point part: one whose
         # multiplier is zero feels only reg_tau, so what the transient pushed
-        # into it decays by alpha_tau * reg_tau = 2e-6 per step (cvar_hi is
-        # still 3.6e-3 off after 100 000 steps, on rows whose saddle
-        # multiplier is 0 or 1.5e-5).
+        # into it decays by alpha_tau * reg_tau = 2e-6 per step (the upper
+        # rows of cvar are still 3.6e-3 off after 100 000 steps, on rows
+        # whose saddle multiplier is 0 or 1.5e-5).
         for _ in range(30_000):
             state = primal_dual_step(state, sm, rho, samples, cfg, stab, taus, taus)
         for key in ("kappa_v", "kappa_f", "mu", "lam"):
             assert np.max(np.abs(getattr(state, key) - ref[key])) < 5e-4, key
 
     def test_lagrangian_primal_descent_on_frozen_data(self):
-        from dataclasses import replace
-
         model, sm, rho, cfg, stab, state, samples, nodes = desk_instance()
         taus = np.full(3, 0.2)
         # freeze duals at moderate values; primal iterations should not increase L
