@@ -25,7 +25,7 @@ Generation is positive, consumption negative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 __all__ = [
     "DroopGains",
@@ -112,6 +112,8 @@ class DerUnit:
     online: bool = True
 
     def __post_init__(self):
+        if not self.node >= 1:
+            raise ValueError(f"node must be >= 1 (bus 0 is the substation), got {self.node!r}")
         if not 0.0 < self.tau_p < math.inf:
             raise ValueError("tau_p must be finite and positive")
         if not 0.0 < self.tau_q < math.inf:
@@ -156,7 +158,7 @@ def _pv_project(cap: CapabilitySet, p: float, q: float) -> tuple[float, float]:
     # p_avail may be overwritten after construction, so it is checked here too
     if not cap.p_avail >= 0.0:
         raise CapabilityError("empty feasible set: p_avail must be >= 0")
-    if cap.contains(p, q, tol=1e-12):
+    if cap.contains(p, q, 1e-12):
         return p, q
     s = cap.s_max
     theta = math.acos(cap.pf_min)
@@ -188,6 +190,9 @@ def _pv_project(cap: CapabilitySet, p: float, q: float) -> tuple[float, float]:
 
 
 def _load_project(cap: CapabilitySet, p: float, q: float) -> tuple[float, float]:
+    # p_min and p_max may be overwritten after construction, so they are checked here too
+    if not cap.p_min <= cap.p_max:
+        raise CapabilityError("empty feasible set: p_min must be <= p_max")
     t = math.tan(math.acos(cap.pf_fixed))
     # nearest point on the line q = t*p, then clamp the active power range
     w = (p + t * q) / (1.0 + t * t)
@@ -200,9 +205,10 @@ def project_capability(cap: CapabilitySet, p: float, q: float) -> tuple[float, f
 
     Raises ValueError when ``p`` or ``q`` is not finite.
     """
-    for name, value in (("p", p), ("q", q)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite")
+    if not math.isfinite(p):
+        raise ValueError("p must be finite")
+    if not math.isfinite(q):
+        raise ValueError("q must be finite")
     if cap.kind == PV:
         return _pv_project(cap, p, q)
     return _load_project(cap, p, q)
@@ -214,13 +220,24 @@ def step_der(unit: DerUnit, u_p: float, u_q: float, dt: float) -> DerUnit:
     The new outputs are projected onto the unit's capability set.
     Requires 0 < dt < min(tau_p, tau_q) so the explicit update stays in
     the monotone regime.
+
+    Returns a new unit built by the ``DerUnit`` constructor, so its
+    validation runs on the result; every field but ``p_c`` and ``q_c`` is
+    the input's.  The input unit is not mutated.
     """
-    if not 0.0 < dt < min(unit.tau_p, unit.tau_q):
+    tau_p = unit.tau_p
+    tau_q = unit.tau_q
+    if not 0.0 < dt < min(tau_p, tau_q):
         raise ValueError("dt must satisfy 0 < dt < min(tau_p, tau_q)")
-    p = unit.p_c + dt / unit.tau_p * (u_p - unit.p_c)
-    q = unit.q_c + dt / unit.tau_q * (u_q - unit.q_c)
+    p_c = unit.p_c
+    q_c = unit.q_c
+    p = p_c + dt / tau_p * (u_p - p_c)
+    q = q_c + dt / tau_q * (u_q - q_c)
     p, q = project_capability(unit.cap, p, q)
-    return replace(unit, p_c=p, q_c=q)
+    # positional, in field order: keywords or dataclasses.replace cost several times more per call
+    return DerUnit(
+        unit.node, unit.cap, tau_p, tau_q, p, q, unit.p_star, unit.q_star, unit.gains, unit.online
+    )
 
 
 def load_der_units(path) -> list[DerUnit]:
@@ -250,13 +267,13 @@ def load_der_units(path) -> list[DerUnit]:
                 tau_p = float(parts[3])
                 tau_q = float(parts[4])
                 pf = float(parts[5])
+                if kind == PV:
+                    cap = CapabilitySet(kind=PV, s_max=s_rating, pf_min=pf, p_avail=0.0)
+                elif kind == LOAD:
+                    cap = CapabilitySet(kind=LOAD, p_min=-s_rating, p_max=0.0, pf_fixed=pf)
+                else:
+                    raise ValueError(f"unknown kind {kind!r}")
+                units.append(DerUnit(node=node, cap=cap, tau_p=tau_p, tau_q=tau_q))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
-            if kind == PV:
-                cap = CapabilitySet(kind=PV, s_max=s_rating, pf_min=pf, p_avail=0.0)
-            elif kind == LOAD:
-                cap = CapabilitySet(kind=LOAD, p_min=-s_rating, p_max=0.0, pf_fixed=pf)
-            else:
-                raise ValueError(f"{path}:{lineno}: unknown kind {kind!r}")
-            units.append(DerUnit(node=node, cap=cap, tau_p=tau_p, tau_q=tau_q))
     return units

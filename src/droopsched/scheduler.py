@@ -97,8 +97,18 @@ class SchedulerConfig:
             raise ValueError("v_min must be below v_max")
         if not self.e_min < self.e_max:
             raise ValueError("e_min must be below e_max")
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be at least 1")
+        for name in ("v_min", "v_max", "e_min", "e_max"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        for name in ("cost_w_pv", "cost_w_qv", "cost_w_f"):
+            value = getattr(self, name)
+            if name == "cost_w_f" and value is None:
+                continue  # drawn per node
+            if not 0.0 <= value < np.inf:
+                raise ValueError(f"{name} must be finite and nonnegative")
+        n = self.n_samples
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise ValueError("n_samples must be an integer >= 1")
         if not 0.0 <= self.noise_std < np.inf:
             raise ValueError("noise_std must be finite and nonnegative")
 
@@ -344,10 +354,19 @@ def schedule_step(
     Realigns the gain slots to the currently online units, draws this
     period's disturbance samples, performs one gradient cycle on the
     frozen measurement, rotates the feedforward gains, and returns the
-    per-unit broadcast.
+    per-unit broadcast.  Raises ValueError, before any work, when an
+    online unit's node is not a bus of the feeder or holds another
+    online unit.
     """
     online = [u for u in ders if u.online]
     nodes = [u.node for u in online]
+    seen = set()
+    for node in nodes:
+        if not (isinstance(node, (int, np.integer)) and 1 <= node <= sm.n):
+            raise ValueError(f"DER node {node!r} is not a bus of the feeder (1..{sm.n})")
+        if node in seen:
+            raise ValueError(f"DER node {node} holds more than one online unit")
+        seen.add(node)
     state = state.realigned(nodes, cfg)
     tau_p = np.array([u.tau_p for u in online])
     tau_q = np.array([u.tau_q for u in online])

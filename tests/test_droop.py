@@ -1,10 +1,12 @@
 """DER model tests: droop law, capability projection, filter dynamics."""
 
+import copy
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from droopsched.droop import (
@@ -179,6 +181,12 @@ class TestProjectCapability:
             cap.p_avail = bad
             with pytest.raises(CapabilityError, match="empty feasible set"):
                 project_capability(cap, 0.1, 0.0)
+        # so may a flexible load's range
+        for name, bad in (("p_min", 0.3), ("p_max", -0.5), ("p_min", np.nan)):
+            cap = CapabilitySet(kind=LOAD, p_min=-0.2, p_max=0.0, pf_fixed=0.95)
+            setattr(cap, name, bad)
+            with pytest.raises(CapabilityError, match="^empty feasible set: p_min must be <= p_max$"):
+                project_capability(cap, 0.1, 0.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("which", ["p", "q"])
@@ -307,6 +315,94 @@ class TestStepDer:
         with pytest.raises(ValueError, match=f"^{name} must be finite and positive$"):
             pv_unit(**{name: bad})
 
+    @pytest.mark.parametrize("node", [0, -3, np.nan])
+    def test_rejects_node_outside_the_feeder(self, node):
+        with pytest.raises(ValueError, match="^node must be >= 1"):
+            pv_unit(node=node)
+
+    # a value other than the default for every DerUnit field but the
+    # operating point, so a field the result does not carry over shows up
+    UNIT = dict(
+        node=3,
+        tau_p=0.3,
+        tau_q=0.25,
+        p_star=0.1,
+        q_star=-0.02,
+        gains=DroopGains(-1.0, -2.0, -3.0, -4.0),
+    )
+    T_LOAD = math.tan(math.acos(0.9))
+    # capability set, a start point in it, and a command whose Euler step stays
+    # in it; a flexible load's set is a segment, so its only such command is
+    # the start point itself
+    CASES = {
+        PV: (pv_cap(s_max=0.5, pf_min=0.8, p_avail=0.4), (0.15, 0.05), (0.2, 0.01)),
+        LOAD: (
+            CapabilitySet(kind=LOAD, p_min=-0.4, p_max=0.0, pf_fixed=0.9),
+            (-0.2, -0.2 * T_LOAD),
+            (-0.2, -0.2 * T_LOAD),
+        ),
+    }
+
+    @pytest.mark.parametrize("clipped", [False, True], ids=["inside", "clipped"])
+    @pytest.mark.parametrize("online", [True, False])
+    @pytest.mark.parametrize("kind", [PV, LOAD])
+    def test_result_is_replace_with_projected_step(self, kind, online, clipped):
+        assert set(self.UNIT) | {"cap", "p_c", "q_c", "online"} == {f.name for f in fields(DerUnit)}
+        cap, start, inside = self.CASES[kind]
+        command = (3.0, -2.0) if clipped else inside
+        u = DerUnit(**self.UNIT, cap=cap, p_c=start[0], q_c=start[1], online=online)
+        before = copy.deepcopy(u)
+        dt = 0.05
+        p = u.p_c + dt / u.tau_p * (command[0] - u.p_c)
+        q = u.q_c + dt / u.tau_q * (command[1] - u.q_c)
+        assert cap.contains(p, q) != clipped
+        p, q = project_capability(cap, p, q)
+        out = step_der(u, *command, dt)
+        expected = replace(u, p_c=p, q_c=q)
+        for f in fields(DerUnit):
+            assert getattr(out, f.name) == getattr(expected, f.name), f.name
+        assert out is not u
+        assert u == before
+
+
+time_constants = st.floats(0.01, 10.0)
+commands = st.floats(-1e3, 1e3)
+
+
+@pytest.mark.parametrize("kind", [PV, LOAD])
+class TestStepDerProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        start=points,
+        cmd=st.tuples(commands, commands),
+        taus=st.tuples(time_constants, time_constants),
+        frac=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    )
+    def test_output_is_feasible(self, kind, data, start, cmd, taus, frac):
+        cap = data.draw(capability_sets(kind))
+        dt = min(taus) * frac
+        assume(0.0 < dt < min(taus))
+        u = DerUnit(node=1, cap=cap, tau_p=taus[0], tau_q=taus[1], p_c=start[0], q_c=start[1])
+        out = step_der(u, *cmd, dt)
+        assert cap.contains(out.p_c, out.q_c, tol=1e-9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+        taus=st.tuples(time_constants, time_constants),
+        frac=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    )
+    def test_feasible_point_commanded_to_itself_stays(self, kind, data, seed, taus, frac):
+        cap = data.draw(capability_sets(kind))
+        dt = min(taus) * frac
+        assume(0.0 < dt < min(taus))
+        p, q = feasible_points(cap, np.random.default_rng(seed))[0].tolist()
+        u = DerUnit(node=1, cap=cap, tau_p=taus[0], tau_q=taus[1], p_c=p, q_c=q)
+        out = step_der(u, p, q, dt)
+        assert np.hypot(out.p_c - p, out.q_c - q) <= 1e-12
+
 
 class TestLoadDerUnits:
     def test_roundtrip(self, tmp_path):
@@ -326,4 +422,15 @@ class TestLoadDerUnits:
         path = tmp_path / "ders.csv"
         path.write_text("node,kind,s_rating_pu,tau_p_s,tau_q_s,pf_min\n1,windmill,1,0.2,0.2,0.9\n")
         with pytest.raises(ValueError, match="ders.csv:2"):
+            load_der_units(path)
+
+    @pytest.mark.parametrize("node", ["0", "-3"])
+    def test_node_outside_the_feeder(self, tmp_path, node):
+        path = tmp_path / "ders.csv"
+        path.write_text(
+            "node,kind,s_rating_pu,tau_p_s,tau_q_s,pf_min\n"
+            "2,pv-inverter,0.5,0.2,0.2,0.8\n"
+            f"{node},pv-inverter,0.5,0.2,0.2,0.8\n"
+        )
+        with pytest.raises(ValueError, match="ders.csv:3: node must be >= 1"):
             load_der_units(path)

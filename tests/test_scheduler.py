@@ -105,6 +105,16 @@ class TestSchedulerConfig:
             (dict(noise_std=np.nan), "noise_std must be finite and nonnegative"),
             (dict(noise_std=np.inf), "noise_std must be finite and nonnegative"),
             (dict(beta=np.nan), r"beta must lie in \(0, 1\)"),
+            (dict(cost_w_pv=np.nan), "cost_w_pv must be finite and nonnegative"),
+            (dict(cost_w_pv=-1.0), "cost_w_pv must be finite and nonnegative"),
+            (dict(cost_w_qv=-np.inf), "cost_w_qv must be finite and nonnegative"),
+            (dict(cost_w_f=np.nan), "cost_w_f must be finite and nonnegative"),
+            (dict(n_samples=2.5), "n_samples must be an integer >= 1"),
+            (dict(n_samples=True), "n_samples must be an integer >= 1"),
+            (dict(v_min=-np.inf), "v_min must be finite"),
+            (dict(v_max=np.inf), "v_max must be finite"),
+            (dict(e_min=-np.inf), "e_min must be finite"),
+            (dict(e_max=np.inf), "e_max must be finite"),
         ],
     )
     def test_rejects_nan_inf_and_out_of_range_naming_the_field(self, kw, message):
@@ -672,6 +682,26 @@ class TestScheduleStep:
         change = np.abs(out.kappa_v[:m]) + np.abs(out.kappa_v[m:])
         assert np.argmax(change) == 0  # unit at bus 4
         assert change[0] > 0
+
+    @pytest.mark.parametrize(
+        "nodes, message",
+        [
+            ((4, 5, 0), "DER node 0 is not a bus of the feeder"),
+            ((4, 5, 7), "DER node 7 is not a bus of the feeder"),
+            ((4, 5, 4.5), "DER node 4.5 is not a bus of the feeder"),
+            ((4, 6, 6), "DER node 6 holds more than one online unit"),
+        ],
+    )
+    def test_rejects_node_off_the_feeder_or_repeated(self, nodes, message):
+        model, sm, rho, cfg, stab, state, samples, _ = desk_instance()
+        units = six_bus_pv_units()
+        for u, node in zip(units, nodes):
+            u.node = node  # DerUnit rejects node 0 at construction
+        before = replace(state, kappa_v=state.kappa_v.copy(), mu=state.mu.copy())
+        with pytest.raises(ValueError, match=f"^{message}"):
+            schedule_step(state, sm, rho, units, cfg, stab, sample_seed=9)
+        assert state.der_nodes == before.der_nodes
+        assert np.array_equal(state.kappa_v, before.kappa_v) and np.array_equal(state.mu, before.mu)
 
     def test_offline_unit_removed_without_touching_others(self):
         model, sm, rho, cfg, stab, state, samples, nodes = desk_instance()
