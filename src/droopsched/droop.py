@@ -185,7 +185,7 @@ def _pv_project(cap: CapabilitySet, p: float, q: float) -> tuple[float, float]:
         q_cap = min(t * p_cap, math.sqrt(max(s * s - p_cap * p_cap, 0.0)))
         candidates.append(_seg_project(p, q, (p_cap, -q_cap), (p_cap, q_cap)))
 
-    best = min(candidates, key=lambda c: (c[0] - p) ** 2 + (c[1] - q) ** 2)
+    best = min(candidates, key=lambda c: (c[0] - p) * (c[0] - p) + (c[1] - q) * (c[1] - q))
     return best
 
 

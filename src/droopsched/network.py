@@ -13,7 +13,11 @@ Both passes are O(n) array operations over one depth-first preorder of
 the branches, in which every subtree is a contiguous range: the
 backward pass is a difference of prefix sums over those ranges, and the
 forward pass a prefix sum of the voltage drops in which each subtree's
-drop is cancelled once its range closes.
+drop is cancelled once its range closes.  On feeders of a few dozen
+buses a sweep costs numpy calls, not arithmetic, so the sweep plan
+precomputes every operand an iteration would otherwise rebuild (one
+product of its impedance rows with the currents gives every loss term),
+and the residual check reuses the iteration's terms.
 
 Sign convention: bus injections are positive for generation and negative
 for consumption; the power drawn at the point of common coupling (PCC)
@@ -83,9 +87,16 @@ class NetworkModel:
         return self._plan
 
 
-@dataclass
+@dataclass(slots=True)
 class PowerFlowSolution:
-    """Converged sweep result.  ``v`` covers all buses, index 0 = substation."""
+    """Converged sweep result.  ``v`` covers all buses, index 0 = substation.
+
+    ``residual`` is the largest flow-balance and voltage-drop residual of
+    the returned iterate, the value the sweep stopped at (<= its tol).
+    Slotted, with ``p_flow`` and ``q_flow`` as two arrays rather than
+    views of a shared one, so a caller that keeps every solution of a
+    finite-difference sweep holds no more than it must.
+    """
 
     v: np.ndarray
     p_flow: np.ndarray
@@ -94,22 +105,30 @@ class PowerFlowSolution:
     p_pcc: float
     converged: bool
     iterations: int
+    residual: float
 
 
 @dataclass
 class _SweepPlan:
     """Branches laid out in depth-first preorder for O(n) sweeps.
 
-    Every array is indexed by preorder position k, except ``pos``.  The
-    subtree hanging from the branch at k (inclusive) is the contiguous
-    range ``k:end[k]``, so a subtree sum is a difference of prefix sums
-    and the branches on the root path of position k are the j <= k with
+    Every array is indexed by preorder position k, except ``pos`` and
+    ``par2``.  The subtree hanging from the branch at k (inclusive) is
+    the contiguous range ``k:end[k]``, and ``last[k] = end[k] - 1`` its
+    final position, so a subtree sum is a difference of prefix sums and
+    the branches on the root path of position k are the j <= k with
     ``end[j] > k``.  ``par[k]`` is the position of the parent branch
     plus one, or 0 for a branch leaving the substation, and indexes an
-    array that carries the substation value in slot 0.  ``bus[k]`` is
-    the row (bus id - 1) of the bus the branch feeds, ``pos[j]`` the
-    position of the branch feeding bus j + 1, and ``order[k]`` the
-    caller's index of the branch, with ``inv`` its inverse.
+    array that carries the substation value in slot 0; ``par2`` repeats
+    it for a second row, offset by n + 1, so one ``np.bincount`` over a
+    flattened (2, n) array gives the child sums of both rows.
+    ``bus[k]`` is the row (bus id - 1) of the bus the branch feeds,
+    ``pos[j]`` the position of the branch feeding bus j + 1, and
+    ``order[k]`` the caller's index of the branch, with ``inv`` its
+    inverse.  ``rxz`` holds the rows ``[r, x, r^2 + x^2]``, ``rx`` is a
+    view of its first two rows and ``rx2`` is ``2 rx``, which doubles
+    exactly, so ``rx2 * S`` summed over rows is ``2 (rx * S)`` summed
+    over rows bit for bit.
     """
 
     order: np.ndarray
@@ -117,30 +136,37 @@ class _SweepPlan:
     bus: np.ndarray
     pos: np.ndarray
     end: np.ndarray
+    last: np.ndarray
     par: np.ndarray
+    par2: np.ndarray
     root: np.ndarray
+    rxz: np.ndarray
     rx: np.ndarray
-    rx_sq: np.ndarray
+    rx2: np.ndarray
 
 
 def _build_plan(model: NetworkModel) -> _SweepPlan:
     pre = validate_radial(model)
     branches = [model.branches[e] for e in pre]
+    nb = len(pre)
     order = np.array(pre, dtype=np.intp)
     bus = np.array([b.to - 1 for b in branches], dtype=np.intp)
     pos = np.argsort(bus)
     # parent position + 1 (0 = substation), via the branch feeding the sender
     par = np.concatenate(([0], pos + 1))[[b.frm for b in branches]]
     # subtree sizes in one reverse pass: children sit after their parent
-    size = [1] * len(pre)
+    size = [1] * nb
     parents = par.tolist()
-    for k in range(len(pre) - 1, -1, -1):
+    for k in range(nb - 1, -1, -1):
         if parents[k]:
             size[parents[k] - 1] += size[k]
-    end = np.arange(len(pre)) + size
-    rx = np.array([[b.r for b in branches], [b.x for b in branches]])
+    end = np.arange(nb) + size
+    rxz = np.array([[b.r for b in branches], [b.x for b in branches], [0.0] * nb])
+    rx = rxz[:2]
+    rxz[2] = (rx * rx).sum(axis=0)
     return _SweepPlan(
-        order, np.argsort(order), bus, pos, end, par, np.flatnonzero(par == 0), rx, (rx * rx).sum(axis=0)
+        order, np.argsort(order), bus, pos, end, end - 1, par, np.concatenate((par, par + nb + 1)),
+        np.flatnonzero(par == 0), rxz, rx, 2.0 * rx,
     )
 
 
@@ -230,53 +256,66 @@ def solve_power_flow(
     q = np.asarray(q_inj, dtype=float)
     if p.shape != (n,) or q.shape != (n,):
         raise ValueError(f"injections must have shape ({n},)")
-    inj = np.stack((p, q))
+    inj = np.array((p, q))
     if not np.isfinite(inj).all():
         raise ValueError("injections must be finite")
 
     # everything below is in preorder position
-    inj = inj[:, plan.bus]
-    rx, rx_sq, end, last, par = plan.rx, plan.rx_sq, plan.end, plan.end - 1, plan.par
+    inj = inj.take(plan.bus, axis=1)
+    rxz, rx2, end, last, par = plan.rxz, plan.rx2, plan.end, plan.last, plan.par
     v_sub_sq = model.v_sub**2
-    i_sq = np.zeros(n) if warm is None else warm.i_sq[plan.order]
+    # squared voltages with the substation in slot 0, indexed by par
+    v_ext = np.empty(n + 1)
+    v_ext[0] = v_sub_sq
+    v_sq = v_ext[1:]
+    i_sq = np.zeros(n) if warm is None else warm.i_sq.take(plan.order)
+    zi = rxz * i_sq  # loss terms r i, x i and |z|^2 i of the current iterate, kept in place
 
     for iterations in range(1, _MAX_ITER + 1):
         # backward: subtree sums of injections and previous-iterate losses
-        y = rx * i_sq - inj
+        y = zi[:2] - inj
         s = y.cumsum(axis=1)
-        S = s[:, last] - s + y
+        S = s.take(last, axis=1) - s + y
         # forward: squared-voltage drops summed along each root path
-        drop = 2.0 * (rx * S).sum(axis=0) - rx_sq * i_sq
-        v_sq = v_sub_sq - (drop - np.bincount(end, drop, minlength=n + 1)[:n]).cumsum()
-        if (v_sq <= 0.0).any():
+        t = rx2 * S  # (2, n) scratch: 2 rx S here, S^2 below
+        drop2 = t[0] + t[1]  # 2 (r P + x Q)
+        drop = drop2 - zi[2]
+        np.subtract(v_sub_sq, (drop - np.bincount(end, drop, minlength=n + 1)[:n]).cumsum(), v_sq)
+        # fmin skips NaN, so this is (v_sq <= 0).any() in one reduction
+        if np.fmin.reduce(v_sq) <= 0.0:
             raise PowerFlowError(
                 "negative squared voltage encountered: operating point infeasible"
             )
-        # squared voltages with the substation in slot 0, indexed by par
-        v_ext = np.concatenate(([v_sub_sq], v_sq))
-        i_sq_new = (S * S).sum(axis=0) / v_ext[par]
+        v_from = v_ext.take(par)
+        np.multiply(S, S, t)
+        i_sq_new = (t[0] + t[1]) / v_from
         di = np.abs(i_sq_new - i_sq).max()
         i_sq = i_sq_new
+        np.multiply(rxz, i_sq, zi)
         # the residuals at this iterate depend only on the change in currents
-        if di <= 10.0 * tol and _residuals(plan, inj, S, i_sq, v_ext) <= tol:
-            break
+        if di <= 10.0 * tol:
+            residual = _residuals(plan, inj, S, zi, v_sq, v_from, drop2)
+            if residual <= tol:
+                break
     else:
         raise PowerFlowError(f"no convergence within {_MAX_ITER} iterations")
 
-    v = np.concatenate(([model.v_sub], np.sqrt(v_sq[plan.pos])))
-    p_pcc = float(S[0, plan.root].sum())
-    P, Q = S[:, plan.inv]
-    return PowerFlowSolution(v, P, Q, i_sq[plan.inv], p_pcc, True, iterations)
+    v = np.empty(n + 1)
+    v[0] = model.v_sub
+    np.sqrt(v_sq.take(plan.pos), v[1:])
+    p_pcc = float(S[0].take(plan.root).sum())
+    P, Q = S[0].take(plan.inv), S[1].take(plan.inv)
+    return PowerFlowSolution(v, P, Q, i_sq.take(plan.inv), p_pcc, True, iterations, residual)
 
 
-def _residuals(plan, inj, S, i_sq, v_ext) -> float:
-    # the current equation holds exactly: i_sq is computed from S and v_ext
-    nb = len(i_sq)
-    child = np.stack([np.bincount(plan.par, w, minlength=nb + 1)[1:] for w in S])
-    res_flow = S - (child - inj + plan.rx * i_sq)
-    res_drop = (v_ext[plan.par] - v_ext[1:]) - (
-        2.0 * (plan.rx * S).sum(axis=0) - plan.rx_sq * i_sq
-    )
+def _residuals(plan, inj, S, zi, v_sq, v_from, drop2) -> float:
+    # zi: loss terms of the current iterate, v_from: sending-end squared
+    # voltages, drop2: 2 (r P + x Q) of S.  The current equation holds
+    # exactly: the current iterate is computed from S and v_from.
+    nb = len(v_sq)
+    child = np.bincount(plan.par2, S.ravel(), minlength=2 * nb + 2).reshape(2, nb + 1)[:, 1:]
+    res_flow = S - (child - inj + zi[:2])
+    res_drop = (v_from - v_sq) - (drop2 - zi[2])
     return float(max(np.abs(res_flow).max(), np.abs(res_drop).max()))
 
 

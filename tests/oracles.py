@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the code paths under test: the power
 flow oracle hands the raw DistFlow residual system to a generic root
-finder, projections are checked by grid search / first-order optimality,
-eigenvalues come from dense general-purpose solvers, and the scheduler's
+finder, the residual oracle evaluates that system at a returned
+solution with child sums from ``np.bincount``, projections are checked
+by grid search / first-order optimality, eigenvalues come from dense general-purpose solvers, and the scheduler's
 saddle point comes from an exact solve of the slack-variable QP of its
 CVaR-constrained Lagrangian, which certifies its own accuracy through a
 subgradient bound and raises when it cannot.
@@ -74,6 +75,33 @@ def distflow_root(model, p_inj, q_inj, tol=1e-12):
     v = np.concatenate(([model.v_sub], np.sqrt(sol.x[2 * nb :])))
     p_pcc = P[np.flatnonzero(frm == 0)].sum()
     return v, float(p_pcc)
+
+
+def distflow_residual(model, p_inj, q_inj, sol):
+    """Largest DistFlow residual of a power-flow solution, from branch data only.
+
+    Covers every branch's flow balance, squared-voltage drop and current
+    equation.  The flows of a bus's child branches are summed by one
+    ``np.bincount`` over the sending buses, and the squared voltages are
+    the returned magnitudes squared back.  Branches must point away from
+    the substation, as they do once a solve has built the sweep plan.
+    """
+    frm = np.array([b.frm for b in model.branches])
+    to = np.array([b.to for b in model.branches])
+    r = np.array([b.r for b in model.branches])
+    x = np.array([b.x for b in model.branches])
+    P, Q, i_sq = sol.p_flow, sol.q_flow, sol.i_sq
+    v_sq = sol.v * sol.v
+    n_bus = len(model.buses)
+    child_p = np.bincount(frm, weights=P, minlength=n_bus)[to]
+    child_q = np.bincount(frm, weights=Q, minlength=n_bus)[to]
+    res = (
+        P - (child_p - np.asarray(p_inj)[to - 1] + r * i_sq),
+        Q - (child_q - np.asarray(q_inj)[to - 1] + x * i_sq),
+        (v_sq[frm] - v_sq[to]) - (2.0 * (r * P + x * Q) - (r * r + x * x) * i_sq),
+        i_sq - (P * P + Q * Q) / v_sq[frm],
+    )
+    return max(float(np.abs(part).max()) for part in res)
 
 
 def grid_project(feasible, point, lo, hi, resolution):

@@ -18,7 +18,7 @@ from droopsched.network import (
     validate_radial,
 )
 
-from .oracles import distflow_root
+from .oracles import distflow_residual, distflow_root
 
 # Exact single-branch solution (r=x=0.01, v_sub=1), computed beforehand with
 # a 50-digit scalar fixed point on the branch current equation.
@@ -195,7 +195,7 @@ class TestSolvePowerFlow:
         assert np.allclose(again.v, sol.v, atol=1e-10)
         # a warm solution contributes only its branch currents
         bogus = solve_power_flow(model, p, q, warm=replace(sol, v=np.full(3, 2.0)))
-        for name in ("v", "p_flow", "q_flow", "i_sq", "p_pcc", "iterations"):
+        for name in ("v", "p_flow", "q_flow", "i_sq", "p_pcc", "iterations", "residual"):
             assert np.array_equal(getattr(bogus, name), getattr(again, name))
         # a warm start from other injections converges to the cold solution
         tol = 1e-8
@@ -263,6 +263,25 @@ class TestSolvePowerFlow:
         assert sol.p_pcc == pytest.approx(pcc_ref, abs=1e-8)
         assert np.max(np.abs(sol.v - cold.v)) <= 10 * tol
         assert sol.p_pcc == pytest.approx(cold.p_pcc, abs=10 * tol)
+
+    @settings(max_examples=40, deadline=None)
+    @given(radial_cases(), st.data())
+    def test_cold_and_warm_solves_satisfy_the_residual_oracle(self, case, data):
+        rows, p, q = case
+        n = len(p)
+        power = st.lists(st.floats(-0.2 / n, 0.2 / n), min_size=n, max_size=n)
+        model = model_of(rows)
+        p_other, q_other = np.array(data.draw(power)), np.array(data.draw(power))
+        for tol in (1e-8, 1e-10, 1e-12):
+            other = solve_power_flow(model, p_other, q_other, tol=tol)
+            cold = solve_power_flow(model, p, q, tol=tol)
+            warm = solve_power_flow(model, p, q, tol=tol, warm=other)
+            for sol in (cold, warm):
+                assert sol.residual <= tol
+                # squaring the returned magnitudes back rounds in the last bits
+                oracle = distflow_residual(model, p, q, sol)
+                assert oracle <= tol + 1e-13
+                assert abs(sol.residual - oracle) <= 1e-13
 
     @settings(max_examples=40, deadline=None)
     @given(radial_cases(), st.data())
