@@ -106,7 +106,7 @@ def build_rx(model: NetworkModel) -> tuple[np.ndarray, np.ndarray]:
     branch at position k lies on the path of the bus fed from position
     pos[j] iff k <= pos[j] < end[k].
     """
-    plan = model.plan()  # validates radiality
+    plan = model.plan()  # built when the model was constructed
     pos = plan.pos[:, None]
     B = (np.arange(len(pos)) <= pos) & (pos < plan.end)
     R, X = ((B * w) @ B.T for w in plan.rx)

@@ -17,7 +17,9 @@ drop is cancelled once its range closes.  On feeders of a few dozen
 buses a sweep costs numpy calls, not arithmetic, so the sweep plan
 precomputes every operand an iteration would otherwise rebuild (one
 product of its impedance rows with the currents gives every loss term),
-and the residual check reuses the iteration's terms.
+and the residual check reuses the iteration's terms.  A ``NetworkModel``
+is validated, oriented and planned once, when constructed, and is
+immutable, so no plan goes stale; ``dataclasses.replace`` changes one.
 
 Sign convention: bus injections are positive for generation and negative
 for consumption; the power drawn at the point of common coupling (PCC)
@@ -27,6 +29,7 @@ is positive when the feeder imports from the transmission grid.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,7 +40,6 @@ __all__ = [
     "PowerFlowSolution",
     "NetworkDataError",
     "PowerFlowError",
-    "validate_radial",
     "solve_power_flow",
     "load_network",
 ]
@@ -54,27 +56,41 @@ class PowerFlowError(RuntimeError):
     """Raised when the sweep fails to converge or hits an infeasible state."""
 
 
-@dataclass
-class Bus:
+class Bus(NamedTuple):
     id: int
 
 
-@dataclass
-class Branch:
+class Branch(NamedTuple):
     frm: int
     to: int
     r: float
     x: float
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class NetworkModel:
-    """Radial feeder: buses (0 = substation) and branches."""
+    """Radial feeder: buses (0 = substation) and branches, immutable.
 
-    buses: list[Bus]
-    branches: list[Branch]
+    Construction checks ``v_sub`` and radiality, stores the branches in
+    the caller's order pointing away from the substation (a child-first
+    row becomes a new ``Branch``), and builds the sweep plan.
+    """
+
+    buses: tuple[Bus, ...]
+    branches: tuple[Branch, ...]
     v_sub: float = 1.0
-    _plan: "_SweepPlan | None" = field(default=None, repr=False, compare=False)
+    _plan: "_SweepPlan" = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if not 0.0 < self.v_sub < np.inf:
+            raise NetworkDataError("v_sub must be finite and positive")
+        pre, senders = _preorder(self.buses, self.branches)
+        branches = tuple(
+            b if b.frm == s else Branch(b.to, b.frm, b.r, b.x) for b, s in zip(self.branches, senders)
+        )
+        object.__setattr__(self, "buses", tuple(self.buses))
+        object.__setattr__(self, "branches", branches)
+        object.__setattr__(self, "_plan", _build_plan(branches, pre))
 
     @property
     def n(self) -> int:
@@ -82,8 +98,6 @@ class NetworkModel:
         return len(self.buses) - 1
 
     def plan(self) -> "_SweepPlan":
-        if self._plan is None:
-            self._plan = _build_plan(self)
         return self._plan
 
 
@@ -108,7 +122,7 @@ class PowerFlowSolution:
     residual: float
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class _SweepPlan:
     """Branches laid out in depth-first preorder for O(n) sweeps.
 
@@ -128,7 +142,9 @@ class _SweepPlan:
     inverse.  ``rxz`` holds the rows ``[r, x, r^2 + x^2]``, ``rx`` is a
     view of its first two rows and ``rx2`` is ``2 rx``, which doubles
     exactly, so ``rx2 * S`` summed over rows is ``2 (rx * S)`` summed
-    over rows bit for bit.
+    over rows bit for bit.  These three impedance arrays are read-only.
+    The index arrays are not: numpy's ``take`` and ``bincount`` copy a
+    read-only index array on every call, several times per iteration.
     """
 
     order: np.ndarray
@@ -145,15 +161,15 @@ class _SweepPlan:
     rx2: np.ndarray
 
 
-def _build_plan(model: NetworkModel) -> _SweepPlan:
-    pre = validate_radial(model)
-    branches = [model.branches[e] for e in pre]
+def _build_plan(branches: tuple[Branch, ...], pre: list[int]) -> _SweepPlan:
+    # branches point away from the substation; pre is their preorder
     nb = len(pre)
     order = np.array(pre, dtype=np.intp)
-    bus = np.array([b.to - 1 for b in branches], dtype=np.intp)
+    frm, to, r, x = zip(*(branches[e] for e in pre))
+    bus = np.array(to, dtype=np.intp) - 1
     pos = np.argsort(bus)
     # parent position + 1 (0 = substation), via the branch feeding the sender
-    par = np.concatenate(([0], pos + 1))[[b.frm for b in branches]]
+    par = np.concatenate(([0], pos + 1)).take(frm)
     # subtree sizes in one reverse pass: children sit after their parent
     size = [1] * nb
     parents = par.tolist()
@@ -161,71 +177,72 @@ def _build_plan(model: NetworkModel) -> _SweepPlan:
         if parents[k]:
             size[parents[k] - 1] += size[k]
     end = np.arange(nb) + size
-    rxz = np.array([[b.r for b in branches], [b.x for b in branches], [0.0] * nb])
+    rxz = np.array((r, x, (0.0,) * nb))
     rx = rxz[:2]
     rxz[2] = (rx * rx).sum(axis=0)
+    rx2 = 2.0 * rx
+    for a in (rxz, rx, rx2):
+        a.setflags(write=False)
     return _SweepPlan(
         order, np.argsort(order), bus, pos, end, end - 1, par, np.concatenate((par, par + nb + 1)),
-        np.flatnonzero(par == 0), rxz, rx, 2.0 * rx,
+        np.flatnonzero(par == 0), rxz, rx, rx2,
     )
 
 
-def validate_radial(model: NetworkModel) -> list[int]:
+def _preorder(buses, branches) -> tuple[list[int], list[int]]:
     """Check the branch set forms a tree rooted at bus 0 and return its preorder.
 
     Returns the branch indices in depth-first preorder from the
     substation, so every subtree is contiguous in it and its reverse runs
-    leaves-to-root.  Branches listed child-first are reoriented in place
-    to point away from the substation.  Raises NetworkDataError on
-    cycles, disconnected buses, duplicate branches, unknown bus ids,
+    leaves-to-root, and the sending bus of each branch, the end nearer
+    the substation.  Reads its arguments only.  Raises NetworkDataError
+    on cycles, disconnected buses, duplicate branches, unknown bus ids,
     impedances that are negative, zero in both parts or not finite, or a
     feeder with no bus besides the substation.
     """
-    ids = [b.id for b in model.buses]
+    ids = [b.id for b in buses]
     if sorted(ids) != list(range(len(ids))):
         raise NetworkDataError("bus ids must be 0..n with 0 the substation")
     n_bus = len(ids)
     if n_bus < 2:
         raise NetworkDataError("feeder needs at least one bus besides the substation")
-    if len(model.branches) != n_bus - 1:
+    if len(branches) != n_bus - 1:
         raise NetworkDataError(
             "cycle detected or disconnected node: "
-            f"expected {n_bus - 1} branches, got {len(model.branches)}"
+            f"expected {n_bus - 1} branches, got {len(branches)}"
         )
     seen_pairs = set()
     adj: dict[int, list[tuple[int, int]]] = {i: [] for i in ids}
-    for e, br in enumerate(model.branches):
-        if br.frm not in adj or br.to not in adj:
-            raise NetworkDataError(f"branch ({br.frm},{br.to}) references unknown bus")
-        if not (0.0 <= br.r < np.inf and 0.0 <= br.x < np.inf) or (br.r == 0 and br.x == 0):
-            raise NetworkDataError(f"branch ({br.frm},{br.to}) needs finite r,x >= 0, not both zero")
-        key = (min(br.frm, br.to), max(br.frm, br.to))
+    for e, (frm, to, r, x) in enumerate(branches):
+        if frm not in adj or to not in adj:
+            raise NetworkDataError(f"branch ({frm},{to}) references unknown bus")
+        if not (0.0 <= r < np.inf and 0.0 <= x < np.inf) or (r == 0 and x == 0):
+            raise NetworkDataError(f"branch ({frm},{to}) needs finite r,x >= 0, not both zero")
+        key = (frm, to) if frm < to else (to, frm)
         if key in seen_pairs:
             raise NetworkDataError(f"duplicate branch {key}")
         seen_pairs.add(key)
-        adj[br.frm].append((br.to, e))
-        adj[br.to].append((br.frm, e))
+        adj[frm].append((to, e))
+        adj[to].append((frm, e))
 
-    # depth-first preorder from the substation, orienting parent->child;
+    # depth-first preorder from the substation, recording each sender;
     # with n_bus - 1 branches, reaching every bus means the graph is a tree
     visited = {0}
     pre: list[int] = []
+    senders = [0] * len(branches)
     stack = [(0, other, e) for other, e in adj[0]]
     while stack:
         node, other, e = stack.pop()
         if other in visited:
             continue
         visited.add(other)
-        br = model.branches[e]
-        if br.frm != node:
-            # branch was listed child-first; reorient away from the root
-            br.frm, br.to = node, other
+        senders[e] = node
         pre.append(e)
-        stack.extend((other, nxt, f) for nxt, f in adj[other])
+        stack.extend([(other, nxt, f) for nxt, f in adj[other]])
     if len(visited) != n_bus:
         missing = sorted(set(ids) - visited)
         raise NetworkDataError(f"disconnected node {missing[0]}")
-    return pre
+    return pre, senders
 
 
 def solve_power_flow(
@@ -243,13 +260,10 @@ def solve_power_flow(
     currents settle and the flow, voltage-drop and current equations hold
     with max residual <= tol.  ``warm`` contributes only its branch
     currents; a cold start begins from zero currents.  Branch arrays of
-    the result follow ``model.branches``.  ``model.v_sub`` is checked on
-    every call, since it may change after the sweep plan is cached.
+    the result follow ``model.branches``.
     """
     if not 0.0 < tol < np.inf:
         raise ValueError("tol must be finite and positive")
-    if not 0.0 < model.v_sub < np.inf:
-        raise NetworkDataError("v_sub must be finite and positive")
     plan = model.plan()
     n = model.n
     p = np.asarray(p_inj, dtype=float)
@@ -341,7 +355,4 @@ def load_network(path) -> NetworkModel:
                 raise NetworkDataError(f"{path}:{lineno}: {exc}") from exc
             branches.append(Branch(frm, to, r, x))
             max_bus = max(max_bus, frm, to)
-    buses = [Bus(i) for i in range(max_bus + 1)]
-    model = NetworkModel(buses, branches)
-    validate_radial(model)
-    return model
+    return NetworkModel([Bus(i) for i in range(max_bus + 1)], branches)

@@ -84,7 +84,7 @@ def distflow_residual(model, p_inj, q_inj, sol):
     equation.  The flows of a bus's child branches are summed by one
     ``np.bincount`` over the sending buses, and the squared voltages are
     the returned magnitudes squared back.  Branches must point away from
-    the substation, as they do once a solve has built the sweep plan.
+    the substation, as ``NetworkModel`` stores them.
     """
     frm = np.array([b.frm for b in model.branches])
     to = np.array([b.to for b in model.branches])

@@ -76,7 +76,7 @@ class TestBuildRx:
         [("R", [0.01, 0.0], [0.02, 0.02]), ("X", [0.01, 0.01], [0.0, 0.02])],
     )
     def test_zero_resistance_or_reactance_branch_is_singular(self, name, rs, xs):
-        # validate_radial admits r = 0 or x = 0, and the power flow solves
+        # NetworkModel admits r = 0 or x = 0, and the power flow solves
         model = chain(rs, xs)
         n = model.n
         p = np.array([-0.05, -0.05])

@@ -1,6 +1,6 @@
 """Power-flow solver tests against independent nonlinear oracles."""
 
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -13,10 +13,11 @@ from droopsched.network import (
     NetworkDataError,
     NetworkModel,
     PowerFlowError,
+    PowerFlowSolution,
     load_network,
     solve_power_flow,
-    validate_radial,
 )
+from droopsched.scenarios import six_bus_feeder
 
 from .oracles import distflow_residual, distflow_root
 
@@ -50,7 +51,7 @@ def random_feeder(rng, n_bus):
 
 
 def model_of(rows):
-    """Fresh feeder from (frm, to, r, x) rows; validation reorients branches in place."""
+    """Feeder from (frm, to, r, x) rows, validated and oriented at construction."""
     return NetworkModel(
         buses=[Bus(i) for i in range(len(rows) + 1)],
         branches=[Branch(*row) for row in rows],
@@ -83,15 +84,14 @@ def radial_cases(draw, max_n=40):
 class TestValidateRadial:
     def test_single_branch_orders(self):
         model = two_bus()
-        assert validate_radial(model) == [0]
+        assert model.plan().order.tolist() == [0]
 
     def test_triangle_is_cycle(self):
-        model = NetworkModel(
-            buses=[Bus(0), Bus(1), Bus(2)],
-            branches=[Branch(0, 1, 0.01, 0.01), Branch(1, 2, 0.01, 0.01), Branch(2, 0, 0.01, 0.01)],
-        )
         with pytest.raises(NetworkDataError, match="cycle detected"):
-            validate_radial(model)
+            NetworkModel(
+                buses=[Bus(0), Bus(1), Bus(2)],
+                branches=[Branch(0, 1, 0.01, 0.01), Branch(1, 2, 0.01, 0.01), Branch(2, 0, 0.01, 0.01)],
+            )
 
     def test_star_backward_visits_leaves_first(self):
         model = NetworkModel(
@@ -99,45 +99,112 @@ class TestValidateRadial:
             branches=[Branch(0, 1, 0.01, 0.01), Branch(1, 2, 0.01, 0.01), Branch(1, 3, 0.01, 0.01)],
         )
         # leaves-to-root is the preorder reversed
-        backward = validate_radial(model)[::-1]
+        backward = model.plan().order.tolist()[::-1]
         assert backward.index(1) < backward.index(0)
         assert backward.index(2) < backward.index(0)
 
     def test_disconnected(self):
-        model = NetworkModel(
-            buses=[Bus(i) for i in range(4)],
-            branches=[Branch(0, 1, 0.01, 0.01), Branch(2, 3, 0.01, 0.01)],
-        )
         with pytest.raises(NetworkDataError, match="disconnected node"):
-            validate_radial(model)
+            NetworkModel(
+                buses=[Bus(i) for i in range(4)],
+                branches=[Branch(0, 1, 0.01, 0.01), Branch(2, 3, 0.01, 0.01)],
+            )
 
     def test_duplicate_branch(self):
-        model = NetworkModel(
-            buses=[Bus(0), Bus(1), Bus(2)],
-            branches=[Branch(0, 1, 0.01, 0.01), Branch(1, 0, 0.02, 0.02)],
-        )
         with pytest.raises(NetworkDataError, match="duplicate branch"):
-            validate_radial(model)
+            NetworkModel(
+                buses=[Bus(0), Bus(1), Bus(2)],
+                branches=[Branch(0, 1, 0.01, 0.01), Branch(1, 0, 0.02, 0.02)],
+            )
 
     def test_child_first_rows_are_reoriented(self):
         model = NetworkModel(
             buses=[Bus(0), Bus(1), Bus(2)],
             branches=[Branch(1, 0, 0.01, 0.01), Branch(2, 1, 0.01, 0.01)],
         )
-        validate_radial(model)
-        assert (model.branches[0].frm, model.branches[0].to) == (0, 1)
-        assert (model.branches[1].frm, model.branches[1].to) == (1, 2)
+        assert model.branches == (Branch(0, 1, 0.01, 0.01), Branch(1, 2, 0.01, 0.01))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("which", ["r", "x"])
     def test_rejects_impedance_that_is_not_finite(self, which, bad):
-        model = two_bus(**{which: bad})
         with pytest.raises(NetworkDataError, match=r"needs finite r,x >= 0"):
-            validate_radial(model)
+            two_bus(**{which: bad})
 
     def test_rejects_feeder_with_only_the_substation(self):
         with pytest.raises(NetworkDataError, match="at least one bus besides the substation"):
-            validate_radial(NetworkModel(buses=[Bus(0)], branches=[]))
+            NetworkModel(buses=[Bus(0)], branches=[])
+
+
+def assert_same_solution(sol, ref):
+    for f in fields(PowerFlowSolution):
+        assert np.array_equal(getattr(sol, f.name), getattr(ref, f.name)), f.name
+
+
+class TestImmutableFeeder:
+    def test_mutation_after_a_solve_raises(self):
+        model = chain([0.01, 0.02], [0.02, 0.01])
+        p, q = np.array([-0.1, -0.05]), np.array([-0.02, 0.01])
+        sol = solve_power_flow(model, p, q)
+        with pytest.raises(TypeError):
+            model.branches[0] = Branch(0, 1, 0.1, 0.2)
+        with pytest.raises(AttributeError):
+            model.branches[0].r = 0.1
+        with pytest.raises(TypeError):
+            model.buses[1] = Bus(5)
+        with pytest.raises(FrozenInstanceError):
+            model.v_sub = 1.02
+        with pytest.raises(FrozenInstanceError):
+            model.branches = ()
+        assert_same_solution(solve_power_flow(model, p, q), sol)
+
+    def test_caller_rows_are_left_as_given(self):
+        child_first = Branch(1, 0, 0.01, 0.02)
+        rows = [child_first, Branch(1, 2, 0.03, 0.04)]
+        model = NetworkModel(buses=[Bus(0), Bus(1), Bus(2)], branches=rows)
+        assert child_first == (1, 0, 0.01, 0.02)
+        assert rows == [child_first, Branch(1, 2, 0.03, 0.04)]
+        assert model.branches == (Branch(0, 1, 0.01, 0.02), rows[1])
+        # the model holds its own tuple, not the caller's list
+        rows[1] = Branch(1, 2, 0.5, 0.5)
+        assert model.branches[1] == Branch(1, 2, 0.03, 0.04)
+
+    def test_replace_builds_a_fresh_feeder(self):
+        rows = [(0, 1, 0.01, 0.02), (1, 2, 0.02, 0.01), (1, 3, 0.03, 0.02)]
+        model = model_of(rows)
+        p, q = np.array([-0.1, -0.05, 0.02]), np.array([-0.02, 0.01, 0.0])
+        solve_power_flow(model, p, q)
+        fresh = NetworkModel(buses=list(model.buses), branches=[Branch(*row) for row in rows], v_sub=1.02)
+        assert_same_solution(solve_power_flow(replace(model, v_sub=1.02), p, q), solve_power_flow(fresh, p, q))
+        scaled = [(frm, to, 10.0 * r, x) for frm, to, r, x in rows]
+        changed = replace(model, branches=[Branch(*row) for row in scaled])
+        assert_same_solution(solve_power_flow(changed, p, q), solve_power_flow(model_of(scaled), p, q))
+        assert np.array_equal(changed.plan().rx, model_of(scaled).plan().rx)
+        with pytest.raises(NetworkDataError, match="^v_sub must be finite and positive$"):
+            replace(model, v_sub=np.nan)
+        with pytest.raises(NetworkDataError, match=r"needs finite r,x >= 0"):
+            replace(model, branches=[Branch(0, 1, np.nan, 0.02), *model.branches[1:]])
+
+    def test_plan_impedances_are_read_only(self):
+        plan = six_bus_feeder().plan()
+        for rows in (plan.rxz, plan.rx, plan.rx2):
+            with pytest.raises(ValueError, match="read-only"):
+                rows[0, 0] = 1.0
+        with pytest.raises(FrozenInstanceError):
+            plan.rx = np.zeros((2, 6))
+
+    @settings(max_examples=100, deadline=None)
+    @given(radial_cases())
+    def test_child_first_rows_solve_bit_identically(self, case):
+        rows, p, q = case
+        # every drawn parent has a smaller id than its child
+        parent_first = [(min(frm, to), max(frm, to), r, x) for frm, to, r, x in rows]
+        model, oriented = model_of(rows), model_of(parent_first)
+        assert model.branches == oriented.branches == tuple(Branch(*row) for row in parent_first)
+        cold = solve_power_flow(model, p, q)
+        assert_same_solution(cold, solve_power_flow(oriented, p, q))
+        assert_same_solution(
+            solve_power_flow(model, -p, q, warm=cold), solve_power_flow(oriented, -p, q, warm=cold)
+        )
 
 
 class TestSolvePowerFlow:
@@ -228,11 +295,12 @@ class TestSolvePowerFlow:
 
     @pytest.mark.parametrize("v_sub", [np.nan, np.inf, -1.0, 0.0])
     def test_rejects_bad_substation_voltage_after_plan_is_cached(self, v_sub):
+        with pytest.raises(NetworkDataError, match="^v_sub must be finite and positive$"):
+            NetworkModel(buses=[Bus(0), Bus(1)], branches=[Branch(0, 1, 0.01, 0.01)], v_sub=v_sub)
         model = two_bus()
         solve_power_flow(model, np.array([-0.1]), np.zeros(1))
-        model.v_sub = v_sub
-        with pytest.raises(NetworkDataError, match="^v_sub must be finite and positive$"):
-            solve_power_flow(model, np.array([-0.1]), np.zeros(1))
+        with pytest.raises(FrozenInstanceError):
+            model.v_sub = v_sub
 
     @settings(max_examples=40, deadline=None)
     @given(radial_cases())
