@@ -9,7 +9,8 @@ integrated with forward Euler.  Commands come from a generalized 2x2
 droop matrix acting on local voltage and network frequency deviations.
 After every integration step the operating point is projected onto the
 unit's capability set, so hardware limits hold regardless of what the
-droop law asks for.
+droop law asks for; a PV point that already lies within 1e-12 of its
+set is kept as it is.
 
 Capability kinds:
 
@@ -60,7 +61,7 @@ class DroopGains:
                 raise ValueError("droop gains must be finite")
 
 
-@dataclass
+@dataclass(slots=True)
 class CapabilitySet:
     kind: str
     s_max: float = 1.0
@@ -88,17 +89,12 @@ class CapabilitySet:
 
     def contains(self, p: float, q: float, tol: float = 1e-9) -> bool:
         if self.kind == PV:
-            t = math.tan(math.acos(self.pf_min))
-            return (
-                p * p + q * q <= self.s_max**2 + tol
-                and abs(q) <= p * t + tol
-                and -tol <= p <= self.p_avail + tol
-            )
+            return _pv_inside(self, p, q, tol)
         t = math.tan(math.acos(self.pf_fixed))
         return self.p_min - tol <= p <= self.p_max + tol and abs(q - p * t) <= tol
 
 
-@dataclass
+@dataclass(slots=True)
 class DerUnit:
     node: int
     cap: CapabilitySet
@@ -154,12 +150,18 @@ def _seg_project(p: float, q: float, a, b) -> tuple[float, float]:
     return ax + t * dx, ay + t * dy
 
 
+def _pv_inside(cap: CapabilitySet, p: float, q: float, tol: float) -> bool:
+    """Whether (p, q) lies within ``tol`` of a PV set: disk, cone, p range."""
+    t = math.tan(math.acos(cap.pf_min))
+    return (
+        p * p + q * q <= cap.s_max**2 + tol
+        and abs(q) <= p * t + tol
+        and -tol <= p <= cap.p_avail + tol
+    )
+
+
 def _pv_project(cap: CapabilitySet, p: float, q: float) -> tuple[float, float]:
-    # p_avail may be overwritten after construction, so it is checked here too
-    if not cap.p_avail >= 0.0:
-        raise CapabilityError("empty feasible set: p_avail must be >= 0")
-    if cap.contains(p, q, 1e-12):
-        return p, q
+    # only called for a point outside the set, and with p_avail >= 0
     s = cap.s_max
     theta = math.acos(cap.pf_min)
     t = math.tan(theta)
@@ -203,13 +205,24 @@ def _load_project(cap: CapabilitySet, p: float, q: float) -> tuple[float, float]
 def project_capability(cap: CapabilitySet, p: float, q: float) -> tuple[float, float]:
     """Euclidean projection of an operating point onto the capability set.
 
-    Raises ValueError when ``p`` or ``q`` is not finite.
+    A PV point that lies within 1e-12 of the set (``contains`` with
+    ``tol=1e-12``) is returned as given, the same floats; only a point
+    outside that band is projected.  A flexible-load point is always
+    projected onto its segment.
+
+    Raises ValueError when ``p`` or ``q`` is not finite, and
+    CapabilityError when the set is empty.
     """
     if not math.isfinite(p):
         raise ValueError("p must be finite")
     if not math.isfinite(q):
         raise ValueError("q must be finite")
     if cap.kind == PV:
+        # p_avail may be overwritten after construction, so it is checked here too
+        if not cap.p_avail >= 0.0:
+            raise CapabilityError("empty feasible set: p_avail must be >= 0")
+        if _pv_inside(cap, p, q, 1e-12):
+            return p, q
         return _pv_project(cap, p, q)
     return _load_project(cap, p, q)
 
@@ -227,12 +240,13 @@ def step_der(unit: DerUnit, u_p: float, u_q: float, dt: float) -> DerUnit:
     """
     tau_p = unit.tau_p
     tau_q = unit.tau_q
-    if not 0.0 < dt < min(tau_p, tau_q):
+    if not (0.0 < dt < tau_p and dt < tau_q):
         raise ValueError("dt must satisfy 0 < dt < min(tau_p, tau_q)")
     p_c = unit.p_c
     q_c = unit.q_c
     p = p_c + dt / tau_p * (u_p - p_c)
     q = q_c + dt / tau_q * (u_q - q_c)
+    # through the module global, so a wrapper installed there sees the call
     p, q = project_capability(unit.cap, p, q)
     # positional, in field order: keywords or dataclasses.replace cost several times more per call
     return DerUnit(
@@ -274,6 +288,8 @@ def load_der_units(path) -> list[DerUnit]:
                 else:
                     raise ValueError(f"unknown kind {kind!r}")
                 units.append(DerUnit(node=node, cap=cap, tau_p=tau_p, tau_q=tau_q))
+            except CapabilityError as exc:
+                raise CapabilityError(f"{path}:{lineno}: {exc}") from exc
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
     return units

@@ -100,6 +100,11 @@ class NetworkModel:
     def plan(self) -> "_SweepPlan":
         return self._plan
 
+    def __reduce__(self):
+        # copies and pickles go through the constructor, so each is validated
+        # and planned again; copying the plan would lose its read-only rows
+        return (type(self), (self.buses, self.branches, self.v_sub))
+
 
 @dataclass(slots=True)
 class PowerFlowSolution:

@@ -2,6 +2,7 @@
 
 import copy
 import math
+import pickle
 from dataclasses import fields, replace
 
 import numpy as np
@@ -16,6 +17,7 @@ from droopsched.droop import (
     CapabilitySet,
     DerUnit,
     DroopGains,
+    _pv_inside,
     droop_input,
     load_der_units,
     project_capability,
@@ -271,6 +273,92 @@ class TestProjectCapabilityProperties:
         assert np.hypot(*(pa - pb)) <= np.hypot(*(np.array(a) - np.array(b))) + 1e-12
 
 
+def pv_inequality(cap, p, q, tol):
+    """The PV inside test written out: disk, cone and p range, each widened by tol."""
+    t = math.tan(math.acos(cap.pf_min))
+    return p * p + q * q <= cap.s_max**2 + tol and abs(q) <= p * t + tol and -tol <= p <= cap.p_avail + tol
+
+
+OFFSETS = st.sampled_from([0.0, 5e-13, -5e-13, 1e-12, -1e-12, 1e-9, -1e-9])
+
+
+@st.composite
+def pv_points_near_edges(draw, cap):
+    """A point on the disk, cone or p-range edge of a PV set, nudged by up to 1e-9."""
+    t = math.tan(math.acos(cap.pf_min))
+    u = draw(st.floats(-1.0, 1.0))
+    edge = draw(st.sampled_from(["disk", "cone", "p_avail", "p_zero"]))
+    if edge == "disk":
+        a = u * math.acos(cap.pf_min)
+        p, q = cap.s_max * math.cos(a), cap.s_max * math.sin(a)
+    elif edge == "cone":
+        p = abs(u) * cap.s_max
+        q = math.copysign(t * p, u)
+    elif edge == "p_avail":
+        p, q = cap.p_avail, u * t * cap.p_avail
+    else:
+        p, q = 0.0, u * cap.s_max
+    return p + draw(OFFSETS), q + draw(OFFSETS)
+
+
+class TestPvInsideTest:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), tol=st.sampled_from([0.0, 1e-12, 1e-9]))
+    def test_contains_and_projection_share_one_predicate(self, data, tol):
+        cap = data.draw(capability_sets(PV))
+        p, q = data.draw(st.one_of(points, pv_points_near_edges(cap)))
+        inside = pv_inequality(cap, p, q, tol)
+        assert cap.contains(p, q, tol) == _pv_inside(cap, p, q, tol) == inside
+        if pv_inequality(cap, p, q, 1e-12):
+            assert project_capability(cap, p, q) == (p, q)
+
+    # s_max 0.5, cone slope 0.75 up to p 0.4, arc, then the chord at p_avail 0.45
+    CAP = CapabilitySet(kind=PV, s_max=0.5, pf_min=0.8, p_avail=0.45)
+    EDGES = {
+        "disk": lambda e: (math.sqrt(0.25 + e) * math.cos(0.55), math.sqrt(0.25 + e) * math.sin(0.55)),
+        "cone": lambda e: (0.2, 0.2 * math.tan(math.acos(0.8)) + e),
+        "p_avail": lambda e: (0.45 + e, 0.1),
+        "p_zero": lambda e: (-e, 0.0),
+    }
+
+    @pytest.mark.parametrize("edge", EDGES)
+    def test_point_within_the_band_is_returned_as_given(self, edge):
+        p, q = self.EDGES[edge](5e-13)
+        assert not self.CAP.contains(p, q, tol=0.0)
+        assert project_capability(self.CAP, p, q) == (p, q)
+
+    @pytest.mark.parametrize("edge", EDGES)
+    def test_point_beyond_the_band_is_projected(self, edge):
+        p, q = self.EDGES[edge](1e-9)
+        assert not self.CAP.contains(p, q, tol=1e-12)
+        out = project_capability(self.CAP, p, q)
+        assert out != (p, q)
+        assert self.CAP.contains(*out, tol=1e-12)
+
+
+class TestRecords:
+    CAP = CapabilitySet(kind=PV, s_max=0.5, pf_min=0.85, p_avail=0.3)
+    UNIT = DerUnit(node=4, cap=CAP, tau_p=0.3, tau_q=0.25, p_c=0.1, q_c=-0.02, gains=DroopGains(-1.0, -2.0))
+
+    @pytest.mark.parametrize(
+        "clone", [copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))], ids=["deepcopy", "pickle"]
+    )
+    @pytest.mark.parametrize("record", [CAP, UNIT], ids=["CapabilitySet", "DerUnit"])
+    def test_slotted_records_copy_and_pickle(self, record, clone):
+        assert not hasattr(record, "__dict__")
+        twin = clone(record)
+        assert type(twin) is type(record) and twin == record and twin is not record
+
+    def test_replace_builds_through_the_constructor(self):
+        assert replace(self.CAP, p_avail=0.2) == CapabilitySet(kind=PV, s_max=0.5, pf_min=0.85, p_avail=0.2)
+        unit = replace(self.UNIT, cap=replace(self.CAP, p_avail=0.2), p_star=0.1)
+        assert (unit.cap.p_avail, unit.p_star, unit.tau_q) == (0.2, 0.1, 0.25)
+        with pytest.raises(CapabilityError, match="^s_max must be finite and positive$"):
+            replace(self.CAP, s_max=-1.0)
+        with pytest.raises(ValueError, match="^tau_p must be finite and positive$"):
+            replace(self.UNIT, tau_p=0.0)
+
+
 class TestStepDer:
     def test_equilibrium_state_unchanged(self):
         u = pv_unit(p_c=0.2, q_c=0.0)
@@ -441,4 +529,18 @@ class TestLoadDerUnits:
             f"{node},pv-inverter,0.5,0.2,0.2,0.8\n"
         )
         with pytest.raises(ValueError, match="ders.csv:3: node must be >= 1"):
+            load_der_units(path)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("2,flexible-load,-0.2,0.2,0.2,0.95", "empty feasible set: p_min must be <= p_max"),
+            ("2,pv-inverter,0.5,0.2,0.2,1.5", r"pf_min must lie in \(0, 1\]"),
+        ],
+        ids=["negative-rating", "pf-above-one"],
+    )
+    def test_inconsistent_capability_keeps_its_error_type(self, tmp_path, row, message):
+        path = tmp_path / "ders.csv"
+        path.write_text(f"node,kind,s_rating_pu,tau_p_s,tau_q_s,pf_min\n{row}\n")
+        with pytest.raises(CapabilityError, match=f"ders.csv:2: {message}$"):
             load_der_units(path)

@@ -1,5 +1,7 @@
 """Power-flow solver tests against independent nonlinear oracles."""
 
+import copy
+import pickle
 from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
@@ -191,6 +193,20 @@ class TestImmutableFeeder:
                 rows[0, 0] = 1.0
         with pytest.raises(FrozenInstanceError):
             plan.rx = np.zeros((2, 6))
+
+    @pytest.mark.parametrize(
+        "clone", [copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))], ids=["deepcopy", "pickle"]
+    )
+    def test_copies_are_rebuilt_with_a_read_only_plan(self, clone):
+        model = replace(six_bus_feeder(), v_sub=1.02)
+        twin = clone(model)
+        assert twin == model and twin is not model
+        plan = twin.plan()
+        for rows in (plan.rxz, plan.rx, plan.rx2):
+            assert not rows.flags.writeable
+        assert plan.rx.base is plan.rxz
+        p, q = np.linspace(-0.1, 0.05, model.n), np.linspace(0.02, -0.03, model.n)
+        assert_same_solution(solve_power_flow(twin, p, q), solve_power_flow(model, p, q))
 
     @settings(max_examples=100, deadline=None)
     @given(radial_cases())
