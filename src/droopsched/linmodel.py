@@ -34,8 +34,10 @@ __all__ = [
     "build_rx",
     "build_pcc_sensitivity",
     "build_sensitivity_model",
-    "predict_voltage",
 ]
+
+_FD_STEP = 1e-5  # central-difference step of H, in per-unit injection
+_FD_TOL = 1e-10  # power-flow tolerance of every solve behind H
 
 
 @dataclass
@@ -56,6 +58,8 @@ class SchedulingPoint:
 
     def __post_init__(self):
         self.v_meas = np.asarray(self.v_meas, dtype=float)
+        if self.v_meas.ndim != 1:
+            raise ValueError("v_meas must be 1-D")
         for name in ("v_meas", "r_t", "omega", "omega_star", "v_star", "timestamp"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} must be finite")
@@ -75,7 +79,9 @@ class SensitivityModel:
 
     ``H`` stacks d p_pcc / d p_j for every bus first, then
     d p_pcc / d q_j; ``v0`` is chosen by the caller's coordinate
-    convention (see build_sensitivity_model).
+    convention (see build_sensitivity_model).  Construction checks that
+    R and X are n x n, symmetric and positive definite, that v0 and
+    rho.v_meas have n entries and H 2n, and that v0, H and P0 are finite.
     """
 
     R: np.ndarray
@@ -86,6 +92,16 @@ class SensitivityModel:
     rho: SchedulingPoint
 
     def __post_init__(self):
+        shape = np.shape(self.R)
+        if len(shape) != 2 or shape[0] != shape[1] or np.shape(self.X) != shape:
+            raise ValueError("R and X must be square and of one size")
+        n = shape[0]
+        for name, vec, size in (("v0", self.v0, n), ("H", self.H, 2 * n), ("rho.v_meas", self.rho.v_meas, n)):
+            if np.shape(vec) != (size,):
+                raise ValueError(f"{name} must have shape ({size},)")
+        for name in ("v0", "H", "P0"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
         for name, M in (("R", self.R), ("X", self.X)):
             if not np.array_equal(M, M.T):
                 raise ValueError(f"{name} must be symmetric")
@@ -119,9 +135,7 @@ def build_pcc_sensitivity(
     rho: SchedulingPoint,
     p_base: np.ndarray,
     q_base: np.ndarray,
-    step: float = 1e-5,
     p_sched: float | None = None,
-    tol: float = 1e-10,
 ) -> tuple[np.ndarray, float]:
     """Central-difference PCC sensitivities and linearization constant.
 
@@ -130,22 +144,20 @@ def build_pcc_sensitivity(
     exchange minus the scheduled exchange ``p_sched``; when no schedule
     is supplied the base point itself is the schedule and P0 = 0.
     """
-    if not step > 0:
-        raise ValueError("step must be positive")
     n = model.n
     p_base = np.asarray(p_base, dtype=float)
     q_base = np.asarray(q_base, dtype=float)
-    base = solve_power_flow(model, p_base, q_base, tol=tol)
+    base = solve_power_flow(model, p_base, q_base, tol=_FD_TOL)
 
     def pcc_at(p, q):
-        return solve_power_flow(model, p, q, tol=tol, warm=base).p_pcc
+        return solve_power_flow(model, p, q, tol=_FD_TOL, warm=base).p_pcc
 
     H = np.zeros(2 * n)
     for k in range(n):
         dp = np.zeros(n)
-        dp[k] = step
-        H[k] = (pcc_at(p_base + dp, q_base) - pcc_at(p_base - dp, q_base)) / (2 * step)
-        H[n + k] = (pcc_at(p_base, q_base + dp) - pcc_at(p_base, q_base - dp)) / (2 * step)
+        dp[k] = _FD_STEP
+        H[k] = (pcc_at(p_base + dp, q_base) - pcc_at(p_base - dp, q_base)) / (2 * _FD_STEP)
+        H[n + k] = (pcc_at(p_base, q_base + dp) - pcc_at(p_base, q_base - dp)) / (2 * _FD_STEP)
     P0 = base.p_pcc - (p_sched if p_sched is not None else base.p_pcc)
     return H, float(P0)
 
@@ -170,6 +182,9 @@ def build_sensitivity_model(
     linearization is taken at.  Precomputed (R, X) or (H, P0) pairs can
     be passed to skip their reconstruction.
     """
+    for name, vec in (("p_ctrl", p_ctrl), ("q_ctrl", q_ctrl)):
+        if np.shape(vec) != (model.n,):
+            raise ValueError(f"{name} must have shape ({model.n},)")
     R, X = rx if rx is not None else build_rx(model)
     if hp0 is not None:
         H, P0 = hp0
@@ -177,12 +192,3 @@ def build_sensitivity_model(
         H, P0 = build_pcc_sensitivity(model, rho, p_base, q_base)
     v0 = rho.v_meas - R @ p_ctrl - X @ q_ctrl
     return SensitivityModel(R=R, X=X, v0=v0, H=H, P0=P0, rho=rho)
-
-
-def predict_voltage(sm: SensitivityModel, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Affine voltage estimate v = R p + X q + v0."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape != (sm.n,) or q.shape != (sm.n,):
-        raise ValueError(f"injection vectors must have shape ({sm.n},)")
-    return sm.R @ p + sm.X @ q + sm.v0

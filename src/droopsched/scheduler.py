@@ -40,11 +40,8 @@ __all__ = [
     "SchedulerConfig",
     "SchedulerState",
     "draw_samples",
-    "voltage_model",
-    "cvar_constraints",
     "freq_error",
     "band_residual",
-    "gradient_signals",
     "primal_dual_step",
     "schedule_step",
 ]
@@ -132,6 +129,7 @@ class SchedulerState:
 
     @classmethod
     def initial(cls, der_nodes: list[int], n_bus: int, cfg: SchedulerConfig, seed: int = 0):
+        _check_nodes(der_nodes, n_bus)
         m = len(der_nodes)
         return cls(
             der_nodes=list(der_nodes),
@@ -172,6 +170,17 @@ class SchedulerState:
             prev_kappa_f=carry(self.prev_kappa_f),
             w_f=_freq_weights(der_nodes, cfg, self.seed),
         )
+
+
+def _check_nodes(nodes, n_bus: int) -> None:
+    """Raise ValueError unless the nodes are distinct buses 1..n_bus."""
+    seen = set()
+    for node in nodes:
+        if not (isinstance(node, (int, np.integer)) and 1 <= node <= n_bus):
+            raise ValueError(f"DER node {node!r} is not a bus of the feeder (1..{n_bus})")
+        if node in seen:
+            raise ValueError(f"DER node {node} holds more than one online unit")
+        seen.add(node)
 
 
 def _freq_weights(der_nodes, cfg: SchedulerConfig, seed: int) -> np.ndarray:
@@ -221,16 +230,6 @@ def _affine(sm: SensitivityModel, state: SchedulerState, rho: SchedulingPoint):
     return vm, e, G * u, h * d_omega
 
 
-def voltage_model(sm: SensitivityModel, state: SchedulerState, rho: SchedulingPoint) -> np.ndarray:
-    """Deterministic voltage prediction, linear in the current kappa_v.
-
-    The frequency response uses the previously broadcast gains as a
-    feedforward term; the measured voltage deviation is held constant
-    within the step.
-    """
-    return _affine(sm, state, rho)[0]
-
-
 def _hinge_args(vm, samples, cvar, cfg):
     """Per-sample CVaR hinge arguments, (n_samples, 2n): upper rows, then lower rows."""
     if np.any(cvar < 0):
@@ -239,12 +238,8 @@ def _hinge_args(vm, samples, cvar, cfg):
 
 
 def _cvar_rows(arg, cvar, cfg) -> np.ndarray:
-    return np.maximum(arg, 0.0).mean(axis=0) - cvar * cfg.beta
-
-
-def cvar_constraints(vm: np.ndarray, samples: np.ndarray, cvar: np.ndarray, cfg: SchedulerConfig) -> np.ndarray:
     """Sample-average CVaR surrogate values, upper rows stacked over lower."""
-    return _cvar_rows(_hinge_args(vm, samples, cvar, cfg), cvar, cfg)
+    return np.maximum(arg, 0.0).mean(axis=0) - cvar * cfg.beta
 
 
 def freq_error(sm: SensitivityModel, state: SchedulerState, rho: SchedulingPoint) -> float:
@@ -262,7 +257,13 @@ def band_residual(e: float, cfg: SchedulerConfig) -> np.ndarray:
 
 
 def _signals(arg, mu, lam, J, grad_e, cfg):
-    """(s_v, s_f, d) from the hinge arguments and the multipliers."""
+    """Constraint-derivative signals (s_v, s_f, d) at the multipliers mu, lam.
+
+    s_v and s_f chain the CVaR rows through the voltage slope J and the
+    band rows through the error slope grad_e; d, one entry per CVaR row,
+    holds the active-sample fractions against the risk level.  The hinge
+    subgradient is 1 for strictly positive arguments, 0 otherwise.
+    """
     n = J.shape[0]
     frac = (arg > 0.0).mean(axis=0)
     w = mu * frac
@@ -270,26 +271,6 @@ def _signals(arg, mu, lam, J, grad_e, cfg):
     d = mu * (frac - cfg.beta)
     s_f = (lam[1] - lam[0]) * grad_e
     return s_v, s_f, d
-
-
-def gradient_signals(
-    state: SchedulerState,
-    sm: SensitivityModel,
-    rho: SchedulingPoint,
-    samples: np.ndarray,
-    cfg: SchedulerConfig,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Constraint-derivative signals at the state's current multipliers.
-
-    Returns (s_v, s_f, d): the gain-directed signals stack the chain rule
-    of the CVaR rows (through the voltage model) and of the tracking band
-    (through the error slope); the auxiliary-directed signal d, one entry
-    per CVaR row, holds the active-sample fractions against the risk
-    level.  The hinge subgradient convention is 1 for strictly positive
-    arguments, 0 otherwise.
-    """
-    vm, _, J, grad_e = _affine(sm, state, rho)
-    return _signals(_hinge_args(vm, samples, state.cvar, cfg), state.mu, state.lam, J, grad_e, cfg)
 
 
 def primal_dual_step(
@@ -360,13 +341,7 @@ def schedule_step(
     """
     online = [u for u in ders if u.online]
     nodes = [u.node for u in online]
-    seen = set()
-    for node in nodes:
-        if not (isinstance(node, (int, np.integer)) and 1 <= node <= sm.n):
-            raise ValueError(f"DER node {node!r} is not a bus of the feeder (1..{sm.n})")
-        if node in seen:
-            raise ValueError(f"DER node {node} holds more than one online unit")
-        seen.add(node)
+    _check_nodes(nodes, sm.n)
     state = state.realigned(nodes, cfg)
     tau_p = np.array([u.tau_p for u in online])
     tau_q = np.array([u.tau_q for u in online])

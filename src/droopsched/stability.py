@@ -104,8 +104,12 @@ def check_gains(
     """True iff the scaled voltage-gain pair lies in the certified region.
 
     The quadratic form must be at most -params.quad_margin, so the
-    boundary itself is rejected, and so is a NaN.
+    boundary itself is rejected, and so is a NaN.  Raises ValueError
+    unless both time constants are finite and positive.
     """
+    for name, tau in (("tau_p", tau_p), ("tau_q", tau_q)):
+        if not 0.0 < tau < np.inf:
+            raise ValueError(f"{name} must be finite and positive")
     return _quad(gains.k_pv / tau_p, gains.k_qv / tau_q, params.gamma) <= -params.quad_margin
 
 

@@ -14,8 +14,10 @@ of the package because nothing in it calls them:
 
 * ``cost`` and ``lagrangian``, the scheduler's objective and its
   regularized Lagrangian, whose finite differences the gradient-signal
-  test checks.  ``lagrangian`` composes the scheduler's public pieces
-  (voltage model, CVaR rows, tracking error, band rows).
+  test checks.  ``lagrangian`` builds the voltage model, the CVaR rows,
+  the tracking error and the band rows itself, from the units' droop
+  responses scattered onto bus vectors (``scattered_response``) and the
+  model's R, X, H, v0 and P0; it calls no scheduler code.
 * ``lyapunov_value``, the energy 0.5 dx' blkdiag(R, X) dx the stability
   tests track along closed-loop trajectories.
 * ``two_clause_check_gains``, the stability gate as first written: the
@@ -27,8 +29,6 @@ from __future__ import annotations
 
 import numpy as np
 from scipy import optimize
-
-from droopsched.scheduler import band_residual, cvar_constraints, freq_error, voltage_model
 
 
 def distflow_root(model, p_inj, q_inj, tol=1e-12):
@@ -331,10 +331,33 @@ def cost(state, cfg):
     return float(np.sum((wv * state.kappa_v) ** 2) + np.sum((state.w_f * state.kappa_f) ** 2))
 
 
+def scattered_response(state, rho, n, kv, kf):
+    """Droop responses of the online units, unit by unit, on a bus vector."""
+    m = state.m
+    p, q = np.zeros(n), np.zeros(n)
+    for j, node in enumerate(state.der_nodes):
+        dv = rho.v_meas[node - 1] - rho.v_star
+        p[node - 1] = kv[j] * dv + kf[j] * rho.d_omega
+        q[node - 1] = kv[m + j] * dv + kf[m + j] * rho.d_omega
+    return p, q
+
+
 def lagrangian(state, sm, rho, samples, cfg):
-    """Regularized Lagrangian value at the state's primal/dual point."""
-    l_val = cvar_constraints(voltage_model(sm, state, rho), samples, state.cvar, cfg)
-    r_val = band_residual(freq_error(sm, state, rho), cfg)
+    """Regularized Lagrangian value at the state's primal/dual point.
+
+    The voltage model takes the current voltage gains with the previous
+    frequency gains, the tracking error the previous voltage gains with
+    the current frequency gains, as the scheduler's feedforward does.
+    """
+    n = sm.R.shape[0]
+    p, q = scattered_response(state, rho, n, state.kappa_v, state.prev_kappa_f)
+    vm = sm.R @ p + sm.X @ q + sm.v0
+    p, q = scattered_response(state, rho, n, state.prev_kappa_v, state.kappa_f)
+    e = sm.P0 + sm.H[:n] @ p + sm.H[n:] @ q - rho.r_t * (rho.omega - rho.omega_star)
+    upper = np.maximum(vm - cfg.v_max + samples + state.cvar[:n], 0.0).mean(axis=0)
+    lower = np.maximum(cfg.v_min - vm - samples + state.cvar[n:], 0.0).mean(axis=0)
+    l_val = np.concatenate([upper, lower]) - cfg.beta * state.cvar
+    r_val = np.array([cfg.e_min - e, e - cfg.e_max])
     return (
         cost(state, cfg)
         + float(state.mu @ l_val)

@@ -1,5 +1,7 @@
 """Sensitivity-model tests: analytic R/X vs finite differences of the solver."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,6 @@ from droopsched.linmodel import (
     build_pcc_sensitivity,
     build_rx,
     build_sensitivity_model,
-    predict_voltage,
 )
 from droopsched.network import Branch, Bus, NetworkModel, solve_power_flow
 
@@ -19,6 +20,11 @@ from .test_network import chain, random_feeder
 
 def flat_rho(n, k_agg=0.02, omega=1.0):
     return SchedulingPoint(v_meas=np.ones(n), r_t=k_agg, omega=omega, omega_star=1.0)
+
+
+def affine_voltage(sm, p, q):
+    """The model's voltage estimate v = R p + X q + v0."""
+    return sm.R @ p + sm.X @ q + sm.v0
 
 
 def fd_voltage_jacobian(model, p0, q0, step=1e-5):
@@ -95,11 +101,6 @@ class TestPccSensitivity:
         assert H[n:] == pytest.approx(np.zeros(n), abs=1e-5)
         assert P0 == 0.0
 
-    def test_rejects_nonpositive_step(self):
-        model = chain([0.01], [0.01])
-        with pytest.raises(ValueError, match="step must be positive"):
-            build_pcc_sensitivity(model, flat_rho(1), np.zeros(1), np.zeros(1), step=0.0)
-
     def test_lossy_two_bus_sign_and_fd_oracle(self):
         model = chain([0.02], [0.02])
         p0 = np.array([-0.1])
@@ -122,7 +123,7 @@ class TestPccSensitivity:
         assert P0 == pytest.approx(0.03, abs=1e-12)
 
 
-class TestPredictVoltage:
+class TestAffineAccuracy:
     def setup_method(self):
         rng = np.random.default_rng(2)
         self.model = random_feeder(rng, 5)
@@ -136,30 +137,13 @@ class TestPredictVoltage:
             q_base=np.zeros(n),
         )
 
-    def test_zero_injections_give_v0(self):
-        n = self.sm.n
-        assert predict_voltage(self.sm, np.zeros(n), np.zeros(n)) == pytest.approx(self.sm.v0)
-
-    def test_linearity_in_controllables(self):
-        rng = np.random.default_rng(8)
-        n = self.sm.n
-        p1, q1 = rng.normal(0, 0.05, n), rng.normal(0, 0.05, n)
-        p2, q2 = rng.normal(0, 0.05, n), rng.normal(0, 0.05, n)
-        a = 0.3
-        lhs = predict_voltage(self.sm, a * p1 + (1 - a) * p2, a * q1 + (1 - a) * q2)
-        rhs = a * predict_voltage(self.sm, p1, q1) + (1 - a) * predict_voltage(self.sm, p2, q2)
-        assert lhs == pytest.approx(rhs, abs=1e-14)
-        double = predict_voltage(self.sm, 2 * p1, 2 * q1) - self.sm.v0
-        single = predict_voltage(self.sm, p1, q1) - self.sm.v0
-        assert double == pytest.approx(2 * single, abs=1e-14)
-
     def test_small_injection_accuracy_vs_solver(self):
         rng = np.random.default_rng(17)
         n = self.sm.n
         for _ in range(10):
             p = rng.uniform(-0.05, 0.05, n)
             q = rng.uniform(-0.05, 0.05, n)
-            pred = predict_voltage(self.sm, p, q)
+            pred = affine_voltage(self.sm, p, q)
             ref = solve_power_flow(self.model, p, q, tol=1e-12).v[1:]
             assert np.max(np.abs(pred - ref)) < 5e-3
 
@@ -170,7 +154,7 @@ class TestPredictVoltage:
         q = rng.uniform(0.02, 0.08, n)
 
         def err(scale):
-            pred = predict_voltage(self.sm, scale * p, scale * q)
+            pred = affine_voltage(self.sm, scale * p, scale * q)
             ref = solve_power_flow(self.model, scale * p, scale * q, tol=1e-12).v[1:]
             return np.max(np.abs(pred - ref))
 
@@ -178,6 +162,8 @@ class TestPredictVoltage:
 
 
 class TestSensitivityModelInvariants:
+    VALID = dict(R=np.eye(2), X=np.eye(2), v0=np.ones(2), H=np.zeros(4), P0=0.0, rho=flat_rho(2))
+
     def test_rejects_non_pd(self):
         n = 2
         with pytest.raises(ValueError, match="positive definite"):
@@ -201,6 +187,39 @@ class TestSensitivityModelInvariants:
                 rho=flat_rho(2),
             )
 
+    @pytest.mark.parametrize(
+        "kw, message",
+        [
+            (dict(X=np.eye(3)), "R and X must be square and of one size"),
+            (dict(R=np.ones((2, 3))), "R and X must be square and of one size"),
+            (dict(R=np.ones(2)), "R and X must be square and of one size"),
+            (dict(v0=np.ones(3)), "v0 must have shape (2,)"),
+            (dict(H=np.zeros(2)), "H must have shape (4,)"),
+            (dict(v0=np.array([1.0, np.nan])), "v0 must be finite"),
+            (dict(H=np.array([0.0, -np.inf, 0.0, 0.0])), "H must be finite"),
+            (dict(P0=np.nan), "P0 must be finite"),
+            (dict(rho=flat_rho(3)), "rho.v_meas must have shape (2,)"),
+        ],
+    )
+    def test_rejects_what_the_scheduler_cannot_use(self, kw, message):
+        SensitivityModel(**self.VALID)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SensitivityModel(**{**self.VALID, **kw})
+
+    @pytest.mark.parametrize(
+        "name, vec, message",
+        [
+            ("p_ctrl", np.zeros(3), "p_ctrl must have shape (2,)"),
+            ("q_ctrl", np.zeros((2, 1)), "q_ctrl must have shape (2,)"),
+            ("p_ctrl", np.array([0.0, np.nan]), "v0 must be finite"),
+        ],
+    )
+    def test_build_rejects_bad_controlled_injections(self, name, vec, message):
+        model = chain([0.01, 0.02], [0.02, 0.01])
+        ctrl = {"p_ctrl": np.zeros(2), "q_ctrl": np.zeros(2), name: vec}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build_sensitivity_model(model, flat_rho(2), p_base=np.zeros(2), q_base=np.zeros(2), **ctrl)
+
     def test_exact_at_construction_point(self):
         rng = np.random.default_rng(31)
         model = random_feeder(rng, 4)
@@ -210,7 +229,7 @@ class TestSensitivityModelInvariants:
         sol = solve_power_flow(model, p_c, q_c, tol=1e-12)
         rho = SchedulingPoint(v_meas=sol.v[1:], r_t=0.02, omega=1.0, omega_star=1.0)
         sm = build_sensitivity_model(model, rho, p_c, q_c, p_c, q_c)
-        assert predict_voltage(sm, p_c, q_c) == pytest.approx(sol.v[1:], abs=1e-14)
+        assert affine_voltage(sm, p_c, q_c) == pytest.approx(sol.v[1:], abs=1e-14)
 
 
 class TestSchedulingPoint:
@@ -235,3 +254,8 @@ class TestSchedulingPoint:
         SchedulingPoint(**self.FINITE)
         with pytest.raises(ValueError, match=f"^{name} must be finite$"):
             SchedulingPoint(**{**self.FINITE, name: value})
+
+    @pytest.mark.parametrize("v_meas", [[[1.0, 1.01]], 1.0])
+    def test_measurement_must_be_one_vector(self, v_meas):
+        with pytest.raises(ValueError, match="^v_meas must be 1-D$"):
+            SchedulingPoint(**{**self.FINITE, "v_meas": v_meas})

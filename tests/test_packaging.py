@@ -1,6 +1,7 @@
 """Packaging metadata and hygiene: exported names and declared entry points
-resolve, every public definition is exported, and the package holds no
-unused import or unread private name."""
+resolve, every public definition is exported, every module parses as the
+oldest Python the package declares, and the package holds no unused
+import or unread private name."""
 
 import ast
 import importlib
@@ -34,6 +35,12 @@ def test_every_public_definition_is_exported(name):
     ]
     missing = [defined for defined in public if defined not in getattr(module, "__all__", ())]
     assert not missing, f"droopsched.{name} defines public names missing from __all__: {missing}"
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_parses_as_python_3_10(path):
+    # pyproject.toml declares requires-python >= 3.10
+    ast.parse((PACKAGE / path).read_text(), feature_version=(3, 10))
 
 
 def test_console_scripts_resolve_to_callables():

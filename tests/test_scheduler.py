@@ -6,24 +6,25 @@ import numpy as np
 import pytest
 
 from droopsched.droop import PV, CapabilitySet, DerUnit, DroopGains, tso_requirement
-from droopsched.linmodel import SchedulingPoint, build_rx, build_sensitivity_model, predict_voltage
+from droopsched.linmodel import SchedulingPoint, build_rx, build_sensitivity_model
 from droopsched.network import solve_power_flow
 from droopsched.scenarios import random_radial_feeder, six_bus_feeder, six_bus_pv_units
 from droopsched.scheduler import (
     SchedulerConfig,
     SchedulerState,
+    _affine,
+    _cvar_rows,
+    _hinge_args,
+    _signals,
     band_residual,
-    cvar_constraints,
     draw_samples,
     freq_error,
-    gradient_signals,
     primal_dual_step,
     schedule_step,
-    voltage_model,
 )
 from droopsched.stability import StabilityParams, check_gains, compute_gamma, project_gains
 
-from .oracles import central_difference, cost, lagrangian, saddle_point
+from .oracles import central_difference, cost, lagrangian, saddle_point, scattered_response
 
 
 def desk_instance(
@@ -80,6 +81,16 @@ def desk_instance(
     state = SchedulerState.initial(nodes, n, cfg, seed=seed)
     samples = draw_samples(rho.v_meas, cfg, seed)
     return model, sm, rho, cfg, stab, state, samples, nodes
+
+
+def voltage_model(sm, state, rho):
+    """The step's voltage prediction: the first output of ``_affine``."""
+    return _affine(sm, state, rho)[0]
+
+
+def cvar_rows(vm, samples, cvar, cfg):
+    """The step's CVaR rows: ``_cvar_rows`` over ``_hinge_args``."""
+    return _cvar_rows(_hinge_args(vm, samples, cvar, cfg), cvar, cfg)
 
 
 def simple_state(nodes=(4, 5, 6), n=6, cfg=None, seed=0):
@@ -215,7 +226,7 @@ class TestCvarConstraints:
         vm = np.full(n, 0.99)  # 0.06 below the limit
         xi = np.random.default_rng(1).normal(0.0, 0.005, (40, n))
         xi = np.clip(xi, -0.02, 0.02)
-        out = cvar_constraints(vm, xi, np.zeros(2 * n), cfg)
+        out = cvar_rows(vm, xi, np.zeros(2 * n), cfg)
         assert out[:n] == pytest.approx(np.zeros(n))
 
     def test_constant_violation_averages_to_delta(self):
@@ -224,7 +235,7 @@ class TestCvarConstraints:
         delta = 0.013
         vm = np.full(n, cfg.v_max + delta)
         xi = np.zeros((25, n))
-        out = cvar_constraints(vm, xi, np.zeros(2 * n), cfg)
+        out = cvar_rows(vm, xi, np.zeros(2 * n), cfg)
         assert out[:n] == pytest.approx(np.full(n, delta))
         assert out[n:] == pytest.approx(np.zeros(n))
 
@@ -236,7 +247,7 @@ class TestCvarConstraints:
         xi = rng.normal(0, 0.02, (ns, n))
         t_hi = rng.uniform(0, 0.02, n)
         t_lo = rng.uniform(0, 0.02, n)
-        out = cvar_constraints(vm, xi, np.concatenate([t_hi, t_lo]), cfg)
+        out = cvar_rows(vm, xi, np.concatenate([t_hi, t_lo]), cfg)
         for i in range(n):
             up = 0.0
             lo = 0.0
@@ -249,7 +260,7 @@ class TestCvarConstraints:
     def test_rejects_negative_auxiliaries(self):
         cfg = SchedulerConfig()
         with pytest.raises(ValueError):
-            cvar_constraints(np.ones(2), np.zeros((5, 2)), np.array([-0.1, 0, 0, 0]), cfg)
+            _hinge_args(np.ones(2), np.zeros((5, 2)), np.array([-0.1, 0, 0, 0]), cfg)
 
 
 class TestFreqError:
@@ -345,9 +356,9 @@ class TestLagrangian:
             mu=rng.uniform(0, 3, 2 * sm.n),
             lam=rng.uniform(0, 3, 2),
         )
-        vm = voltage_model(sm, state, rho)
-        l_val = cvar_constraints(vm, samples, state.cvar, cfg)
-        r_val = band_residual(freq_error(sm, state, rho), cfg)
+        vm, e, _, _ = _affine(sm, state, rho)
+        l_val = cvar_rows(vm, samples, state.cvar, cfg)
+        r_val = band_residual(e, cfg)
         expected = (
             cost(state, cfg)
             + state.mu @ l_val
@@ -380,7 +391,7 @@ class TestPrimalDualStep:
         cfg2 = SchedulerConfig(alpha_dual=0.4, phi=1e-8, noise_std=0.0, n_samples=5, cost_w_f=1.0)
         samples = draw_samples(rho.v_meas, cfg2, 1)
         vm = voltage_model(sm, state, rho)
-        l0 = cvar_constraints(vm, samples, state.cvar, cfg2)
+        l0 = cvar_rows(vm, samples, state.cvar, cfg2)
         taus = np.full(3, 0.2)
         out = primal_dual_step(state, sm, rho, samples, cfg2, stab, taus, taus)
         violated = l0 > 0
@@ -453,7 +464,8 @@ class TestPrimalDualStep:
             return True
 
         assert no_kink_in_stencil(state)
-        s_v, s_f, d = gradient_signals(state, sm, rho, samples, cfg)
+        vm, _, J, grad_e = _affine(sm, state, rho)
+        s_v, s_f, d = _signals(_hinge_args(vm, samples, state.cvar, cfg), state.mu, state.lam, J, grad_e, cfg)
         wv = np.concatenate([np.full(state.m, cfg.cost_w_pv), np.full(state.m, cfg.cost_w_qv)])
 
         def L_of_kv(kv):
@@ -483,7 +495,7 @@ def reference_step(state, sm, rho, samples, cfg, stab, tau_p, tau_q):
     idx = np.asarray(state.der_nodes) - 1
     dv = rho.v_meas - rho.v_star
     vm = voltage_model(sm, state, rho)
-    l_val = cvar_constraints(vm, samples, state.cvar, cfg)
+    l_val = cvar_rows(vm, samples, state.cvar, cfg)
     r_val = band_residual(freq_error(sm, state, rho), cfg)
     mu = np.maximum(state.mu + cfg.alpha_dual * (l_val - cfg.phi * state.mu), 0.0)
     lam = np.maximum(state.lam + cfg.alpha_dual * (r_val - cfg.psi * state.lam), 0.0)
@@ -516,17 +528,6 @@ def reference_step(state, sm, rho, samples, cfg, stab, tau_p, tau_q):
     return replace(state, kappa_v=kappa_v, kappa_f=kappa_f, cvar=cvar, mu=mu, lam=lam)
 
 
-def scattered_response(state, rho, n, kv, kf):
-    """Droop responses of the online units, unit by unit, on a bus vector."""
-    m = state.m
-    p, q = np.zeros(n), np.zeros(n)
-    for j, node in enumerate(state.der_nodes):
-        dv = rho.v_meas[node - 1] - rho.v_star
-        p[node - 1] = kv[j] * dv + kf[j] * rho.d_omega
-        q[node - 1] = kv[m + j] * dv + kf[m + j] * rho.d_omega
-    return p, q
-
-
 class TestGatheredModel:
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_linmodel_on_scattered_injections(self, seed):
@@ -549,7 +550,7 @@ class TestGatheredModel:
         dropped = full.realigned([k for k in nodes if k != nodes[0]], cfg)
         for state in (full, dropped, full.realigned([], cfg)):
             p, q = scattered_response(state, rho, n, state.kappa_v, state.prev_kappa_f)
-            assert np.max(np.abs(voltage_model(sm, state, rho) - predict_voltage(sm, p, q))) <= 1e-12
+            assert np.max(np.abs(voltage_model(sm, state, rho) - (sm.R @ p + sm.X @ q + sm.v0))) <= 1e-12
             p, q = scattered_response(state, rho, n, state.prev_kappa_v, state.kappa_f)
             e = sm.P0 + sm.H @ np.concatenate([p, q]) - tso_requirement(rho.r_t, rho.omega, rho.omega_star)
             assert abs(freq_error(sm, state, rho) - e) <= 1e-12
@@ -646,6 +647,15 @@ class TestSaddleConvergence:
             prev = cur
 
 
+# online nodes on the 6-bus feeder that no unit may hold, with the error each raises
+BAD_NODES = [
+    ((4, 5, 0), "DER node 0 is not a bus of the feeder"),
+    ((4, 5, 7), "DER node 7 is not a bus of the feeder"),
+    ((4, 5, 4.5), "DER node 4.5 is not a bus of the feeder"),
+    ((4, 6, 6), "DER node 6 holds more than one online unit"),
+]
+
+
 class TestScheduleStep:
     def test_quiescent_system_is_fixed_point(self):
         model, sm, rho, cfg, stab, state, samples, nodes = desk_instance(
@@ -683,15 +693,7 @@ class TestScheduleStep:
         assert np.argmax(change) == 0  # unit at bus 4
         assert change[0] > 0
 
-    @pytest.mark.parametrize(
-        "nodes, message",
-        [
-            ((4, 5, 0), "DER node 0 is not a bus of the feeder"),
-            ((4, 5, 7), "DER node 7 is not a bus of the feeder"),
-            ((4, 5, 4.5), "DER node 4.5 is not a bus of the feeder"),
-            ((4, 6, 6), "DER node 6 holds more than one online unit"),
-        ],
-    )
+    @pytest.mark.parametrize("nodes, message", BAD_NODES)
     def test_rejects_node_off_the_feeder_or_repeated(self, nodes, message):
         model, sm, rho, cfg, stab, state, samples, _ = desk_instance()
         units = six_bus_pv_units()
@@ -702,6 +704,12 @@ class TestScheduleStep:
             schedule_step(state, sm, rho, units, cfg, stab, sample_seed=9)
         assert state.der_nodes == before.der_nodes
         assert np.array_equal(state.kappa_v, before.kappa_v) and np.array_equal(state.mu, before.mu)
+
+    @pytest.mark.parametrize("nodes, message", BAD_NODES)
+    def test_initial_rejects_node_off_the_feeder_or_repeated(self, nodes, message):
+        # node 0 used to index bus n's column through -1, with no error
+        with pytest.raises(ValueError, match=f"^{message}"):
+            SchedulerState.initial(list(nodes), six_bus_feeder().n, SchedulerConfig())
 
     def test_offline_unit_removed_without_touching_others(self):
         model, sm, rho, cfg, stab, state, samples, nodes = desk_instance()

@@ -122,10 +122,13 @@ class TestCheckGains:
     def test_deep_negative_pairs_pass(self):
         assert check_gains(DroopGains(k_pv=-1.0, k_qv=-1.2), 0.2, 0.2, self.params)
 
-    def test_nan_scaled_gain_fails(self):
-        # a NaN time constant makes the quadratic NaN; the gate must not open
-        assert not check_gains(DroopGains(k_pv=-0.1, k_qv=-0.1), np.nan, 0.2, self.params)
-        assert not check_gains(DroopGains(k_pv=-0.1, k_qv=-0.1), 0.2, np.nan, self.params)
+    @pytest.mark.parametrize("name", ["tau_p", "tau_q"])
+    @pytest.mark.parametrize("tau", [np.nan, 0.0, -0.2, np.inf, -np.inf])
+    def test_rejects_time_constant_not_finite_and_positive(self, name, tau):
+        # a NaN tau made the quadratic NaN, a zero one divided by zero
+        taus = {"tau_p": 0.2, "tau_q": 0.2, name: tau}
+        with pytest.raises(ValueError, match=f"^{name} must be finite and positive$"):
+            check_gains(DroopGains(0.1, 0.0, 0.1, 0.0), params=StabilityParams(gamma=0.5), **taus)
 
     @settings(max_examples=200, deadline=None)
     @given(st.floats(-4.0, 2.0), st.integers(0, 2**32 - 1))
