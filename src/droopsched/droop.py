@@ -12,6 +12,10 @@ unit's capability set, so hardware limits hold regardless of what the
 droop law asks for; a PV point that already lies within 1e-12 of its
 set is kept as it is.
 
+A capability set is frozen: its constructor checks the limits and computes
+the slope tan(acos(pf)) once, and nothing re-checks or re-derives them.  A
+new ``p_avail`` makes a new set (``dataclasses.replace``).
+
 Capability kinds:
 
 * ``pv-inverter`` - apparent-power disk of radius s_max, minimum power
@@ -61,7 +65,7 @@ class DroopGains:
                 raise ValueError("droop gains must be finite")
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class CapabilitySet:
     kind: str
     s_max: float = 1.0
@@ -70,6 +74,8 @@ class CapabilitySet:
     p_max: float = 0.0
     pf_fixed: float = 1.0
     p_avail: float = 0.0
+    # tan(acos(pf)) of the PV cone or of the load's fixed power factor
+    _tan: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in (PV, LOAD):
@@ -86,12 +92,13 @@ class CapabilitySet:
                 raise CapabilityError("empty feasible set: p_min must be <= p_max")
             if not 0.0 < self.pf_fixed <= 1.0:
                 raise CapabilityError("pf_fixed must lie in (0, 1]")
+        pf = self.pf_min if self.kind == PV else self.pf_fixed
+        object.__setattr__(self, "_tan", math.tan(math.acos(pf)))
 
     def contains(self, p: float, q: float, tol: float = 1e-9) -> bool:
         if self.kind == PV:
             return _pv_inside(self, p, q, tol)
-        t = math.tan(math.acos(self.pf_fixed))
-        return self.p_min - tol <= p <= self.p_max + tol and abs(q - p * t) <= tol
+        return self.p_min - tol <= p <= self.p_max + tol and abs(q - p * self._tan) <= tol
 
 
 @dataclass(slots=True)
@@ -152,19 +159,17 @@ def _seg_project(p: float, q: float, a, b) -> tuple[float, float]:
 
 def _pv_inside(cap: CapabilitySet, p: float, q: float, tol: float) -> bool:
     """Whether (p, q) lies within ``tol`` of a PV set: disk, cone, p range."""
-    t = math.tan(math.acos(cap.pf_min))
     return (
         p * p + q * q <= cap.s_max**2 + tol
-        and abs(q) <= p * t + tol
+        and abs(q) <= p * cap._tan + tol
         and -tol <= p <= cap.p_avail + tol
     )
 
 
 def _pv_project(cap: CapabilitySet, p: float, q: float) -> tuple[float, float]:
-    # only called for a point outside the set, and with p_avail >= 0
+    # only called for a point outside the set
     s = cap.s_max
-    theta = math.acos(cap.pf_min)
-    t = math.tan(theta)
+    t = cap._tan
     p_cap = min(cap.p_avail, s)
     if p_cap == 0.0:
         return 0.0, 0.0
@@ -177,7 +182,7 @@ def _pv_project(cap: CapabilitySet, p: float, q: float) -> tuple[float, float]:
         candidates.append(_seg_project(p, q, (0.0, 0.0), (p_knee, sign * t * p_knee)))
     if p_cap > s * cap.pf_min:
         # arc between the cone and either the chord at p_cap or the p-axis point
-        ang_hi = theta
+        ang_hi = math.acos(cap.pf_min)
         ang_lo = math.acos(p_cap / s)
         ang = math.atan2(abs(q), max(p, 1e-300))
         ang_cl = min(ang_hi, max(ang_lo, ang))
@@ -192,10 +197,7 @@ def _pv_project(cap: CapabilitySet, p: float, q: float) -> tuple[float, float]:
 
 
 def _load_project(cap: CapabilitySet, p: float, q: float) -> tuple[float, float]:
-    # p_min and p_max may be overwritten after construction, so they are checked here too
-    if not cap.p_min <= cap.p_max:
-        raise CapabilityError("empty feasible set: p_min must be <= p_max")
-    t = math.tan(math.acos(cap.pf_fixed))
+    t = cap._tan
     # nearest point on the line q = t*p, then clamp the active power range
     w = (p + t * q) / (1.0 + t * t)
     w = min(cap.p_max, max(cap.p_min, w))
@@ -210,17 +212,14 @@ def project_capability(cap: CapabilitySet, p: float, q: float) -> tuple[float, f
     outside that band is projected.  A flexible-load point is always
     projected onto its segment.
 
-    Raises ValueError when ``p`` or ``q`` is not finite, and
-    CapabilityError when the set is empty.
+    Raises ValueError when ``p`` or ``q`` is not finite; the set, frozen
+    and checked at construction, is never empty.
     """
     if not math.isfinite(p):
         raise ValueError("p must be finite")
     if not math.isfinite(q):
         raise ValueError("q must be finite")
     if cap.kind == PV:
-        # p_avail may be overwritten after construction, so it is checked here too
-        if not cap.p_avail >= 0.0:
-            raise CapabilityError("empty feasible set: p_avail must be >= 0")
         if _pv_inside(cap, p, q, 1e-12):
             return p, q
         return _pv_project(cap, p, q)

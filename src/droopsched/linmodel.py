@@ -40,7 +40,7 @@ _FD_STEP = 1e-5  # central-difference step of H, in per-unit injection
 _FD_TOL = 1e-10  # power-flow tolerance of every solve behind H
 
 
-@dataclass
+@dataclass(frozen=True)
 class SchedulingPoint:
     """Measurement bundle a linearization is anchored to.
 
@@ -57,7 +57,7 @@ class SchedulingPoint:
     timestamp: float = 0.0
 
     def __post_init__(self):
-        self.v_meas = np.asarray(self.v_meas, dtype=float)
+        object.__setattr__(self, "v_meas", np.asarray(self.v_meas, dtype=float))
         if self.v_meas.ndim != 1:
             raise ValueError("v_meas must be 1-D")
         for name in ("v_meas", "r_t", "omega", "omega_star", "v_star", "timestamp"):
@@ -73,15 +73,16 @@ class SchedulingPoint:
         return self.omega - self.omega_star
 
 
-@dataclass
+@dataclass(frozen=True)
 class SensitivityModel:
     """Affine voltage/PCC model valid near ``rho``.
 
     ``H`` stacks d p_pcc / d p_j for every bus first, then
     d p_pcc / d q_j; ``v0`` is chosen by the caller's coordinate
     convention (see build_sensitivity_model).  Construction checks that
-    R and X are n x n, symmetric and positive definite, that v0 and
-    rho.v_meas have n entries and H 2n, and that v0, H and P0 are finite.
+    R and X are n x n, finite, symmetric and positive definite, that v0
+    and rho.v_meas have n entries and H 2n, and that v0, H and P0 are
+    finite.
     """
 
     R: np.ndarray
@@ -99,7 +100,7 @@ class SensitivityModel:
         for name, vec, size in (("v0", self.v0, n), ("H", self.H, 2 * n), ("rho.v_meas", self.rho.v_meas, n)):
             if np.shape(vec) != (size,):
                 raise ValueError(f"{name} must have shape ({size},)")
-        for name in ("v0", "H", "P0"):
+        for name in ("v0", "H", "P0", "R", "X"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} must be finite")
         for name, M in (("R", self.R), ("X", self.X)):

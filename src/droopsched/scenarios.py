@@ -4,7 +4,9 @@ The package ships a small 6-bus radial feeder with three PV units at the
 feeder extremities, a parameterized random-feeder generator for property
 sweeps, and synthetic clear-sky irradiance / load / frequency profiles
 at 1-second resolution.  These stand in for proprietary measurement
-datasets while keeping the same resolution and shape.
+datasets while keeping the same resolution and shape.  The generators
+raise ValueError for a negative or non-finite duration, a width or period
+that is not positive, or any other argument that is not finite.
 """
 
 from __future__ import annotations
@@ -74,8 +76,21 @@ def ieee37_shaped_feeder() -> NetworkModel:
     return NetworkModel(buses=[Bus(i) for i in range(37)], branches=branches)
 
 
+def _check_profile_args(duration_s: float, positive: dict, finite: dict) -> None:
+    """Raise ValueError naming the first bad argument of a profile generator."""
+    if not 0.0 <= duration_s < np.inf:
+        raise ValueError("duration_s must be finite and >= 0")
+    for name, value in positive.items():
+        if not 0.0 < value < np.inf:
+            raise ValueError(f"{name} must be finite and positive")
+    for name, value in finite.items():
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite")
+
+
 def clear_sky_availability(duration_s: float, peak: float, t_mid: float, half_width: float) -> np.ndarray:
     """Parabolic irradiance arc at 1-second resolution, clipped at zero."""
+    _check_profile_args(duration_s, {"half_width": half_width}, {"peak": peak, "t_mid": t_mid})
     t = np.arange(0.0, duration_s + 1.0)
     arc = peak * (1.0 - ((t - t_mid) / half_width) ** 2)
     return np.maximum(arc, 0.0)
@@ -83,12 +98,14 @@ def clear_sky_availability(duration_s: float, peak: float, t_mid: float, half_wi
 
 def daily_load_shape(duration_s: float, base: float, swing: float = 0.0, period_s: float = 86400.0) -> np.ndarray:
     """Smooth consumption magnitude (positive numbers) at 1-second resolution."""
+    _check_profile_args(duration_s, {"period_s": period_s}, {"base": base, "swing": swing})
     t = np.arange(0.0, duration_s + 1.0)
     return base + swing * 0.5 * (1.0 - np.cos(2.0 * np.pi * t / period_s))
 
 
 def square_wave_frequency(duration_s: float, amplitude: float = 0.001, half_period_s: float = 600.0, omega_star: float = 1.0) -> np.ndarray:
     """Frequency replay alternating +/- amplitude with 2-second linear transitions."""
+    _check_profile_args(duration_s, {"half_period_s": half_period_s}, {"amplitude": amplitude, "omega_star": omega_star})
     t = np.arange(0.0, duration_s + 1.0)
     phase = (t % (2.0 * half_period_s)) / half_period_s
     sign = np.where(phase < 1.0, 1.0, -1.0)

@@ -49,7 +49,7 @@ __all__ = [
 _WF_STREAM = 104729  # rng stream tag for per-node cost weights
 
 
-@dataclass
+@dataclass(frozen=True)
 class SchedulerConfig:
     """Step sizes, regularization, risk level, and constraint bounds.
 
@@ -290,11 +290,16 @@ def primal_dual_step(
     voltage-gain pairs projected onto the certified-stable set and the
     frequency gains clamped to the configured box.  The hinge arguments
     depend on neither multiplier, so the dual and the primal half share
-    one evaluation of them and of the gathered model.
+    one evaluation of them and of the gathered model.  Raises ValueError
+    for a stale model or unless tau_p and tau_q have shape (m,), one
+    entry per online unit.
     """
     if sm.rho.timestamp != rho.timestamp:
         raise ValueError("stale sensitivity model: timestamp mismatch")
     m = state.m
+    for name, tau in (("tau_p", tau_p), ("tau_q", tau_q)):
+        if np.shape(tau) != (m,):
+            raise ValueError(f"{name} must have shape ({m},)")
 
     vm, e, J, grad_e = _affine(sm, state, rho)
     arg = _hinge_args(vm, samples, state.cvar, cfg)

@@ -49,7 +49,7 @@ _SQRT2 = np.sqrt(2.0)
 _EPS = np.finfo(float).eps
 
 
-@dataclass
+@dataclass(frozen=True)
 class StabilityParams:
     """Network-wide stability constant and strictness margin."""
 
@@ -172,12 +172,15 @@ def project_voltage_gains(
     the scaled pairs (k_pv / tau_p, k_qv / tau_q), and its result passes
     check_gains.  A pair that already passes is returned bit-for-bit; a
     clipped pair lands a rounding-sized step inside the boundary.
-    Returns new arrays.
+    Returns new arrays.  Raises ValueError unless the four arrays share
+    one shape.
     """
     k_pv = np.array(k_pv, dtype=float)
     k_qv = np.array(k_qv, dtype=float)
     tau_p = np.asarray(tau_p, dtype=float)
     tau_q = np.asarray(tau_q, dtype=float)
+    if not k_pv.shape == k_qv.shape == tau_p.shape == tau_q.shape:
+        raise ValueError("k_pv, k_qv, tau_p and tau_q must share one shape")
     a = k_pv / tau_p
     b = k_qv / tau_q
     clip = _quad(a, b, params.gamma) > -params.quad_margin

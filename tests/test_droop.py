@@ -3,7 +3,8 @@
 import copy
 import math
 import pickle
-from dataclasses import fields, replace
+import re
+from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -24,6 +25,9 @@ from droopsched.droop import (
     step_der,
     tso_requirement,
 )
+from droopsched.linmodel import SchedulingPoint, SensitivityModel
+from droopsched.scheduler import SchedulerConfig
+from droopsched.stability import StabilityParams
 
 
 def pv_cap(s_max=1.0, pf_min=0.8, p_avail=1.0):
@@ -179,16 +183,20 @@ class TestProjectCapability:
         for bad in (-0.5, np.nan):
             with pytest.raises(CapabilityError, match="empty feasible set"):
                 pv_cap(p_avail=bad)
+            # a set is frozen, so an empty one cannot be made by assignment either,
+            # and a replaced one goes through the constructor's check
             cap = pv_cap()
-            cap.p_avail = bad
-            with pytest.raises(CapabilityError, match="empty feasible set"):
-                project_capability(cap, 0.1, 0.0)
-        # so may a flexible load's range
+            with pytest.raises(FrozenInstanceError):
+                cap.p_avail = bad
+            with pytest.raises(CapabilityError, match="^empty feasible set: p_avail must be >= 0$"):
+                replace(cap, p_avail=bad)
+        # so does a flexible load's range
         for name, bad in (("p_min", 0.3), ("p_max", -0.5), ("p_min", np.nan)):
             cap = CapabilitySet(kind=LOAD, p_min=-0.2, p_max=0.0, pf_fixed=0.95)
-            setattr(cap, name, bad)
+            with pytest.raises(FrozenInstanceError):
+                setattr(cap, name, bad)
             with pytest.raises(CapabilityError, match="^empty feasible set: p_min must be <= p_max$"):
-                project_capability(cap, 0.1, 0.0)
+                replace(cap, **{name: bad})
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("which", ["p", "q"])
@@ -336,9 +344,42 @@ class TestPvInsideTest:
         assert self.CAP.contains(*out, tol=1e-12)
 
 
+def same_record(a, b) -> bool:
+    """Field-by-field equality, private fields included, that also holds for array fields."""
+    if is_dataclass(a):
+        return type(a) is type(b) and all(same_record(getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
+    return bool(np.array_equal(a, b))
+
+
 class TestRecords:
     CAP = CapabilitySet(kind=PV, s_max=0.5, pf_min=0.85, p_avail=0.3)
+    LOAD_CAP = CapabilitySet(kind=LOAD, p_min=-0.4, p_max=0.1, pf_fixed=0.95)
     UNIT = DerUnit(node=4, cap=CAP, tau_p=0.3, tau_q=0.25, p_c=0.1, q_c=-0.02, gains=DroopGains(-1.0, -2.0))
+    RHO = SchedulingPoint(v_meas=[1.01, 0.99], r_t=0.02, omega=1.001, omega_star=1.0, timestamp=3.0)
+    SM = SensitivityModel(R=np.eye(2), X=2 * np.eye(2), v0=np.ones(2), H=np.full(4, 0.5), P0=0.1, rho=RHO)
+    STAB = StabilityParams(gamma=0.7, kf_bound=2.0)
+    CFG = SchedulerConfig(beta=0.2, cost_w_f=1.0)
+    FROZEN = {
+        "CapabilitySet": CAP,
+        "CapabilitySet-load": LOAD_CAP,
+        "SchedulingPoint": RHO,
+        "SensitivityModel": SM,
+        "StabilityParams": STAB,
+        "SchedulerConfig": CFG,
+    }
+    # a field of a frozen record, a value its constructor rejects, and the error;
+    # the first four once slipped past the projection's partial re-checks by assignment
+    BAD_REPLACEMENTS = [
+        ("CapabilitySet", "s_max", np.nan, CapabilityError, "s_max must be finite and positive"),
+        ("CapabilitySet", "s_max", -1.0, CapabilityError, "s_max must be finite and positive"),
+        ("CapabilitySet", "kind", "bogus", CapabilityError, "unknown capability kind 'bogus'"),
+        ("CapabilitySet", "pf_min", 1.5, CapabilityError, "pf_min must lie in (0, 1]"),
+        ("CapabilitySet-load", "pf_fixed", 1.5, CapabilityError, "pf_fixed must lie in (0, 1]"),
+        ("SchedulingPoint", "v_meas", [1.0, -1.0], ValueError, "measured voltages must be strictly positive"),
+        ("SensitivityModel", "X", np.diag([np.inf, 1.0]), ValueError, "X must be finite"),
+        ("StabilityParams", "gamma", 0.0, ValueError, "gamma must be finite and positive"),
+        ("SchedulerConfig", "beta", 1.0, ValueError, "beta must lie in (0, 1)"),
+    ]
 
     @pytest.mark.parametrize(
         "clone", [copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))], ids=["deepcopy", "pickle"]
@@ -348,6 +389,40 @@ class TestRecords:
         assert not hasattr(record, "__dict__")
         twin = clone(record)
         assert type(twin) is type(record) and twin == record and twin is not record
+        assert same_record(twin, record)
+
+    @pytest.mark.parametrize(
+        "clone", [copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    @pytest.mark.parametrize("key", FROZEN)
+    def test_frozen_records_copy_and_pickle(self, key, clone):
+        record = self.FROZEN[key]
+        twin = clone(record)
+        assert twin is not record and same_record(twin, record)
+
+    @pytest.mark.parametrize("key", FROZEN)
+    def test_frozen_records_reject_assignment(self, key):
+        record = self.FROZEN[key]
+        for f in fields(record):
+            with pytest.raises(FrozenInstanceError):
+                setattr(record, f.name, getattr(record, f.name))
+
+    @pytest.mark.parametrize(
+        "key, name, bad, error, message", BAD_REPLACEMENTS, ids=[f"{c[0]}-{c[1]}={c[2]}" for c in BAD_REPLACEMENTS]
+    )
+    def test_frozen_records_replace_through_the_constructor(self, key, name, bad, error, message):
+        record = self.FROZEN[key]
+        assert same_record(replace(record), record)
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            replace(record, **{name: bad})
+
+    def test_power_factor_slope_is_computed_at_construction(self):
+        assert replace(self.CAP, pf_min=0.9)._tan == math.tan(math.acos(0.9))
+        assert self.CAP._tan == math.tan(math.acos(0.85))
+        assert self.LOAD_CAP._tan == math.tan(math.acos(0.95))
+        assert replace(self.LOAD_CAP, pf_fixed=0.8)._tan == math.tan(math.acos(0.8))
+        assert "_tan" not in repr(self.CAP)
 
     def test_replace_builds_through_the_constructor(self):
         assert replace(self.CAP, p_avail=0.2) == CapabilitySet(kind=PV, s_max=0.5, pf_min=0.85, p_avail=0.2)

@@ -199,6 +199,11 @@ class TestSensitivityModelInvariants:
             (dict(H=np.array([0.0, -np.inf, 0.0, 0.0])), "H must be finite"),
             (dict(P0=np.nan), "P0 must be finite"),
             (dict(rho=flat_rho(3)), "rho.v_meas must have shape (2,)"),
+            # finiteness is checked ahead of symmetry and definiteness
+            (dict(R=np.array([[np.inf, 0.0], [0.0, 1.0]])), "R must be finite"),
+            (dict(R=np.array([[1.0, np.nan], [np.nan, 1.0]])), "R must be finite"),
+            (dict(X=np.array([[1.0, 0.0], [0.0, -np.inf]])), "X must be finite"),
+            (dict(X=np.array([[1.0, np.nan], [0.0, 1.0]])), "X must be finite"),
         ],
     )
     def test_rejects_what_the_scheduler_cannot_use(self, kw, message):

@@ -1,0 +1,42 @@
+"""Profile generator tests: bad arguments are rejected by name."""
+
+import re
+
+import numpy as np
+import pytest
+
+from droopsched.scenarios import clear_sky_availability, daily_load_shape, square_wave_frequency
+
+GENERATORS = {
+    "clear_sky": (clear_sky_availability, dict(duration_s=10.0, peak=1.0, t_mid=5.0, half_width=4.0)),
+    "load_shape": (daily_load_shape, dict(duration_s=10.0, base=1.0, swing=0.3, period_s=20.0)),
+    "square_wave": (square_wave_frequency, dict(duration_s=10.0, amplitude=0.001, half_period_s=4.0, omega_star=1.0)),
+}
+
+
+def bad_arguments():
+    for key, (_, kwargs) in GENERATORS.items():
+        for name in kwargs:
+            positive = name in ("half_width", "period_s", "half_period_s")
+            for bad in (np.nan, np.inf, -np.inf):
+                message = "finite and >= 0" if name == "duration_s" else "finite and positive" if positive else "finite"
+                yield pytest.param(key, name, bad, f"{name} must be {message}", id=f"{key}-{name}={bad}")
+        yield pytest.param(key, "duration_s", -1.0, "duration_s must be finite and >= 0", id=f"{key}-duration_s=-1")
+    for key, name in (("clear_sky", "half_width"), ("load_shape", "period_s"), ("square_wave", "half_period_s")):
+        for bad in (0.0, -3.0):
+            yield pytest.param(key, name, bad, f"{name} must be finite and positive", id=f"{key}-{name}={bad}")
+
+
+@pytest.mark.parametrize("key, name, bad, message", bad_arguments())
+def test_rejects_bad_argument_by_name(key, name, bad, message):
+    generator, kwargs = GENERATORS[key]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        generator(**{**kwargs, name: bad})
+
+
+@pytest.mark.parametrize("key", GENERATORS)
+def test_valid_arguments_give_one_finite_sample_per_second(key):
+    generator, kwargs = GENERATORS[key]
+    for duration in (0.0, 10.0):
+        out = generator(**{**kwargs, "duration_s": duration})
+        assert out.shape == (int(duration) + 1,) and np.isfinite(out).all()

@@ -427,6 +427,15 @@ class TestPrimalDualStep:
         with pytest.raises(ValueError, match="stale"):
             primal_dual_step(state, sm, rho2, samples, cfg, stab, np.full(3, 0.2), np.full(3, 0.2))
 
+    @pytest.mark.parametrize("name", ["tau_p", "tau_q"])
+    @pytest.mark.parametrize("bad", [np.full(1, 0.2), np.full(4, 0.2), np.full((3, 1), 0.2)], ids=["1", "4", "3x1"])
+    def test_rejects_taus_not_one_per_online_unit(self, name, bad):
+        # a length-1 tau used to broadcast over all three units without an error
+        _, sm, rho, cfg, stab, state, samples, _ = desk_instance()
+        taus = {"tau_p": np.full(3, 0.2), "tau_q": np.full(3, 0.2), name: bad}
+        with pytest.raises(ValueError, match=rf"^{name} must have shape \(3,\)$"):
+            primal_dual_step(state, sm, rho, samples, cfg, stab, **taus)
+
     def test_gradient_signals_match_lagrangian_differences(self):
         # s_t, d_t against central finite differences at a non-kink point
         _, sm, rho, cfg, stab, state, samples, _ = desk_instance()

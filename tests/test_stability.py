@@ -181,6 +181,18 @@ class TestProjectGains:
         out = project_gains(gains, 0.2, 0.2, self.params)
         assert (out.k_pv, out.k_qv) == (gains.k_pv, gains.k_qv)
 
+    @pytest.mark.parametrize("clip", [False, True], ids=["nothing-clips", "one-clips"])
+    @pytest.mark.parametrize("short", ["k_pv", "k_qv", "tau_p", "tau_q"])
+    def test_vector_projection_rejects_mismatched_shapes(self, short, clip):
+        # a length-1 array used to broadcast silently, or to fail with a bare
+        # boolean-index IndexError once a pair clipped
+        arrays = {"k_pv": np.full(3, -0.1), "k_qv": np.full(3, -0.1), "tau_p": np.full(3, 0.2), "tau_q": np.full(3, 0.2)}
+        if clip:
+            arrays["k_qv"][1] = 10.0
+        arrays[short] = arrays[short][:1]
+        with pytest.raises(ValueError, match="^k_pv, k_qv, tau_p and tau_q must share one shape$"):
+            project_voltage_gains(params=self.params, **arrays)
+
     def test_symmetric_large_pair_lands_at_half_gamma(self):
         # corrected-geometry analogue of the both-halfspaces case: along
         # a = b the boundary sits at a + b = gamma, i.e. a = b = gamma/2
