@@ -22,7 +22,7 @@ reference (scheduled) exchange.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -40,13 +40,26 @@ _FD_STEP = 1e-5  # central-difference step of H, in per-unit injection
 _FD_TOL = 1e-10  # power-flow tolerance of every solve behind H
 
 
+def _read_only(a) -> np.ndarray:
+    """A read-only float copy, so that a record's array is its own."""
+    a = np.array(a, dtype=float)
+    a.setflags(write=False)
+    return a
+
+
+def _rebuild(record):
+    # copies and pickles go through the constructor, so their arrays are read-only too
+    return (type(record), tuple(getattr(record, f.name) for f in fields(record)))
+
+
 @dataclass(frozen=True)
 class SchedulingPoint:
     """Measurement bundle a linearization is anchored to.
 
     ``r_t`` is the aggregate frequency-droop gain prescribed by the
     transmission operator; ``v_star``/``omega_star`` are the nominal
-    voltage and frequency the droop laws regulate around.
+    voltage and frequency the droop laws regulate around.  ``v_meas`` is
+    stored as a read-only copy.
     """
 
     v_meas: np.ndarray
@@ -56,8 +69,10 @@ class SchedulingPoint:
     v_star: float = 1.0
     timestamp: float = 0.0
 
+    __reduce__ = _rebuild
+
     def __post_init__(self):
-        object.__setattr__(self, "v_meas", np.asarray(self.v_meas, dtype=float))
+        object.__setattr__(self, "v_meas", _read_only(self.v_meas))
         if self.v_meas.ndim != 1:
             raise ValueError("v_meas must be 1-D")
         for name in ("v_meas", "r_t", "omega", "omega_star", "v_star", "timestamp"):
@@ -82,7 +97,7 @@ class SensitivityModel:
     convention (see build_sensitivity_model).  Construction checks that
     R and X are n x n, finite, symmetric and positive definite, that v0
     and rho.v_meas have n entries and H 2n, and that v0, H and P0 are
-    finite.
+    finite.  R, X, v0 and H are stored as read-only copies.
     """
 
     R: np.ndarray
@@ -92,9 +107,13 @@ class SensitivityModel:
     P0: float
     rho: SchedulingPoint
 
+    __reduce__ = _rebuild
+
     def __post_init__(self):
-        shape = np.shape(self.R)
-        if len(shape) != 2 or shape[0] != shape[1] or np.shape(self.X) != shape:
+        for name in ("R", "X", "v0", "H"):
+            object.__setattr__(self, name, _read_only(getattr(self, name)))
+        shape = self.R.shape
+        if len(shape) != 2 or shape[0] != shape[1] or self.X.shape != shape:
             raise ValueError("R and X must be square and of one size")
         n = shape[0]
         for name, vec, size in (("v0", self.v0, n), ("H", self.H, 2 * n), ("rho.v_meas", self.rho.v_meas, n)):

@@ -1,13 +1,14 @@
 """Radial distribution network model and DistFlow power-flow solver.
 
-The feeder is a tree rooted at the substation (bus 0), which is modelled
-as an infinite bus at fixed voltage.  The nonlinear power flow is solved
-with the Backward-Forward Sweep: branch active/reactive flows are
-accumulated from the leaves toward the root using the loss terms of the
-previous iterate, squared voltage magnitudes are then propagated from
-the root toward the leaves, and branch currents are refreshed from the
-new flows and sending-end voltages.  All quantities are per-unit on a
-common power base.
+A feeder is its branch table: n branches joining buses 0..n into a tree
+rooted at the substation (bus 0), which is modelled as an infinite bus
+at fixed voltage.  The nonlinear power flow is solved with the
+Backward-Forward Sweep: branch active/reactive flows are accumulated
+from the leaves toward the root using the loss terms of the previous
+iterate, squared voltage magnitudes are then propagated from the root
+toward the leaves, and branch currents are refreshed from the new flows
+and sending-end voltages.  All quantities are per-unit on a common power
+base.
 
 Both passes are O(n) array operations over one depth-first preorder of
 the branches, in which every subtree is a contiguous range: the
@@ -34,7 +35,6 @@ from typing import NamedTuple
 import numpy as np
 
 __all__ = [
-    "Bus",
     "Branch",
     "NetworkModel",
     "PowerFlowSolution",
@@ -56,10 +56,6 @@ class PowerFlowError(RuntimeError):
     """Raised when the sweep fails to converge or hits an infeasible state."""
 
 
-class Bus(NamedTuple):
-    id: int
-
-
 class Branch(NamedTuple):
     frm: int
     to: int
@@ -69,14 +65,14 @@ class Branch(NamedTuple):
 
 @dataclass(frozen=True, slots=True)
 class NetworkModel:
-    """Radial feeder: buses (0 = substation) and branches, immutable.
+    """Radial feeder of n branches over buses 0..n (0 = substation), immutable.
 
-    Construction checks ``v_sub`` and radiality, stores the branches in
-    the caller's order pointing away from the substation (a child-first
-    row becomes a new ``Branch``), and builds the sweep plan.
+    Construction checks ``v_sub`` and that the branches form a tree over
+    buses 0..n, stores them in the caller's order pointing away from the
+    substation (a child-first row becomes a new ``Branch``), and builds
+    the sweep plan.
     """
 
-    buses: tuple[Bus, ...]
     branches: tuple[Branch, ...]
     v_sub: float = 1.0
     _plan: "_SweepPlan" = field(init=False, repr=False, compare=False)
@@ -84,18 +80,22 @@ class NetworkModel:
     def __post_init__(self):
         if not 0.0 < self.v_sub < np.inf:
             raise NetworkDataError("v_sub must be finite and positive")
-        pre, senders = _preorder(self.buses, self.branches)
+        pre, senders = _preorder(self.branches)
         branches = tuple(
             b if b.frm == s else Branch(b.to, b.frm, b.r, b.x) for b, s in zip(self.branches, senders)
         )
-        object.__setattr__(self, "buses", tuple(self.buses))
         object.__setattr__(self, "branches", branches)
         object.__setattr__(self, "_plan", _build_plan(branches, pre))
 
     @property
     def n(self) -> int:
-        """Number of non-substation buses."""
-        return len(self.buses) - 1
+        """Number of non-substation buses, one per branch."""
+        return len(self.branches)
+
+    @property
+    def buses(self) -> range:
+        """Bus ids 0..n, 0 the substation."""
+        return range(self.n + 1)
 
     def plan(self) -> "_SweepPlan":
         return self._plan
@@ -103,7 +103,7 @@ class NetworkModel:
     def __reduce__(self):
         # copies and pickles go through the constructor, so each is validated
         # and planned again; copying the plan would lose its read-only rows
-        return (type(self), (self.buses, self.branches, self.v_sub))
+        return (type(self), (self.branches, self.v_sub))
 
 
 @dataclass(slots=True)
@@ -194,8 +194,8 @@ def _build_plan(branches: tuple[Branch, ...], pre: list[int]) -> _SweepPlan:
     )
 
 
-def _preorder(buses, branches) -> tuple[list[int], list[int]]:
-    """Check the branch set forms a tree rooted at bus 0 and return its preorder.
+def _preorder(branches) -> tuple[list[int], list[int]]:
+    """Check the n branches form a tree over buses 0..n and return its preorder.
 
     Returns the branch indices in depth-first preorder from the
     substation, so every subtree is contiguous in it and its reverse runs
@@ -205,19 +205,11 @@ def _preorder(buses, branches) -> tuple[list[int], list[int]]:
     impedances that are negative, zero in both parts or not finite, or a
     feeder with no bus besides the substation.
     """
-    ids = [b.id for b in buses]
-    if sorted(ids) != list(range(len(ids))):
-        raise NetworkDataError("bus ids must be 0..n with 0 the substation")
-    n_bus = len(ids)
+    n_bus = len(branches) + 1
     if n_bus < 2:
         raise NetworkDataError("feeder needs at least one bus besides the substation")
-    if len(branches) != n_bus - 1:
-        raise NetworkDataError(
-            "cycle detected or disconnected node: "
-            f"expected {n_bus - 1} branches, got {len(branches)}"
-        )
     seen_pairs = set()
-    adj: dict[int, list[tuple[int, int]]] = {i: [] for i in ids}
+    adj: dict[int, list[tuple[int, int]]] = {i: [] for i in range(n_bus)}
     for e, (frm, to, r, x) in enumerate(branches):
         if frm not in adj or to not in adj:
             raise NetworkDataError(f"branch ({frm},{to}) references unknown bus")
@@ -230,8 +222,9 @@ def _preorder(buses, branches) -> tuple[list[int], list[int]]:
         adj[frm].append((to, e))
         adj[to].append((frm, e))
 
-    # depth-first preorder from the substation, recording each sender;
-    # with n_bus - 1 branches, reaching every bus means the graph is a tree
+    # depth-first preorder from the substation, recording each sender; with
+    # n branches over n + 1 buses, reaching every bus means the graph is a
+    # tree, and a cycle always leaves some bus unreached
     visited = {0}
     pre: list[int] = []
     senders = [0] * len(branches)
@@ -245,8 +238,8 @@ def _preorder(buses, branches) -> tuple[list[int], list[int]]:
         pre.append(e)
         stack.extend([(other, nxt, f) for nxt, f in adj[other]])
     if len(visited) != n_bus:
-        missing = sorted(set(ids) - visited)
-        raise NetworkDataError(f"disconnected node {missing[0]}")
+        missing = sorted(set(adj) - visited)
+        raise NetworkDataError(f"cycle detected or disconnected node {missing[0]}")
     return pre, senders
 
 
@@ -264,8 +257,8 @@ def solve_power_flow(
     flows and squared voltages from them, and the sweep stops once the
     currents settle and the flow, voltage-drop and current equations hold
     with max residual <= tol.  ``warm`` contributes only its branch
-    currents; a cold start begins from zero currents.  Branch arrays of
-    the result follow ``model.branches``.
+    currents, which must have shape (n,); a cold start begins from zero
+    currents.  Branch arrays of the result follow ``model.branches``.
     """
     if not 0.0 < tol < np.inf:
         raise ValueError("tol must be finite and positive")
@@ -278,6 +271,8 @@ def solve_power_flow(
     inj = np.array((p, q))
     if not np.isfinite(inj).all():
         raise ValueError("injections must be finite")
+    if warm is not None and warm.i_sq.shape != (n,):
+        raise ValueError(f"warm.i_sq must have shape ({n},): the warm solution is of another feeder")
 
     # everything below is in preorder position
     inj = inj.take(plan.bus, axis=1)
@@ -339,9 +334,12 @@ def _residuals(plan, inj, S, zi, v_sq, v_from, drop2) -> float:
 
 
 def load_network(path) -> NetworkModel:
-    """Parse a branch table ``from,to,r_pu,x_pu`` (header required, bus 0 implicit)."""
+    """Feeder from a branch table ``from,to,r_pu,x_pu``, one row per branch.
+
+    A header row is required; blank lines and ``#`` comments are skipped.
+    The n rows must join buses 0..n, 0 the substation, into a tree.
+    """
     branches = []
-    max_bus = 0
     with open(path) as fh:
         header = fh.readline()
         if not header or header.strip().split(",")[0].lower() not in ("from", "frm"):
@@ -359,5 +357,4 @@ def load_network(path) -> NetworkModel:
             except ValueError as exc:
                 raise NetworkDataError(f"{path}:{lineno}: {exc}") from exc
             branches.append(Branch(frm, to, r, x))
-            max_bus = max(max_bus, frm, to)
-    return NetworkModel([Bus(i) for i in range(max_bus + 1)], branches)
+    return NetworkModel(branches)

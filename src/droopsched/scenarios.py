@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .droop import PV, CapabilitySet, DerUnit
-from .network import Branch, Bus, NetworkModel
+from .network import Branch, NetworkModel
 
 __all__ = [
     "six_bus_feeder",
@@ -37,7 +37,7 @@ def six_bus_feeder() -> NetworkModel:
         Branch(2, 5, 0.026, 0.022),
         Branch(3, 6, 0.024, 0.022),
     ]
-    return NetworkModel(buses=[Bus(i) for i in range(7)], branches=branches)
+    return NetworkModel(branches)
 
 
 def six_bus_pv_units() -> list[DerUnit]:
@@ -54,7 +54,7 @@ def random_radial_feeder(n_bus: int, rng: np.random.Generator) -> NetworkModel:
     for j in range(1, n_bus + 1):
         parent = int(rng.integers(0, j))
         branches.append(Branch(parent, j, float(rng.uniform(0.005, 0.05)), float(rng.uniform(0.005, 0.05))))
-    return NetworkModel(buses=[Bus(i) for i in range(n_bus + 1)], branches=branches)
+    return NetworkModel(branches)
 
 
 def ieee37_shaped_feeder() -> NetworkModel:
@@ -73,7 +73,7 @@ def ieee37_shaped_feeder() -> NetworkModel:
         if len(parent_pool) > 6:
             parent_pool.pop(0)
         next_id += 1
-    return NetworkModel(buses=[Bus(i) for i in range(37)], branches=branches)
+    return NetworkModel(branches)
 
 
 def _check_profile_args(duration_s: float, positive: dict, finite: dict) -> None:

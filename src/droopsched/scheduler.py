@@ -291,11 +291,15 @@ def primal_dual_step(
     frequency gains clamped to the configured box.  The hinge arguments
     depend on neither multiplier, so the dual and the primal half share
     one evaluation of them and of the gathered model.  Raises ValueError
-    for a stale model or unless tau_p and tau_q have shape (m,), one
-    entry per online unit.
+    for a stale model, for a state whose mu and cvar are not sized for
+    this feeder (2n entries), or unless tau_p and tau_q have shape (m,),
+    one entry per online unit, finite and positive.
     """
     if sm.rho.timestamp != rho.timestamp:
         raise ValueError("stale sensitivity model: timestamp mismatch")
+    rows = 2 * sm.n
+    if state.mu.shape != (rows,) or state.cvar.shape != (rows,):
+        raise ValueError(f"mu and cvar must have shape ({rows},): the state was built for another feeder")
     m = state.m
     for name, tau in (("tau_p", tau_p), ("tau_q", tau_q)):
         if np.shape(tau) != (m,):

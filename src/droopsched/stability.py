@@ -68,6 +68,13 @@ class StabilityParams:
         return 4.0 * self.gamma * (1e-6 * self.gamma)
 
 
+def _check_taus(tau_p: np.ndarray, tau_q: np.ndarray) -> None:
+    """Raise ValueError unless every time constant is finite and positive."""
+    for name, tau in (("tau_p", tau_p), ("tau_q", tau_q)):
+        if not ((0.0 < tau) & (tau < np.inf)).all():
+            raise ValueError(f"{name} must be finite and positive")
+
+
 def compute_gamma(
     sm: SensitivityModel,
     tau_p: np.ndarray,
@@ -76,9 +83,7 @@ def compute_gamma(
     """1 / lambda_max(G T), the larger over the blocks T_p^1/2 R T_p^1/2 and T_q^1/2 X T_q^1/2."""
     tau_p = np.asarray(tau_p, dtype=float)
     tau_q = np.asarray(tau_q, dtype=float)
-    for name, tau in (("tau_p", tau_p), ("tau_q", tau_q)):
-        if not ((0.0 < tau) & (tau < np.inf)).all():
-            raise ValueError(f"{name} must be finite and positive")
+    _check_taus(tau_p, tau_q)
     n = sm.n
     if tau_p.shape != (n,) or tau_q.shape != (n,):
         raise ValueError(f"tau vectors must have shape ({n},)")
@@ -173,7 +178,7 @@ def project_voltage_gains(
     check_gains.  A pair that already passes is returned bit-for-bit; a
     clipped pair lands a rounding-sized step inside the boundary.
     Returns new arrays.  Raises ValueError unless the four arrays share
-    one shape.
+    one shape and every time constant is finite and positive.
     """
     k_pv = np.array(k_pv, dtype=float)
     k_qv = np.array(k_qv, dtype=float)
@@ -181,6 +186,7 @@ def project_voltage_gains(
     tau_q = np.asarray(tau_q, dtype=float)
     if not k_pv.shape == k_qv.shape == tau_p.shape == tau_q.shape:
         raise ValueError("k_pv, k_qv, tau_p and tau_q must share one shape")
+    _check_taus(tau_p, tau_q)
     a = k_pv / tau_p
     b = k_qv / tau_q
     clip = _quad(a, b, params.gamma) > -params.quad_margin

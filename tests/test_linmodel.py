@@ -1,5 +1,7 @@
 """Sensitivity-model tests: analytic R/X vs finite differences of the solver."""
 
+import copy
+import pickle
 import re
 
 import numpy as np
@@ -12,7 +14,7 @@ from droopsched.linmodel import (
     build_rx,
     build_sensitivity_model,
 )
-from droopsched.network import Branch, Bus, NetworkModel, solve_power_flow
+from droopsched.network import Branch, NetworkModel, solve_power_flow
 
 from .oracles import central_difference
 from .test_network import chain, random_feeder
@@ -264,3 +266,37 @@ class TestSchedulingPoint:
     def test_measurement_must_be_one_vector(self, v_meas):
         with pytest.raises(ValueError, match="^v_meas must be 1-D$"):
             SchedulingPoint(**{**self.FINITE, "v_meas": v_meas})
+
+
+class TestRecordsOwnTheirArrays:
+    """The frozen records store read-only copies: no later edit reaches them."""
+
+    @staticmethod
+    def records():
+        v, R, X, v0, H = np.array([1.01, 0.99]), np.eye(2), 2.0 * np.eye(2), np.ones(2), np.full(4, 0.5)
+        rho = SchedulingPoint(v_meas=v, r_t=0.02, omega=1.0, omega_star=1.0)
+        sm = SensitivityModel(R=R, X=X, v0=v0, H=H, P0=0.1, rho=rho)
+        return (v, R, X, v0, H), sm
+
+    def test_a_caller_edit_does_not_reach_the_record(self):
+        # the point used to alias the caller's v_meas, and the model its R
+        (v, R, X, v0, H), sm = self.records()
+        v[0] = np.nan
+        R[0, 1] = 5.0
+        X[:] = 0.0
+        v0[1] = H[0] = np.inf
+        assert np.array_equal(sm.rho.v_meas, [1.01, 0.99])
+        assert np.array_equal(sm.R, np.eye(2)) and np.array_equal(sm.X, 2.0 * np.eye(2))
+        assert np.array_equal(sm.v0, np.ones(2)) and np.array_equal(sm.H, np.full(4, 0.5))
+
+    @pytest.mark.parametrize(
+        "clone", [lambda r: r, copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))],
+        ids=["record", "copy", "deepcopy", "pickle"],
+    )
+    def test_writing_into_a_record_array_raises(self, clone):
+        _, sm = self.records()
+        sm = clone(sm)
+        for a in (sm.rho.v_meas, sm.R, sm.X, sm.v0, sm.H):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+        assert np.array_equal(sm.R, np.eye(2)) and sm.rho.v_meas[0] == 1.01

@@ -17,6 +17,30 @@ PACKAGE = Path(droopsched.__file__).parent
 MODULES = sorted(m.name for m in pkgutil.iter_modules(droopsched.__path__))
 
 
+# The public surface, module by module.  A change that adds or removes a
+# public name edits this table.
+EXPORTS = {
+    "droop": ["DroopGains", "CapabilitySet", "DerUnit", "CapabilityError", "droop_input",
+              "project_capability", "step_der", "tso_requirement", "load_der_units"],
+    "linmodel": ["SchedulingPoint", "SensitivityModel", "build_rx", "build_pcc_sensitivity",
+                 "build_sensitivity_model"],
+    "network": ["Branch", "NetworkModel", "PowerFlowSolution", "NetworkDataError", "PowerFlowError",
+                "solve_power_flow", "load_network"],
+    "scenarios": ["six_bus_feeder", "six_bus_pv_units", "random_radial_feeder", "ieee37_shaped_feeder",
+                  "clear_sky_availability", "daily_load_shape", "square_wave_frequency"],
+    "scheduler": ["SchedulerConfig", "SchedulerState", "draw_samples", "freq_error", "band_residual",
+                  "primal_dual_step", "schedule_step"],
+    "stability": ["StabilityParams", "compute_gamma", "check_gains", "project_gains",
+                  "project_voltage_gains", "closed_loop_matrix"],
+}
+
+
+def test_public_surface_matches_the_snapshot():
+    exported = {name: getattr(importlib.import_module(f"droopsched.{name}"), "__all__", None) for name in MODULES}
+    assert exported == EXPORTS
+    assert sum(map(len, EXPORTS.values())) == 41
+
+
 @pytest.mark.parametrize("name", MODULES)
 def test_every_exported_name_exists(name):
     module = importlib.import_module(f"droopsched.{name}")

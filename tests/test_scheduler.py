@@ -436,6 +436,31 @@ class TestPrimalDualStep:
         with pytest.raises(ValueError, match=rf"^{name} must have shape \(3,\)$"):
             primal_dual_step(state, sm, rho, samples, cfg, stab, **taus)
 
+    @pytest.mark.parametrize("name", ["tau_p", "tau_q"])
+    @pytest.mark.parametrize("tau", [np.nan, np.inf, 0.0, -0.2])
+    def test_rejects_time_constant_not_finite_and_positive(self, name, tau):
+        # a NaN or negative tau let the unit's next gains past the stability gate
+        _, sm, rho, cfg, stab, state, samples, _ = desk_instance()
+        taus = {"tau_p": np.full(3, 0.2), "tau_q": np.full(3, 0.2)}
+        taus[name][0] = tau
+        with pytest.raises(ValueError, match=f"^{name} must be finite and positive$"):
+            primal_dual_step(state, sm, rho, samples, cfg, stab, **taus)
+
+    def test_rejects_a_state_built_for_another_feeder(self):
+        # numpy used to fail broadcasting (n_samples, 12) against (14,)
+        _, sm, rho, cfg, stab, state, samples, nodes = desk_instance()
+        taus = np.full(3, 0.2)
+        message = r"^mu and cvar must have shape \(12,\): the state was built for another feeder$"
+        for other in (
+            SchedulerState.initial(nodes, 7, cfg),
+            replace(state, mu=np.zeros(14)),
+            replace(state, cvar=np.zeros(10)),
+        ):
+            with pytest.raises(ValueError, match=message):
+                primal_dual_step(other, sm, rho, samples, cfg, stab, taus, taus)
+            with pytest.raises(ValueError, match=message):
+                schedule_step(other, sm, rho, six_bus_pv_units(), cfg, stab, sample_seed=9)
+
     def test_gradient_signals_match_lagrangian_differences(self):
         # s_t, d_t against central finite differences at a non-kink point
         _, sm, rho, cfg, stab, state, samples, _ = desk_instance()

@@ -193,6 +193,16 @@ class TestProjectGains:
         with pytest.raises(ValueError, match="^k_pv, k_qv, tau_p and tau_q must share one shape$"):
             project_voltage_gains(params=self.params, **arrays)
 
+    @pytest.mark.parametrize("name", ["tau_p", "tau_q"])
+    @pytest.mark.parametrize("tau", [np.nan, np.inf, 0.0, -0.2])
+    def test_vector_projection_rejects_time_constant_not_finite_and_positive(self, name, tau):
+        # a NaN tau returned the pair unprojected, a negative one projected it
+        # in the wrong scaling, and 0 or inf surfaced only downstream
+        arrays = {"k_pv": np.full(3, 5.0), "k_qv": np.full(3, 5.0), "tau_p": np.full(3, 0.2), "tau_q": np.full(3, 0.2)}
+        arrays[name][0] = tau
+        with pytest.raises(ValueError, match=f"^{name} must be finite and positive$"):
+            project_voltage_gains(params=self.params, **arrays)
+
     def test_symmetric_large_pair_lands_at_half_gamma(self):
         # corrected-geometry analogue of the both-halfspaces case: along
         # a = b the boundary sits at a + b = gamma, i.e. a = b = gamma/2
