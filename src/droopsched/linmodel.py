@@ -52,14 +52,15 @@ def _rebuild(record):
     return (type(record), tuple(getattr(record, f.name) for f in fields(record)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SchedulingPoint:
     """Measurement bundle a linearization is anchored to.
 
     ``r_t`` is the aggregate frequency-droop gain prescribed by the
     transmission operator; ``v_star``/``omega_star`` are the nominal
     voltage and frequency the droop laws regulate around.  ``v_meas`` is
-    stored as a read-only copy.
+    stored as a read-only copy.  Equality and hash are by identity: a
+    field-wise ``==`` would compare arrays, whose truth value is ambiguous.
     """
 
     v_meas: np.ndarray
@@ -88,7 +89,7 @@ class SchedulingPoint:
         return self.omega - self.omega_star
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SensitivityModel:
     """Affine voltage/PCC model valid near ``rho``.
 
@@ -97,7 +98,8 @@ class SensitivityModel:
     convention (see build_sensitivity_model).  Construction checks that
     R and X are n x n, finite, symmetric and positive definite, that v0
     and rho.v_meas have n entries and H 2n, and that v0, H and P0 are
-    finite.  R, X, v0 and H are stored as read-only copies.
+    finite.  R, X, v0 and H are stored as read-only copies.  Equality and
+    hash are by identity, as for SchedulingPoint.
     """
 
     R: np.ndarray

@@ -33,7 +33,7 @@ import numpy as np
 
 from .droop import DerUnit, DroopGains, tso_requirement
 from .linmodel import SchedulingPoint, SensitivityModel
-from .stability import StabilityParams, project_voltage_gains
+from .stability import StabilityParams, _project_in_place
 from .stability import project_gains  # noqa: F401  perfbench/spans.py wraps scheduler.project_gains by name
 
 __all__ = [
@@ -205,8 +205,9 @@ def draw_samples(v_meas: np.ndarray, cfg: SchedulerConfig, seed) -> np.ndarray:
     generator, is most of the cost: building it takes about 16 of 65 us
     for 100 x 36 samples on one core of a 2-vCPU Xeon.
     """
-    rng = np.random.default_rng(seed)
-    return rng.standard_normal((cfg.n_samples, len(v_meas))) * (cfg.noise_std * np.asarray(v_meas))
+    samples = np.random.default_rng(seed).standard_normal((cfg.n_samples, len(v_meas)))
+    samples *= cfg.noise_std * np.asarray(v_meas)
+    return samples
 
 
 def _affine(sm: SensitivityModel, state: SchedulerState, rho: SchedulingPoint):
@@ -220,9 +221,10 @@ def _affine(sm: SensitivityModel, state: SchedulerState, rho: SchedulingPoint):
     enters through the previous broadcast.
     """
     idx = np.asarray(state.der_nodes, dtype=np.intp) - 1
-    G = np.concatenate([sm.R[:, idx], sm.X[:, idx]], axis=1)
-    h = sm.H[np.concatenate([idx, idx + sm.n])]
-    u = np.tile(rho.v_meas[idx] - rho.v_star, 2)
+    G = np.concatenate((sm.R[:, idx], sm.X[:, idx]), axis=1)
+    h = sm.H[np.concatenate((idx, idx + sm.n))]
+    du = rho.v_meas[idx] - rho.v_star
+    u = np.concatenate((du, du))
     d_omega = rho.d_omega
     vm = G @ (state.kappa_v * u + state.prev_kappa_f * d_omega) + sm.v0
     delivered = h @ (state.prev_kappa_v * u + state.kappa_f * d_omega) + sm.P0
@@ -232,14 +234,24 @@ def _affine(sm: SensitivityModel, state: SchedulerState, rho: SchedulingPoint):
 
 def _hinge_args(vm, samples, cvar, cfg):
     """Per-sample CVaR hinge arguments, (n_samples, 2n): upper rows, then lower rows."""
-    if np.any(cvar < 0):
+    if (cvar < 0).any():
         raise ValueError("CVaR auxiliaries must be nonnegative")
-    return np.concatenate([vm - cfg.v_max + samples, cfg.v_min - vm - samples], axis=1) + cvar
+    n = len(vm)
+    arg = np.empty((len(samples), 2 * n))
+    np.add(vm - cfg.v_max, samples, out=arg[:, :n])
+    np.subtract(cfg.v_min - vm, samples, out=arg[:, n:])
+    arg += cvar
+    return arg
 
 
 def _cvar_rows(arg, cvar, cfg) -> np.ndarray:
-    """Sample-average CVaR surrogate values, upper rows stacked over lower."""
-    return np.maximum(arg, 0.0).mean(axis=0) - cvar * cfg.beta
+    """Sample-average CVaR surrogate values, upper rows stacked over lower.
+
+    The average is ``sum(axis=0) / n_samples``, which is ``mean(axis=0)``
+    bit for bit: numpy's mean is the same ``add.reduce`` followed by a
+    true division by the sample count, only behind a Python wrapper.
+    """
+    return np.maximum(arg, 0.0).sum(axis=0) / len(arg) - cvar * cfg.beta
 
 
 def freq_error(sm: SensitivityModel, state: SchedulerState, rho: SchedulingPoint) -> float:
@@ -262,10 +274,12 @@ def _signals(arg, mu, lam, J, grad_e, cfg):
     s_v and s_f chain the CVaR rows through the voltage slope J and the
     band rows through the error slope grad_e; d, one entry per CVaR row,
     holds the active-sample fractions against the risk level.  The hinge
-    subgradient is 1 for strictly positive arguments, 0 otherwise.
+    subgradient is 1 for strictly positive arguments, 0 otherwise.  A
+    fraction is an exact integer count divided by n_samples, the one
+    rounding ``mean(axis=0)`` makes too, so ``sum / n_samples`` gives its bits.
     """
     n = J.shape[0]
-    frac = (arg > 0.0).mean(axis=0)
+    frac = (arg > 0.0).sum(axis=0) / len(arg)
     w = mu * frac
     s_v = J.T @ (w[:n] - w[n:])
     d = mu * (frac - cfg.beta)
@@ -292,8 +306,9 @@ def primal_dual_step(
     depend on neither multiplier, so the dual and the primal half share
     one evaluation of them and of the gathered model.  Raises ValueError
     for a stale model, for a state whose mu and cvar are not sized for
-    this feeder (2n entries), or unless tau_p and tau_q have shape (m,),
-    one entry per online unit, finite and positive.
+    this feeder (2n entries), unless tau_p and tau_q have shape (m,),
+    one entry per online unit, finite and positive, or when the updated
+    voltage gains are not finite (a diverged iteration).
     """
     if sm.rho.timestamp != rho.timestamp:
         raise ValueError("stale sensitivity model: timestamp mismatch")
@@ -315,15 +330,17 @@ def primal_dual_step(
 
     s_v, s_f, d = _signals(arg, mu, lam, J, grad_e, cfg)
 
-    wv = np.concatenate([np.full(m, cfg.cost_w_pv), np.full(m, cfg.cost_w_qv)])
+    wv = np.empty(2 * m)
+    wv[:m] = cfg.cost_w_pv
+    wv[m:] = cfg.cost_w_qv
     kappa_v = state.kappa_v - cfg.alpha_primal * (2.0 * wv**2 * state.kappa_v + s_v)
     kappa_f = state.kappa_f - cfg.alpha_primal * (2.0 * state.w_f**2 * state.kappa_f + s_f)
-    k_pv, k_qv = project_voltage_gains(kappa_v[:m], kappa_v[m:], tau_p, tau_q, stab)
+    _project_in_place(kappa_v.reshape(2, m), np.array((tau_p, tau_q), dtype=float), stab)
 
     return replace(
         state,
-        kappa_v=np.concatenate([k_pv, k_qv]),
-        kappa_f=np.clip(kappa_f, -stab.kf_bound, stab.kf_bound),
+        kappa_v=kappa_v,
+        kappa_f=kappa_f.clip(-stab.kf_bound, stab.kf_bound),
         cvar=np.maximum(state.cvar - cfg.alpha_tau * (d + cfg.reg_tau * state.cvar), 0.0),
         mu=mu,
         lam=lam,
@@ -357,13 +374,12 @@ def schedule_step(
 
     samples = draw_samples(rho.v_meas, cfg, sample_seed)
     state = primal_dual_step(state, sm, rho, samples, cfg, stab, tau_p, tau_q)
+    # the step's state is new and only this function holds it: rotate in place
+    state.prev_kappa_v = state.kappa_v.copy()
+    state.prev_kappa_f = state.kappa_f.copy()
 
-    state = replace(state, prev_kappa_v=state.kappa_v.copy(), prev_kappa_f=state.kappa_f.copy())
     m = len(nodes)
     kv = state.kappa_v.tolist()
     kf = state.kappa_f.tolist()
-    broadcast = {
-        node: DroopGains(k_pv=kv[j], k_pf=kf[j], k_qv=kv[m + j], k_qf=kf[m + j])
-        for j, node in enumerate(nodes)
-    }
-    return state, broadcast
+    # positional fields k_pv, k_pf, k_qv, k_qf: about half the cost of keywords
+    return state, dict(zip(nodes, map(DroopGains, kv[:m], kf[:m], kv[m:], kf[m:])))

@@ -164,6 +164,28 @@ def _onto_boundary(a: np.ndarray, b: np.ndarray, params: StabilityParams) -> tup
     return (s + w) / _SQRT2, (s - w) / _SQRT2
 
 
+def _project_in_place(k: np.ndarray, tau: np.ndarray, params: StabilityParams) -> None:
+    """project_voltage_gains on the stacked pairs k = (k_pv, k_qv), overwritten in place.
+
+    ``k`` and ``tau`` = (tau_p, tau_q) are float arrays of one shape
+    (2, ...), and the caller owns ``k``.  All time constants are checked
+    in one pass, then all gains: a NaN pair would pass the region test
+    unprojected, an infinite one would overflow in the projection.
+    """
+    if not ((0.0 < tau) & (tau < np.inf)).all():
+        _check_taus(tau[0], tau[1])  # raises, naming tau_p or tau_q
+    if not np.isfinite(k).all():
+        raise ValueError("k_pv and k_qv must be finite")
+    ab = k / tau
+    a, b = ab[0, ...], ab[1, ...]
+    clip = _quad(a, b, params.gamma) > -params.quad_margin
+    if clip.any():
+        a, b = _onto_boundary(a[clip], b[clip], params)
+        # [i, ...] keeps 0-d rows as views, so the writes reach k
+        k[0, ...][clip] = a * tau[0, ...][clip]
+        k[1, ...][clip] = b * tau[1, ...][clip]
+
+
 def project_voltage_gains(
     k_pv: np.ndarray,
     k_qv: np.ndarray,
@@ -178,23 +200,14 @@ def project_voltage_gains(
     check_gains.  A pair that already passes is returned bit-for-bit; a
     clipped pair lands a rounding-sized step inside the boundary.
     Returns new arrays.  Raises ValueError unless the four arrays share
-    one shape and every time constant is finite and positive.
+    one shape, every time constant is finite and positive and every gain
+    is finite.
     """
-    k_pv = np.array(k_pv, dtype=float)
-    k_qv = np.array(k_qv, dtype=float)
-    tau_p = np.asarray(tau_p, dtype=float)
-    tau_q = np.asarray(tau_q, dtype=float)
-    if not k_pv.shape == k_qv.shape == tau_p.shape == tau_q.shape:
+    if not np.shape(k_pv) == np.shape(k_qv) == np.shape(tau_p) == np.shape(tau_q):
         raise ValueError("k_pv, k_qv, tau_p and tau_q must share one shape")
-    _check_taus(tau_p, tau_q)
-    a = k_pv / tau_p
-    b = k_qv / tau_q
-    clip = _quad(a, b, params.gamma) > -params.quad_margin
-    if clip.any():
-        a, b = _onto_boundary(a[clip], b[clip], params)
-        k_pv[clip] = a * tau_p[clip]
-        k_qv[clip] = b * tau_q[clip]
-    return k_pv, k_qv
+    k = np.array((k_pv, k_qv), dtype=float)
+    _project_in_place(k, np.array((tau_p, tau_q), dtype=float), params)
+    return k[0, ...], k[1, ...]
 
 
 def project_gains(

@@ -23,12 +23,20 @@ of the package because nothing in it calls them:
 * ``two_clause_check_gains``, the stability gate as first written: the
   quadratic inequality and the linear clause (a or b below gamma with a
   1e-6 gamma margin), against which the one-inequality gate is checked.
+* ``primal_dual_reference``, the scheduler's primal-dual step as first
+  written (``np.tile``, ``mean``, ``np.clip``, separate projected halves),
+  against which the step is checked bit for bit.  It calls no scheduler
+  code; of the stability module it uses only the boundary projection.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 from scipy import optimize
+
+from droopsched.stability import _onto_boundary
 
 
 def distflow_root(model, p_inj, q_inj, tol=1e-12):
@@ -384,3 +392,54 @@ def two_clause_check_gains(k_pv, k_qv, tau_p, tau_q, gamma):
     if (a - b) * (a - b) + 4.0 * gamma * (a + b) - 4.0 * gamma * gamma > -(4.0 * gamma * margin):
         return False
     return a <= gamma - margin or b <= gamma - margin
+
+
+def primal_dual_reference(state, sm, rho, samples, cfg, stab, tau_p, tau_q):
+    """One dual-then-primal cycle in the formulas the scheduler first used.
+
+    Same arithmetic in the same order as ``scheduler.primal_dual_step``,
+    so every returned array must match it bit for bit; the inputs are
+    taken as valid.
+    """
+    n, m = sm.n, len(state.der_nodes)
+    idx = np.asarray(state.der_nodes, dtype=np.intp) - 1
+    G = np.concatenate([sm.R[:, idx], sm.X[:, idx]], axis=1)
+    h = sm.H[np.concatenate([idx, idx + n])]
+    u = np.tile(rho.v_meas[idx] - rho.v_star, 2)
+    d_omega = rho.omega - rho.omega_star
+    vm = G @ (state.kappa_v * u + state.prev_kappa_f * d_omega) + sm.v0
+    delivered = h @ (state.prev_kappa_v * u + state.kappa_f * d_omega) + sm.P0
+    e = float(delivered - rho.r_t * (rho.omega - rho.omega_star))
+
+    arg = np.concatenate([vm - cfg.v_max + samples, cfg.v_min - vm - samples], axis=1) + state.cvar
+    l_val = np.maximum(arg, 0.0).mean(axis=0) - state.cvar * cfg.beta
+    r_val = np.array([cfg.e_min - e, e - cfg.e_max])
+    mu = np.maximum(state.mu + cfg.alpha_dual * (l_val - cfg.phi * state.mu), 0.0)
+    lam = np.maximum(state.lam + cfg.alpha_dual * (r_val - cfg.psi * state.lam), 0.0)
+
+    frac = (arg > 0.0).mean(axis=0)
+    w = mu * frac
+    s_v = (G * u).T @ (w[:n] - w[n:])
+    d = mu * (frac - cfg.beta)
+    s_f = (lam[1] - lam[0]) * (h * d_omega)
+
+    wv = np.concatenate([np.full(m, cfg.cost_w_pv), np.full(m, cfg.cost_w_qv)])
+    kappa_v = state.kappa_v - cfg.alpha_primal * (2.0 * wv**2 * state.kappa_v + s_v)
+    kappa_f = state.kappa_f - cfg.alpha_primal * (2.0 * state.w_f**2 * state.kappa_f + s_f)
+    k_pv, k_qv = kappa_v[:m].copy(), kappa_v[m:].copy()
+    a, b = k_pv / tau_p, k_qv / tau_q
+    g = stab.gamma
+    clip = (a - b) * (a - b) + 4.0 * g * (a + b) - 4.0 * g * g > -stab.quad_margin
+    if clip.any():
+        a, b = _onto_boundary(a[clip], b[clip], stab)
+        k_pv[clip] = a * tau_p[clip]
+        k_qv[clip] = b * tau_q[clip]
+
+    return replace(
+        state,
+        kappa_v=np.concatenate([k_pv, k_qv]),
+        kappa_f=np.clip(kappa_f, -stab.kf_bound, stab.kf_bound),
+        cvar=np.maximum(state.cvar - cfg.alpha_tau * (d + cfg.reg_tau * state.cvar), 0.0),
+        mu=mu,
+        lam=lam,
+    )

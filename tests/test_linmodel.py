@@ -3,6 +3,7 @@
 import copy
 import pickle
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -300,3 +301,17 @@ class TestRecordsOwnTheirArrays:
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0.0
         assert np.array_equal(sm.R, np.eye(2)) and sm.rho.v_meas[0] == 1.01
+
+
+class TestRecordsCompareByIdentity:
+    """``==`` on a record with array fields used to raise "truth value of an
+    array ... is ambiguous"; equality and hash are by identity instead."""
+
+    @pytest.mark.parametrize("which", ["rho", "sm"])
+    def test_copy_differs_record_equals_itself_and_hashes(self, which):
+        _, sm = TestRecordsOwnTheirArrays.records()
+        record = sm if which == "sm" else sm.rho
+        assert (replace(record) == record) is False
+        assert (record == record) is True
+        assert hash(record) == hash(record)
+        assert len({record, replace(record)}) == 2

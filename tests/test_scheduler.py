@@ -4,6 +4,8 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from droopsched.droop import PV, CapabilitySet, DerUnit, DroopGains, tso_requirement
 from droopsched.linmodel import SchedulingPoint, build_rx, build_sensitivity_model
@@ -24,7 +26,14 @@ from droopsched.scheduler import (
 )
 from droopsched.stability import StabilityParams, check_gains, compute_gamma, project_gains
 
-from .oracles import central_difference, cost, lagrangian, saddle_point, scattered_response
+from .oracles import (
+    central_difference,
+    cost,
+    lagrangian,
+    primal_dual_reference,
+    saddle_point,
+    scattered_response,
+)
 
 
 def desk_instance(
@@ -588,6 +597,107 @@ class TestGatheredModel:
             p, q = scattered_response(state, rho, n, state.prev_kappa_v, state.kappa_f)
             e = sm.P0 + sm.H @ np.concatenate([p, q]) - tso_requirement(rho.r_t, rho.omega, rho.omega_star)
             assert abs(freq_error(sm, state, rho) - e) <= 1e-12
+
+
+@st.composite
+def step_cases(draw):
+    """A random feeder, online subset, sample count and iterate, drawn so
+    that the stability projection clips some pairs and the box some
+    frequency gains; every nonnegative iterate entry may be exactly zero."""
+    n = draw(st.integers(2, 40))
+    n_samples = draw(st.integers(1, 100))
+    zero_frac = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    kf_bound = draw(st.sampled_from([0.0, 1e-3, 10.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    model = random_radial_feeder(n, rng)
+    order = rng.permutation(np.arange(1, n + 1))
+    m = 0 if rng.random() < 0.05 else int(rng.integers(1, n + 1))
+    nodes = [int(k) for k in order[:m]]
+    p_base, q_base = rng.uniform(-0.03, 0.03, (2, n))
+    sol = solve_power_flow(model, p_base, q_base)
+    rho = SchedulingPoint(
+        v_meas=sol.v[1:], r_t=0.02, omega=1.0 + rng.uniform(-2e-3, 2e-3), omega_star=1.0,
+        v_star=float(rng.choice([0.99, 1.0])), timestamp=3.0,
+    )
+    hp0 = (rng.uniform(-1.1, -0.9, 2 * n), float(rng.normal(0.0, 1e-3)))
+    sm = build_sensitivity_model(model, rho, *rng.normal(0.0, 0.01, (2, n)), p_base, q_base, hp0=hp0)
+    cfg = SchedulerConfig(n_samples=n_samples, e_min=-1e-3, e_max=1e-3)
+    taus = rng.uniform(0.05, 1.0, (2, n))
+    stab = StabilityParams(gamma=compute_gamma(sm, *taus), kf_bound=kf_bound)
+    tau_p, tau_q = taus[:, order[:m] - 1]
+    # scaled pairs up to 3 gamma in each coordinate: many lie outside the region
+    a, b = stab.gamma * rng.uniform(-3.0, 3.0, (2, m))
+
+    def nonneg(size):
+        return np.where(rng.random(size) < zero_frac, 0.0, np.abs(rng.normal(0.0, 0.05, size)))
+
+    state = replace(
+        SchedulerState.initial(nodes, n, cfg, seed=int(rng.integers(100))),
+        kappa_v=np.concatenate([a * tau_p, b * tau_q]),
+        kappa_f=rng.normal(0.0, 2e-3, 2 * m),
+        prev_kappa_v=rng.normal(0.0, 0.1, 2 * m),
+        prev_kappa_f=rng.normal(0.0, 2e-3, 2 * m),
+        cvar=nonneg(2 * n),
+        mu=nonneg(2 * n),
+        lam=20.0 * nonneg(2),
+    )
+    units = [
+        DerUnit(node=node, cap=CapabilitySet(kind=PV, s_max=0.4), tau_p=tp, tau_q=tq)
+        for node, tp, tq in zip(nodes, tau_p.tolist(), tau_q.tolist())
+    ]
+    units += [DerUnit(node=int(node), cap=CapabilitySet(kind=PV, s_max=0.4), online=False) for node in order[m:]]
+    return state, sm, rho, cfg, stab, units
+
+
+def assert_same_state(state, ref):
+    """Every field equal, arrays bit for bit (signed zeros included)."""
+    for f in fields(state):
+        got, want = getattr(state, f.name), getattr(ref, f.name)
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype and got.shape == want.shape, f.name
+            assert got.tobytes() == want.tobytes(), f.name
+        else:
+            assert got == want, f.name
+
+
+class TestStepPinnedToReference:
+    """The step's arithmetic is pinned bit for bit to the formulas it was first written in."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(step_cases(), st.integers(0, 2**32 - 1))
+    def test_primal_dual_step_matches_reference_bit_for_bit(self, case, seed):
+        state, sm, rho, cfg, stab, units = case
+        samples = np.random.default_rng(seed).normal(0.0, 0.02, (cfg.n_samples, sm.n))
+        tau_p = np.array([u.tau_p for u in units if u.online])
+        tau_q = np.array([u.tau_q for u in units if u.online])
+        out = primal_dual_step(state, sm, rho, samples, cfg, stab, tau_p, tau_q)
+        assert_same_state(out, primal_dual_reference(state, sm, rho, samples, cfg, stab, tau_p, tau_q))
+
+    @settings(max_examples=100, deadline=None)
+    @given(step_cases(), st.integers(0, 2**32 - 1))
+    def test_schedule_step_state_and_broadcast_match_reference(self, case, seed):
+        state, sm, rho, cfg, stab, units = case
+        out, broadcast = schedule_step(state, sm, rho, units, cfg, stab, sample_seed=seed)
+
+        samples = np.random.default_rng(seed).standard_normal((cfg.n_samples, sm.n)) * (cfg.noise_std * rho.v_meas)
+        online = [u for u in units if u.online]
+        tau_p = np.array([u.tau_p for u in online])
+        tau_q = np.array([u.tau_q for u in online])
+        ref = primal_dual_reference(state, sm, rho, samples, cfg, stab, tau_p, tau_q)
+        ref = replace(ref, prev_kappa_v=ref.kappa_v.copy(), prev_kappa_f=ref.kappa_f.copy())
+        assert_same_state(out, ref)
+        m = ref.m
+        assert broadcast == {
+            node: DroopGains(
+                k_pv=float(ref.kappa_v[j]),
+                k_pf=float(ref.kappa_f[j]),
+                k_qv=float(ref.kappa_v[m + j]),
+                k_qf=float(ref.kappa_f[m + j]),
+            )
+            for j, node in enumerate(ref.der_nodes)
+        }
+        assert list(broadcast) == ref.der_nodes
+        assert all(type(v) is float for g in broadcast.values() for v in vars(g).values())
 
 
 class TestFusedStep:

@@ -203,6 +203,34 @@ class TestProjectGains:
         with pytest.raises(ValueError, match=f"^{name} must be finite and positive$"):
             project_voltage_gains(params=self.params, **arrays)
 
+    @pytest.mark.parametrize("name", ["k_pv", "k_qv"])
+    @pytest.mark.parametrize("gain", [np.nan, np.inf, -np.inf])
+    def test_vector_projection_rejects_non_finite_gain(self, name, gain):
+        # a NaN pair came back unprojected, an infinite one overflowed in
+        # the projection; a pair that fails check_gains was returned either way
+        arrays = {"k_pv": np.full(3, -0.1), "k_qv": np.full(3, -0.1), "tau_p": np.full(3, 0.2), "tau_q": np.full(3, 0.2)}
+        arrays[name][1] = gain
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^k_pv and k_qv must be finite$"):
+                project_voltage_gains(params=self.params, **arrays)
+
+    @pytest.mark.parametrize("name", ["k_pv", "k_qv"])
+    @pytest.mark.parametrize("gain", [np.nan, np.inf, -np.inf])
+    def test_scalar_projection_rejects_non_finite_gain(self, name, gain):
+        gains = DroopGains()
+        setattr(gains, name, gain)  # past the constructor's own check
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^k_pv and k_qv must be finite$"):
+                project_gains(gains, 0.2, 0.2, self.params)
+
+    def test_zero_dimensional_pair_is_projected(self):
+        g, tau = self.params.gamma, 0.2
+        k_pv, k_qv = project_voltage_gains(np.float64(10 * g * tau), 10 * g * tau, tau, np.array(tau), self.params)
+        assert k_pv.shape == k_qv.shape == ()
+        assert check_gains(DroopGains(k_pv=float(k_pv), k_qv=float(k_qv)), tau, tau, self.params)
+
     def test_symmetric_large_pair_lands_at_half_gamma(self):
         # corrected-geometry analogue of the both-halfspaces case: along
         # a = b the boundary sits at a + b = gamma, i.e. a = b = gamma/2
