@@ -257,8 +257,10 @@ def solve_power_flow(
     flows and squared voltages from them, and the sweep stops once the
     currents settle and the flow, voltage-drop and current equations hold
     with max residual <= tol.  ``warm`` contributes only its branch
-    currents, which must have shape (n,); a cold start begins from zero
-    currents.  Branch arrays of the result follow ``model.branches``.
+    currents, which must have shape (n,); they are read once, on entry,
+    and the result keeps no reference to them, so a caller may refill
+    and reuse one warm record.  A cold start begins from zero currents.
+    Branch arrays of the result follow ``model.branches``.
     """
     if not 0.0 < tol < np.inf:
         raise ValueError("tol must be finite and positive")

@@ -47,6 +47,13 @@ __all__ = [
 
 _SQRT2 = np.sqrt(2.0)
 _EPS = np.finfo(float).eps
+# Bounds that keep the projection's intermediates finite: a scaled gain past
+# _HUGE takes the overflow-free clip test of _outside, and a boundary cubic
+# with |p| past _CUBIC_P or |q| past _CUBIC_Q is not solved, its pair taking
+# the region's apex (see _onto_boundary).
+_HUGE = 2.0**510
+_CUBIC_P = 2.0**340
+_CUBIC_Q = 2.0**510
 
 
 @dataclass(frozen=True)
@@ -144,8 +151,27 @@ def _nearest_root(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.copysign(x, -q)
 
 
+def _inward(w, s, g):
+    """``s`` stepped inside by a bound on the rounding of the quadratic at (w, s).
+
+    The bound includes the tau rescaling, and grows with |a|, |b| >> gamma:
+    |a| + |b| = sqrt2 max(|s|, |w|), |a - b| = sqrt2 |w|, dquad/ds = 4 sqrt2 g.
+    """
+    big = np.maximum(np.abs(s), np.abs(w))
+    err = 16.0 * _EPS * (2.0 * big * (2.0 * np.abs(w) + 2.0 * _SQRT2 * g) + 2.0 * w * w + 4.0 * g * g)
+    return s - err / (4.0 * _SQRT2 * g)
+
+
 def _onto_boundary(a: np.ndarray, b: np.ndarray, params: StabilityParams) -> tuple[np.ndarray, np.ndarray]:
-    """Projection of scaled pairs outside the certified region onto its boundary."""
+    """Projection of scaled pairs outside the certified region onto its boundary.
+
+    The boundary point is stepped inside by its rounding bound.  Where
+    that step leaves it farther from the pair than the region's apex is,
+    by more than a relative 1e-12 that keeps rounding-level ties (this
+    starts near 1e28 gamma), or where the boundary cubic's coefficients
+    are too large to solve without overflow, the pair goes to the apex,
+    stepped inside the same way.
+    """
     g = params.gamma
     # rotate to w = (a-b)/sqrt2, s = (a+b)/sqrt2: the region is s <= d - w^2 / (2 sqrt2 g)
     w0 = (a - b) / _SQRT2
@@ -153,15 +179,33 @@ def _onto_boundary(a: np.ndarray, b: np.ndarray, params: StabilityParams) -> tup
     d = (4.0 * g * g - params.quad_margin) / (4.0 * _SQRT2 * g)
     # stationarity of the squared distance to the boundary curve in x = w / g:
     # x^3 + 4 (1 + (s0 - d) / (sqrt2 g)) x - 4 w0 / g = 0
-    w = g * _nearest_root(4.0 * (1.0 + (s0 - d) / (_SQRT2 * g)), -4.0 * w0 / g)
-    s = d - w * w / (2.0 * _SQRT2 * g)
-    # step inside by a bound on the rounding of the quadratic at this point,
-    # its tau rescaling included; that rounding grows with |a|, |b| >> gamma.
-    # |a| + |b| = sqrt2 max(|s|, |w|), |a - b| = sqrt2 |w|, dquad/ds = 4 sqrt2 g
-    big = np.maximum(np.abs(s), np.abs(w))
-    err = 16.0 * _EPS * (2.0 * big * (2.0 * np.abs(w) + 2.0 * _SQRT2 * g) + 2.0 * w * w + 4.0 * g * g)
-    s = s - err / (4.0 * _SQRT2 * g)
+    p = 4.0 * (1.0 + (s0 - d) / (_SQRT2 * g))
+    q = -4.0 * w0 / g
+    solvable = (np.abs(p) <= _CUBIC_P) & (np.abs(q) <= _CUBIC_Q)
+    if not solvable.all():
+        # x^3 + x = 0 has the root x = 0, the apex
+        p, q = np.where(solvable, p, 1.0), np.where(solvable, q, 0.0)
+    w = g * _nearest_root(p, q)
+    s = _inward(w, d - w * w / (2.0 * _SQRT2 * g), g)
+    s_apex = _inward(0.0, d, g)
+    far = np.hypot(w - w0, s - s0) > np.hypot(w0, s_apex - s0) * (1.0 + 1e-12)
+    if far.any():
+        w, s = np.where(far, 0.0, w), np.where(far, s_apex, s)
     return (s + w) / _SQRT2, (s - w) / _SQRT2
+
+
+def _outside(a: np.ndarray, b: np.ndarray, params: StabilityParams) -> np.ndarray:
+    """``_quad(a, b, gamma) > -quad_margin`` without overflow, for pairs that may pass _HUGE.
+
+    Past _HUGE, (a - b)^2 may overflow but is not needed.  Pairs with
+    a != b differ by at least 2^-54 max(|a|, |b|), whose square exceeds
+    the 8 gamma max(|a|, |b|) that the linear term can offset, so they
+    lie outside; a pair with a == b lies inside iff a < 0.  check_gains,
+    whose quadratic overflows to inf or NaN there, rejects the same pairs.
+    """
+    huge = np.maximum(np.abs(a), np.abs(b)) > _HUGE
+    tame = _quad(np.where(huge, 0.0, a), np.where(huge, 0.0, b), params.gamma) > -params.quad_margin
+    return np.where(huge, (a != b) | (a > 0.0), tame)
 
 
 def _project_in_place(k: np.ndarray, tau: np.ndarray, params: StabilityParams) -> None:
@@ -174,11 +218,15 @@ def _project_in_place(k: np.ndarray, tau: np.ndarray, params: StabilityParams) -
     """
     if not ((0.0 < tau) & (tau < np.inf)).all():
         _check_taus(tau[0], tau[1])  # raises, naming tau_p or tau_q
-    if not np.isfinite(k).all():
-        raise ValueError("k_pv and k_qv must be finite")
     ab = k / tau
     a, b = ab[0, ...], ab[1, ...]
-    clip = _quad(a, b, params.gamma) > -params.quad_margin
+    # NaN fails the comparison too
+    if np.abs(ab).max(initial=0.0) <= _HUGE:
+        clip = _quad(a, b, params.gamma) > -params.quad_margin
+    elif not np.isfinite(k).all():
+        raise ValueError("k_pv and k_qv must be finite")
+    else:
+        clip = _outside(a, b, params)
     if clip.any():
         a, b = _onto_boundary(a[clip], b[clip], params)
         # [i, ...] keeps 0-d rows as views, so the writes reach k
@@ -198,7 +246,10 @@ def project_voltage_gains(
     Arrays of one shape, one entry per unit; the projection is taken in
     the scaled pairs (k_pv / tau_p, k_qv / tau_q), and its result passes
     check_gains.  A pair that already passes is returned bit-for-bit; a
-    clipped pair lands a rounding-sized step inside the boundary.
+    clipped pair lands a rounding-sized step inside the boundary, or at
+    the region's apex for pairs so large (from about 1e28 gamma) that
+    this step would take it farther out than the apex is.  The result
+    stays finite for scaled pairs up to about 1e300 in magnitude.
     Returns new arrays.  Raises ValueError unless the four arrays share
     one shape, every time constant is finite and positive and every gain
     is finite.

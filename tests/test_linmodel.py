@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from droopsched import linmodel
 from droopsched.linmodel import (
     SchedulingPoint,
     SensitivityModel,
@@ -16,6 +17,7 @@ from droopsched.linmodel import (
     build_sensitivity_model,
 )
 from droopsched.network import Branch, NetworkModel, solve_power_flow
+from droopsched.scenarios import ieee37_shaped_feeder, random_radial_feeder, six_bus_feeder
 
 from .oracles import central_difference
 from .test_network import chain, random_feeder
@@ -23,6 +25,23 @@ from .test_network import chain, random_feeder
 
 def flat_rho(n, k_agg=0.02, omega=1.0):
     return SchedulingPoint(v_meas=np.ones(n), r_t=k_agg, omega=omega, omega_star=1.0)
+
+
+def loaded_point(rng, n, pv_buses=0):
+    """Random loads, with 0.3 pu of PV injected at ``pv_buses`` random buses."""
+    p = -rng.uniform(0.01, 0.04, n)
+    p[rng.choice(n, pv_buses, replace=False)] += 0.3
+    return p, -rng.uniform(0.0, 0.02, n)
+
+
+def pcc_oracle(model, p, q):
+    """Central differences (step 1e-4) of the PCC import over cold solves at tol 1e-13."""
+    n = model.n
+
+    def pcc(z):
+        return solve_power_flow(model, z[:n], z[n:], tol=1e-13).p_pcc
+
+    return central_difference(pcc, np.concatenate([p, q]), 1e-4)
 
 
 def affine_voltage(sm, p, q):
@@ -116,6 +135,42 @@ class TestPccSensitivity:
 
         ref = central_difference(pcc, np.concatenate([p0, q0]), 1e-6)
         assert H == pytest.approx(ref, abs=1e-6)
+
+    def test_matches_tight_cold_oracle_on_loaded_feeders(self):
+        rng = np.random.default_rng(7)
+        model = ieee37_shaped_feeder()
+        cases = [(model, *loaded_point(rng, model.n, pv_buses=8)) for _ in range(3)]
+        six = six_bus_feeder()
+        cases += [
+            (six, np.array([-0.05, -0.08, -0.04, 0.3, 0.3, 0.3]), np.array([-0.02, -0.03, -0.01, 0.0, 0.0, 0.0])),
+            (six, np.full(6, -0.1), np.full(6, -0.05)),
+        ]
+        for model, p, q in cases:
+            H, _ = build_pcc_sensitivity(model, flat_rho(model.n), p, q)
+            assert np.max(np.abs(H - pcc_oracle(model, p, q))) <= 1e-5
+
+    def test_every_minus_step_flow_converges_within_two_sweeps(self, monkeypatch):
+        # the -step flows start from the mirror of their +step flow; started
+        # from the base currents, they took up to 8 sweeps on these feeders
+        iterations = []
+
+        def counted(*args, **kwargs):
+            sol = solve_power_flow(*args, **kwargs)
+            iterations.append(sol.iterations)
+            return sol
+
+        monkeypatch.setattr(linmodel, "solve_power_flow", counted)
+        rng = np.random.default_rng(61)
+        model = ieee37_shaped_feeder()
+        cases = [(model, *loaded_point(rng, model.n, pv_buses=8))]
+        for n in (1, 5, 30, 80, 117):
+            cases.append((random_radial_feeder(n, rng), -rng.uniform(0.0, 0.02, n), -rng.uniform(0.0, 0.01, n)))
+        for model, p, q in cases:
+            iterations.clear()
+            build_pcc_sensitivity(model, flat_rho(model.n), p, q)
+            # the base flow, then a +step and a -step flow per injection
+            assert len(iterations) == 4 * model.n + 1
+            assert max(iterations[2::2]) <= 2
 
     def test_p0_measures_offset_from_schedule(self):
         model = chain([0.02], [0.02])

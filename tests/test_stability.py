@@ -304,6 +304,31 @@ class TestProjectGains:
         assert not check_gains(gains, 1.0, 1.0, params)
         assert check_gains(project_gains(gains, 1.0, 1.0, params), 1.0, 1.0, params)
 
+    @pytest.mark.parametrize("gamma", [1e-4, 4.6, 100.0])
+    @pytest.mark.parametrize("tau_p, tau_q", [(0.2, 0.2), (0.05, 1.0)])
+    def test_extreme_finite_pairs_stay_finite_certified_and_near(self, gamma, tau_p, tau_q):
+        # the boundary cubic overflowed from about 1e100 gamma on, (-1e240, -2e240)
+        # came back as -inf, and past about 1e28 gamma the rounding step put the
+        # result farther out than the apex: (-1e200, -2e200) gave -9.6e285
+        params = StabilityParams(gamma=gamma)
+        angle = np.linspace(0.0, 2.0 * np.pi, 73)
+        pairs = [np.array([[-1e200], [-2e200]]), np.array([[-1e240], [-2e240]])]
+        pairs += [mag * np.array([np.cos(angle), np.sin(angle)]) for mag in 10.0 ** np.arange(0, 301, 10)]
+        for k in pairs:
+            tau = np.array([np.full(k.shape[1], tau_p), np.full(k.shape[1], tau_q)])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                out = np.array(project_voltage_gains(k[0], k[1], tau[0], tau[1], params))
+            assert np.isfinite(out).all()
+            for k_pv, k_qv in out.T:
+                assert check_gains(DroopGains(k_pv=k_pv, k_qv=k_qv), tau_p, tau_q, params)
+            # the projection is Euclidean in the scaled pairs, and the apex of
+            # the region that check_gains certifies is a = b = gamma / 2 less the margin
+            ab, ab_out = k / tau, out / tau
+            dist = np.hypot(*(ab_out - ab))
+            apex_dist = np.hypot(*((4 * gamma * gamma - params.quad_margin) / (8 * gamma) - ab))
+            assert np.all(dist <= apex_dist * (1.0 + 1e-9) + 1e-9 * gamma)
+
 
 SQRT2 = np.sqrt(2.0)
 
