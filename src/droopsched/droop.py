@@ -24,7 +24,16 @@ Capability kinds:
   slaved to a fixed power factor (q = p * tan(acos(pf_fixed)), so the
   sign of q follows the sign of p).
 
-Generation is positive, consumption negative.
+Both sets are projected without angles, through one segment primitive.
+A load's set is the segment from (p_min, t p_min) to (p_max, t p_max).
+A PV set is symmetric in q, so (p, |q|) is projected onto its upper half
+and the result takes the sign of q; the projection is the nearest of
+three candidates: the point on the cone edge, the radial point s z/|z|
+when it lies on the arc, and the point on the half chord at
+min(p_avail, s_max).
+
+Generation is positive, consumption negative.  The DER table reader,
+``load_der_units``, lives in ``scenarios``.
 """
 
 from __future__ import annotations
@@ -41,7 +50,6 @@ __all__ = [
     "project_capability",
     "step_der",
     "tso_requirement",
-    "load_der_units",
 ]
 
 PV = "pv-inverter"
@@ -167,41 +175,25 @@ def _pv_inside(cap: CapabilitySet, p: float, q: float, tol: float) -> bool:
 
 
 def _pv_project(cap: CapabilitySet, p: float, q: float) -> tuple[float, float]:
-    # only called for a point outside the set
+    # only called for a point outside the set, so (p, q) is not the origin;
+    # the set is symmetric in q: project (p, |q|) onto its upper half, whose
+    # boundary is the cone edge, the arc and the half chord at p_cap
     s = cap.s_max
     t = cap._tan
     p_cap = min(cap.p_avail, s)
-    if p_cap == 0.0:
-        return 0.0, 0.0
-
-    # boundary of the feasible region as cone segments, circle arcs and
-    # (when p_avail binds inside the disk) a vertical chord
-    candidates = []
     p_knee = min(p_cap, s * cap.pf_min)
-    for sign in (1.0, -1.0):
-        candidates.append(_seg_project(p, q, (0.0, 0.0), (p_knee, sign * t * p_knee)))
-    if p_cap > s * cap.pf_min:
-        # arc between the cone and either the chord at p_cap or the p-axis point
-        ang_hi = math.acos(cap.pf_min)
-        ang_lo = math.acos(p_cap / s)
-        ang = math.atan2(abs(q), max(p, 1e-300))
-        ang_cl = min(ang_hi, max(ang_lo, ang))
-        qq = s * math.sin(ang_cl)
-        candidates.append((s * math.cos(ang_cl), math.copysign(qq, q)))
+    q_abs = abs(q)
+    candidates = [_seg_project(p, q_abs, (0.0, 0.0), (p_knee, t * p_knee))]
+    # the radial point, if it lies on the arc; if not, the nearest arc point is
+    # an arc end, which the cone edge or the chord already holds
+    r = math.hypot(p, q_abs)
+    if s * cap.pf_min <= s * (p / r) <= p_cap:
+        candidates.append((s * (p / r), s * (q_abs / r)))
     if p_cap < s:
-        q_cap = min(t * p_cap, math.sqrt(max(s * s - p_cap * p_cap, 0.0)))
-        candidates.append(_seg_project(p, q, (p_cap, -q_cap), (p_cap, q_cap)))
-
-    best = min(candidates, key=lambda c: (c[0] - p) * (c[0] - p) + (c[1] - q) * (c[1] - q))
-    return best
-
-
-def _load_project(cap: CapabilitySet, p: float, q: float) -> tuple[float, float]:
-    t = cap._tan
-    # nearest point on the line q = t*p, then clamp the active power range
-    w = (p + t * q) / (1.0 + t * t)
-    w = min(cap.p_max, max(cap.p_min, w))
-    return w, t * w
+        q_cap = min(t * p_cap, math.sqrt(s * s - p_cap * p_cap))
+        candidates.append(_seg_project(p, q_abs, (p_cap, 0.0), (p_cap, q_cap)))
+    bp, bq = min(candidates, key=lambda c: (c[0] - p) * (c[0] - p) + (c[1] - q_abs) * (c[1] - q_abs))
+    return bp, math.copysign(bq, q)
 
 
 def project_capability(cap: CapabilitySet, p: float, q: float) -> tuple[float, float]:
@@ -223,7 +215,8 @@ def project_capability(cap: CapabilitySet, p: float, q: float) -> tuple[float, f
         if _pv_inside(cap, p, q, 1e-12):
             return p, q
         return _pv_project(cap, p, q)
-    return _load_project(cap, p, q)
+    t = cap._tan
+    return _seg_project(p, q, (cap.p_min, t * cap.p_min), (cap.p_max, t * cap.p_max))
 
 
 def step_der(unit: DerUnit, u_p: float, u_q: float, dt: float) -> DerUnit:
@@ -252,43 +245,3 @@ def step_der(unit: DerUnit, u_p: float, u_q: float, dt: float) -> DerUnit:
         unit.node, unit.cap, tau_p, tau_q, p, q, unit.p_star, unit.q_star, unit.gains, unit.online
     )
 
-
-def load_der_units(path) -> list[DerUnit]:
-    """Parse a DER placement table ``node,kind,s_rating_pu,tau_p_s,tau_q_s,pf_min``.
-
-    ``pv-inverter`` rows map s_rating to the apparent-power limit and
-    pf_min to the power-factor cone; ``flexible-load`` rows map
-    s_rating to the consumption range [-s_rating, 0] and pf_min to the
-    fixed power factor.
-    """
-    units = []
-    with open(path) as fh:
-        header = fh.readline()
-        if not header or header.strip().split(",")[0].lower() != "node":
-            raise ValueError(f"{path}: missing 'node,kind,...' header")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if len(parts) != 6:
-                raise ValueError(f"{path}:{lineno}: expected 6 fields, got {len(parts)}")
-            try:
-                node = int(parts[0])
-                kind = parts[1].strip()
-                s_rating = float(parts[2])
-                tau_p = float(parts[3])
-                tau_q = float(parts[4])
-                pf = float(parts[5])
-                if kind == PV:
-                    cap = CapabilitySet(kind=PV, s_max=s_rating, pf_min=pf, p_avail=0.0)
-                elif kind == LOAD:
-                    cap = CapabilitySet(kind=LOAD, p_min=-s_rating, p_max=0.0, pf_fixed=pf)
-                else:
-                    raise ValueError(f"unknown kind {kind!r}")
-                units.append(DerUnit(node=node, cap=cap, tau_p=tau_p, tau_q=tau_q))
-            except CapabilityError as exc:
-                raise CapabilityError(f"{path}:{lineno}: {exc}") from exc
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
-    return units

@@ -2,13 +2,13 @@
 
 A feeder is its branch table: n branches joining buses 0..n into a tree
 rooted at the substation (bus 0), which is modelled as an infinite bus
-at fixed voltage.  The nonlinear power flow is solved with the
-Backward-Forward Sweep: branch active/reactive flows are accumulated
-from the leaves toward the root using the loss terms of the previous
-iterate, squared voltage magnitudes are then propagated from the root
-toward the leaves, and branch currents are refreshed from the new flows
-and sending-end voltages.  All quantities are per-unit on a common power
-base.
+at fixed voltage; ``scenarios.load_network`` reads one from a CSV file.
+The nonlinear power flow is solved with the Backward-Forward Sweep:
+branch active/reactive flows are accumulated from the leaves toward the
+root using the loss terms of the previous iterate, squared voltage
+magnitudes are then propagated from the root toward the leaves, and
+branch currents are refreshed from the new flows and sending-end
+voltages.  All quantities are per-unit on a common power base.
 
 Both passes are O(n) array operations over one depth-first preorder of
 the branches, in which every subtree is a contiguous range: the
@@ -41,7 +41,6 @@ __all__ = [
     "NetworkDataError",
     "PowerFlowError",
     "solve_power_flow",
-    "load_network",
 ]
 
 
@@ -63,7 +62,7 @@ class Branch(NamedTuple):
     x: float
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class NetworkModel:
     """Radial feeder of n branches over buses 0..n (0 = substation), immutable.
 
@@ -334,29 +333,3 @@ def _residuals(plan, inj, S, zi, v_sq, v_from, drop2) -> float:
     res_drop = (v_from - v_sq) - (drop2 - zi[2])
     return float(max(np.abs(res_flow).max(), np.abs(res_drop).max()))
 
-
-def load_network(path) -> NetworkModel:
-    """Feeder from a branch table ``from,to,r_pu,x_pu``, one row per branch.
-
-    A header row is required; blank lines and ``#`` comments are skipped.
-    The n rows must join buses 0..n, 0 the substation, into a tree.
-    """
-    branches = []
-    with open(path) as fh:
-        header = fh.readline()
-        if not header or header.strip().split(",")[0].lower() not in ("from", "frm"):
-            raise NetworkDataError(f"{path}: missing 'from,to,r_pu,x_pu' header")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise NetworkDataError(f"{path}:{lineno}: expected 4 fields, got {len(parts)}")
-            try:
-                frm, to = int(parts[0]), int(parts[1])
-                r, x = float(parts[2]), float(parts[3])
-            except ValueError as exc:
-                raise NetworkDataError(f"{path}:{lineno}: {exc}") from exc
-            branches.append(Branch(frm, to, r, x))
-    return NetworkModel(branches)

@@ -1,22 +1,31 @@
-"""Bundled desk-scale feeders and synthetic profile generators.
+"""Every input of the package: table readers, bundled feeders and synthetic profiles.
 
-The package ships a small 6-bus radial feeder with three PV units at the
-feeder extremities, a parameterized random-feeder generator for property
-sweeps, and synthetic clear-sky irradiance / load / frequency profiles
-at 1-second resolution.  These stand in for proprietary measurement
-datasets while keeping the same resolution and shape.  The generators
-raise ValueError for a negative or non-finite duration, a width or period
-that is not positive, or any other argument that is not finite.
+Feeders and DER placements are read from CSV tables by ``load_network``
+and ``load_der_units``.  Both tables share one format: a header row,
+then one comma-separated row per record with a fixed field count; blank
+lines and ``#`` comments are skipped, and an error in a row names it as
+``path:line:``.
+
+The package also ships a small 6-bus radial feeder with three PV units
+at the feeder extremities, a parameterized random-feeder generator for
+property sweeps, and synthetic clear-sky irradiance / load / frequency
+profiles at 1-second resolution.  These stand in for proprietary
+measurement datasets while keeping the same resolution and shape.  The
+generators raise ValueError for a negative or non-finite duration, a
+width or period that is not positive, or any other argument that is not
+finite.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .droop import PV, CapabilitySet, DerUnit
-from .network import Branch, NetworkModel
+from .droop import LOAD, PV, CapabilitySet, DerUnit
+from .network import Branch, NetworkDataError, NetworkModel
 
 __all__ = [
+    "load_network",
+    "load_der_units",
     "six_bus_feeder",
     "six_bus_pv_units",
     "random_radial_feeder",
@@ -25,6 +34,75 @@ __all__ = [
     "daily_load_shape",
     "square_wave_frequency",
 ]
+
+
+def _read_table(path, first: tuple[str, ...], header: str, n_fields: int, parse, error=ValueError) -> list:
+    """``parse(fields)`` of every row of the CSV table at ``path``, in order.
+
+    The first line is the header: its first field, in any case, must be
+    one of ``first``, or ``error`` is raised saying the ``header`` is
+    missing.  Blank lines and ``#`` comments are skipped; every other
+    row must have ``n_fields`` comma-separated fields.  A row with
+    another count, or a ValueError from ``parse``, raises with a
+    ``path:line:`` prefix, as ``error`` unless it already is one (a
+    subclass keeps its type).
+    """
+    records = []
+    with open(path) as fh:
+        line = fh.readline()
+        if not line or line.strip().split(",")[0].lower() not in first:
+            raise error(f"{path}: missing '{header}' header")
+        for lineno, line in enumerate(fh, start=2):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            fields = line.split(",")
+            if len(fields) != n_fields:
+                raise error(f"{path}:{lineno}: expected {n_fields} fields, got {len(fields)}")
+            try:
+                records.append(parse(fields))
+            except ValueError as exc:
+                raise (type(exc) if isinstance(exc, error) else error)(f"{path}:{lineno}: {exc}") from exc
+    return records
+
+
+def load_network(path) -> NetworkModel:
+    """Feeder from a branch table ``from,to,r_pu,x_pu``, one row per branch.
+
+    A header row is required; blank lines and ``#`` comments are skipped.
+    The n rows must join buses 0..n, 0 the substation, into a tree.
+    Raises NetworkDataError.
+    """
+    return NetworkModel(_read_table(path, ("from", "frm"), "from,to,r_pu,x_pu", 4, _branch, NetworkDataError))
+
+
+def _branch(fields: list[str]) -> Branch:
+    frm, to, r, x = fields
+    return Branch(int(frm), int(to), float(r), float(x))
+
+
+def _der_unit(fields: list[str]) -> DerUnit:
+    node, kind = int(fields[0]), fields[1].strip()
+    s_rating, tau_p, tau_q, pf = map(float, fields[2:])
+    if kind == PV:
+        cap = CapabilitySet(kind=PV, s_max=s_rating, pf_min=pf, p_avail=0.0)
+    elif kind == LOAD:
+        cap = CapabilitySet(kind=LOAD, p_min=-s_rating, p_max=0.0, pf_fixed=pf)
+    else:
+        raise ValueError(f"unknown kind {kind!r}")
+    return DerUnit(node=node, cap=cap, tau_p=tau_p, tau_q=tau_q)
+
+
+def load_der_units(path) -> list[DerUnit]:
+    """Parse a DER placement table ``node,kind,s_rating_pu,tau_p_s,tau_q_s,pf_min``.
+
+    ``pv-inverter`` rows map s_rating to the apparent-power limit and
+    pf_min to the power-factor cone; ``flexible-load`` rows map
+    s_rating to the consumption range [-s_rating, 0] and pf_min to the
+    fixed power factor.  Raises ValueError, or CapabilityError for an
+    inconsistent capability set.
+    """
+    return _read_table(path, ("node",), "node,kind,...", 6, _der_unit)
 
 
 def six_bus_feeder() -> NetworkModel:

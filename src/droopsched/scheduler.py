@@ -305,13 +305,14 @@ def primal_dual_step(
     frequency gains clamped to the configured box.  The hinge arguments
     depend on neither multiplier, so the dual and the primal half share
     one evaluation of them and of the gathered model.  Raises ValueError
-    for a stale model, for a state whose mu and cvar are not sized for
-    this feeder (2n entries), unless tau_p and tau_q have shape (m,),
-    one entry per online unit, finite and positive, or when the updated
-    voltage gains are not finite (a diverged iteration).
+    for a stale model (``sm.rho`` is not ``rho``), for a state whose mu
+    and cvar are not sized for this feeder (2n entries), unless tau_p
+    and tau_q have shape (m,), one entry per online unit, finite and
+    positive, or when the updated voltage gains are not finite (a
+    diverged iteration).
     """
-    if sm.rho.timestamp != rho.timestamp:
-        raise ValueError("stale sensitivity model: timestamp mismatch")
+    if sm.rho is not rho:
+        raise ValueError("stale sensitivity model: built at another scheduling point")
     rows = 2 * sm.n
     if state.mu.shape != (rows,) or state.cvar.shape != (rows,):
         raise ValueError(f"mu and cvar must have shape ({rows},): the state was built for another feeder")

@@ -214,21 +214,28 @@ def _project_in_place(k: np.ndarray, tau: np.ndarray, params: StabilityParams) -
     ``k`` and ``tau`` = (tau_p, tau_q) are float arrays of one shape
     (2, ...), and the caller owns ``k``.  All time constants are checked
     in one pass, then all gains: a NaN pair would pass the region test
-    unprojected, an infinite one would overflow in the projection.
+    unprojected, an infinite one would overflow in the projection, and so
+    would a finite one whose scaled pair overflows.
     """
-    if not ((0.0 < tau) & (tau < np.inf)).all():
+    # the reductions propagate NaN, which fails the comparisons
+    tau_min = float(tau.min(initial=np.inf))
+    if not (0.0 < tau_min and tau.max(initial=0.0) < np.inf):
         _check_taus(tau[0], tau[1])  # raises, naming tau_p or tau_q
-    ab = k / tau
-    a, b = ab[0, ...], ab[1, ...]
-    # NaN fails the comparison too
-    if np.abs(ab).max(initial=0.0) <= _HUGE:
-        clip = _quad(a, b, params.gamma) > -params.quad_margin
+    # |k| <= _HUGE tau_min bounds every |k / tau| by _HUGE, so the division
+    # cannot overflow; the product is exact or, for huge tau, inf
+    if np.abs(k).max(initial=0.0) <= _HUGE * tau_min:
+        ab = k / tau
+        clip = _quad(ab[0, ...], ab[1, ...], params.gamma) > -params.quad_margin
     elif not np.isfinite(k).all():
         raise ValueError("k_pv and k_qv must be finite")
     else:
-        clip = _outside(a, b, params)
+        with np.errstate(over="ignore"):
+            ab = k / tau
+        if not np.isfinite(ab).all():
+            raise ValueError("k_pv / tau_p and k_qv / tau_q must be finite: the scaled gains overflow")
+        clip = _outside(ab[0, ...], ab[1, ...], params)
     if clip.any():
-        a, b = _onto_boundary(a[clip], b[clip], params)
+        a, b = _onto_boundary(ab[0, ...][clip], ab[1, ...][clip], params)
         # [i, ...] keeps 0-d rows as views, so the writes reach k
         k[0, ...][clip] = a * tau[0, ...][clip]
         k[1, ...][clip] = b * tau[1, ...][clip]
@@ -251,8 +258,8 @@ def project_voltage_gains(
     this step would take it farther out than the apex is.  The result
     stays finite for scaled pairs up to about 1e300 in magnitude.
     Returns new arrays.  Raises ValueError unless the four arrays share
-    one shape, every time constant is finite and positive and every gain
-    is finite.
+    one shape, every time constant is finite and positive, every gain
+    is finite and every scaled pair k / tau is finite.
     """
     if not np.shape(k_pv) == np.shape(k_qv) == np.shape(tau_p) == np.shape(tau_q):
         raise ValueError("k_pv, k_qv, tau_p and tau_q must share one shape")

@@ -20,12 +20,12 @@ from droopsched.droop import (
     DroopGains,
     _pv_inside,
     droop_input,
-    load_der_units,
     project_capability,
     step_der,
     tso_requirement,
 )
 from droopsched.linmodel import SchedulingPoint, SensitivityModel
+from droopsched.scenarios import load_der_units
 from droopsched.scheduler import SchedulerConfig
 from droopsched.stability import StabilityParams
 
@@ -279,6 +279,17 @@ class TestProjectCapabilityProperties:
         pa = np.array(project_capability(cap, *a))
         pb = np.array(project_capability(cap, *b))
         assert np.hypot(*(pa - pb)) <= np.hypot(*(np.array(a) - np.array(b))) + 1e-12
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), z=points)
+def test_pv_projection_is_mirror_symmetric_in_q(data, z):
+    """A PV set is symmetric in q, and so is its projection, bit for bit (signed zeros too)."""
+    cap = data.draw(capability_sets(PV))
+    p, q = z
+    mirrored = project_capability(cap, p, -q)
+    p_out, q_out = project_capability(cap, p, q)
+    assert [x.hex() for x in mirrored] == [p_out.hex(), (-q_out).hex()]
 
 
 def pv_inequality(cap, p, q, tol):

@@ -1,11 +1,12 @@
 """Packaging metadata and hygiene: exported names and declared entry points
 resolve, every public definition is exported, every module parses as the
-oldest Python the package declares, and the package holds no unused
-import or unread private name."""
+oldest Python the package declares, the package imports only what it
+declares, and it holds no unused import or unread private name."""
 
 import ast
 import importlib
 import pkgutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -21,13 +22,14 @@ MODULES = sorted(m.name for m in pkgutil.iter_modules(droopsched.__path__))
 # public name edits this table.
 EXPORTS = {
     "droop": ["DroopGains", "CapabilitySet", "DerUnit", "CapabilityError", "droop_input",
-              "project_capability", "step_der", "tso_requirement", "load_der_units"],
+              "project_capability", "step_der", "tso_requirement"],
     "linmodel": ["SchedulingPoint", "SensitivityModel", "build_rx", "build_pcc_sensitivity",
                  "build_sensitivity_model"],
     "network": ["Branch", "NetworkModel", "PowerFlowSolution", "NetworkDataError", "PowerFlowError",
-                "solve_power_flow", "load_network"],
-    "scenarios": ["six_bus_feeder", "six_bus_pv_units", "random_radial_feeder", "ieee37_shaped_feeder",
-                  "clear_sky_availability", "daily_load_shape", "square_wave_frequency"],
+                "solve_power_flow"],
+    "scenarios": ["load_network", "load_der_units", "six_bus_feeder", "six_bus_pv_units",
+                  "random_radial_feeder", "ieee37_shaped_feeder", "clear_sky_availability",
+                  "daily_load_shape", "square_wave_frequency"],
     "scheduler": ["SchedulerConfig", "SchedulerState", "draw_samples", "freq_error", "band_residual",
                   "primal_dual_step", "schedule_step"],
     "stability": ["StabilityParams", "compute_gamma", "check_gains", "project_gains",
@@ -75,6 +77,22 @@ def test_console_scripts_resolve_to_callables():
         module_name, _, attr = target.partition(":")
         module = importlib.import_module(module_name)
         assert callable(getattr(module, attr, None)), f"{script} = {target!r} is not a callable"
+
+
+def test_imports_are_stdlib_numpy_or_the_package():
+    """The package needs only what pyproject.toml declares: ``numpy``, and the standard library."""
+    allowed = set(sys.stdlib_module_names) | {"numpy", "droopsched"}
+    problems = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                roots = [alias.name.partition(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                roots = [node.module.partition(".")[0]]
+            else:
+                continue  # a relative import stays inside the package
+            problems += [f"{path.name}:{node.lineno}: {root}" for root in roots if root not in allowed]
+    assert not problems, "imports outside the declared dependencies:\n" + "\n".join(problems)
 
 
 def _reads(tree):

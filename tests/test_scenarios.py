@@ -1,11 +1,36 @@
-"""Profile generator tests: bad arguments are rejected by name."""
+"""Input tests: written tables read back equal, profile generators reject bad arguments by name."""
 
 import re
 
 import numpy as np
 import pytest
 
-from droopsched.scenarios import clear_sky_availability, daily_load_shape, square_wave_frequency
+from droopsched.scenarios import (
+    clear_sky_availability,
+    daily_load_shape,
+    load_der_units,
+    load_network,
+    six_bus_feeder,
+    six_bus_pv_units,
+    square_wave_frequency,
+)
+
+
+def test_bundled_feeder_round_trips_through_its_table(tmp_path):
+    model = six_bus_feeder()
+    path = tmp_path / "net.csv"
+    rows = "".join(f"{b.frm},{b.to},{b.r!r},{b.x!r}\n" for b in model.branches)
+    path.write_text(f"from,to,r_pu,x_pu\n# the bundled 6-bus feeder\n\n{rows}")
+    assert load_network(path) == model
+
+
+def test_bundled_pv_units_round_trip_through_their_table(tmp_path):
+    units = six_bus_pv_units()
+    path = tmp_path / "ders.csv"
+    rows = "".join(f"{u.node},{u.cap.kind},{u.cap.s_max!r},{u.tau_p!r},{u.tau_q!r},{u.cap.pf_min!r}\n" for u in units)
+    path.write_text(f"node,kind,s_rating_pu,tau_p_s,tau_q_s,pf_min\n{rows}")
+    assert load_der_units(path) == units
+
 
 GENERATORS = {
     "clear_sky": (clear_sky_availability, dict(duration_s=10.0, peak=1.0, t_mid=5.0, half_width=4.0)),

@@ -436,6 +436,14 @@ class TestPrimalDualStep:
         with pytest.raises(ValueError, match="stale"):
             primal_dual_step(state, sm, rho2, samples, cfg, stab, np.full(3, 0.2), np.full(3, 0.2))
 
+    def test_model_of_an_equal_point_is_stale(self):
+        # a field-wise twin of rho, timestamp included, is another measurement
+        _, sm, rho, cfg, stab, state, samples, _ = desk_instance()
+        twin = replace(rho)
+        assert twin.timestamp == rho.timestamp and np.array_equal(twin.v_meas, rho.v_meas)
+        with pytest.raises(ValueError, match="^stale sensitivity model: built at another scheduling point$"):
+            primal_dual_step(state, sm, twin, samples, cfg, stab, np.full(3, 0.2), np.full(3, 0.2))
+
     @pytest.mark.parametrize("name", ["tau_p", "tau_q"])
     @pytest.mark.parametrize("bad", [np.full(1, 0.2), np.full(4, 0.2), np.full((3, 1), 0.2)], ids=["1", "4", "3x1"])
     def test_rejects_taus_not_one_per_online_unit(self, name, bad):

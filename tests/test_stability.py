@@ -215,6 +215,23 @@ class TestProjectGains:
             with pytest.raises(ValueError, match="^k_pv and k_qv must be finite$"):
                 project_voltage_gains(params=self.params, **arrays)
 
+    @pytest.mark.parametrize(
+        "k_pv, k_qv, tau",
+        [(1e300, 0.0, 1e-10), (0.0, -1e300, 1e-10), (-1e308, 1e308, 0.5), (1e307, 1e307, 1e-3)],
+    )
+    def test_projection_rejects_scaled_pair_that_overflows(self, k_pv, k_qv, tau):
+        # finite gains whose k / tau overflowed warned "overflow encountered in divide"
+        arrays = {"k_pv": np.full(3, -0.1), "k_qv": np.full(3, -0.1), "tau_p": np.full(3, 0.2), "tau_q": np.full(3, 0.2)}
+        arrays["k_pv"][1], arrays["k_qv"][1] = k_pv, k_qv
+        arrays["tau_p"][1] = arrays["tau_q"][1] = tau
+        message = "^k_pv / tau_p and k_qv / tau_q must be finite: the scaled gains overflow$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                project_voltage_gains(params=self.params, **arrays)
+            with pytest.raises(ValueError, match=message):
+                project_gains(DroopGains(k_pv=k_pv, k_qv=k_qv), tau, tau, self.params)
+
     @pytest.mark.parametrize("name", ["k_pv", "k_qv"])
     @pytest.mark.parametrize("gain", [np.nan, np.inf, -np.inf])
     def test_scalar_projection_rejects_non_finite_gain(self, name, gain):
