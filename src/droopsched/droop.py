@@ -192,7 +192,9 @@ def _pv_project(cap: CapabilitySet, p: float, q: float) -> tuple[float, float]:
     if p_cap < s:
         q_cap = min(t * p_cap, math.sqrt(s * s - p_cap * p_cap))
         candidates.append(_seg_project(p, q_abs, (p_cap, 0.0), (p_cap, q_cap)))
-    bp, bq = min(candidates, key=lambda c: (c[0] - p) * (c[0] - p) + (c[1] - q_abs) * (c[1] - q_abs))
+    # |c - z|^2 less the common |z|^2, halved: far from the set, the full squared
+    # distances round to one tie, and 2 z could overflow
+    bp, bq = min(candidates, key=lambda c: c[0] * (0.5 * c[0] - p) + c[1] * (0.5 * c[1] - q_abs))
     return bp, math.copysign(bq, q)
 
 

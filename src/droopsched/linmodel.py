@@ -18,13 +18,18 @@ The PCC projection H and the flow constant P0 linearise the active power
 drawn at the substation, H by central finite differences of the
 nonlinear solver and P0 as the offset of the base exchange from the
 reference (scheduled) exchange.  H costs 4n + 1 power flows: one at the
-base point, then a +step and a -step flow per injection.  Each +step
-flow starts from the base currents.  Each -step flow starts from the
-mirror image 2 i_base - i_plus of the +step flow just solved, which
-matches the -step solution to second order in the step, so it converges
-in about one sweep.  H stays a central difference, not an exact
-adjoint, while the benchmark pins those 4n + 1 nested flows (ROADMAP
-items 1 and 5).
+base point, then a +step and a -step flow per injection.  The
+injections are stepped one row at a time (p, then q), bus by bus in the
+sweep plan's preorder.  Each +step flow starts from the +step solution
+before it in its row (the base, for the first), corrected by a
+path-only prediction: a +step moves the flow by the step on exactly the
+branches of its bus's root path, and in preorder consecutive root paths
+differ only in the new bus's branch and the subtrees that just closed.
+Each -step flow starts from the mirror image 2 i_base - i_plus of the
++step flow just solved, which matches the -step solution to second
+order in the step, so it converges in about one sweep.  H stays a
+central difference, not an exact adjoint, while the benchmark pins
+those 4n + 1 nested flows (ROADMAP items 1 and 5).
 """
 
 from __future__ import annotations
@@ -175,31 +180,62 @@ def build_pcc_sensitivity(
     ``rho`` is not read; it stays while callers pass it by position.
 
     Every flow solves to ``_FD_TOL``: first the base point, then per
-    injection a +step flow warm-started from the base and a -step flow
-    warm-started from the mirror ``2 i_base - i_plus`` of that +step
-    flow's branch currents.  One mirror record serves every -step flow:
-    its currents are refilled before each, which is safe because
-    solve_power_flow reads ``warm`` once and keeps nothing of it.
+    injection a +step and a -step flow, the p row before the q row and
+    each row in the sweep plan's preorder.  A +step flow is warm-started
+    from the +step solution before it in its row (the base, for the
+    first), whose squared currents are moved onto the new root path: on
+    each branch that joins the path, by the increment
+    ``((P - step)^2 + Q^2) / v_from - i_base`` of the base flows P, Q and
+    sending-end voltage (``Q - step`` in the q row), and on each branch
+    that leaves it, back by its own increment.  A -step flow is
+    warm-started from the mirror ``2 i_base - i_plus`` of the +step
+    flow's branch currents.  One guess record and one mirror record
+    serve every flow: their currents are refilled before each, which is
+    safe because solve_power_flow reads ``warm`` once and keeps nothing
+    of it.
     """
     n = model.n
+    plan = model.plan()
     p_base = np.asarray(p_base, dtype=float)
     q_base = np.asarray(q_base, dtype=float)
     base = solve_power_flow(model, p_base, q_base, tol=_FD_TOL)
     twice_base = 2.0 * base.i_sq
+    guess = replace(base, i_sq=np.empty(n))
     mirror = replace(base, i_sq=np.empty(n))
+    # path increments of a +step in p and in q, per branch in model order
+    v_from = base.v[[b.frm for b in model.branches]] ** 2
+    P, Q = base.p_flow, base.q_flow
+    p_inc = ((P - _FD_STEP) ** 2 + Q * Q) / v_from - base.i_sq
+    q_inc = (P * P + (Q - _FD_STEP) ** 2) / v_from - base.i_sq
+    # walking the preorder, position k joins the root path, and every branch
+    # whose subtree ends just before k (end == k) leaves it
+    branch = plan.order.tolist()
+    leaving = [[] for _ in range(n + 1)]
+    for j, e in enumerate(plan.end.tolist()):
+        leaving[e].append(branch[j])
 
-    def central(p_plus, q_plus, p_minus, q_minus):
-        plus = solve_power_flow(model, p_plus, q_plus, tol=_FD_TOL, warm=base)
+    def stepped(row, bus, step):
+        inj = [p_base, q_base]
+        inj[row] = inj[row].copy()
+        inj[row][bus] += step
+        return inj
+
+    def central(row, bus):
+        plus = solve_power_flow(model, *stepped(row, bus, _FD_STEP), tol=_FD_TOL, warm=guess)
         np.subtract(twice_base, plus.i_sq, mirror.i_sq)
-        minus = solve_power_flow(model, p_minus, q_minus, tol=_FD_TOL, warm=mirror)
+        np.copyto(guess.i_sq, plus.i_sq)  # where the row's next +step flow starts
+        minus = solve_power_flow(model, *stepped(row, bus, -_FD_STEP), tol=_FD_TOL, warm=mirror)
         return (plus.p_pcc - minus.p_pcc) / (2 * _FD_STEP)
 
     H = np.zeros(2 * n)
-    for k in range(n):
-        dp = np.zeros(n)
-        dp[k] = _FD_STEP
-        H[k] = central(p_base + dp, q_base, p_base - dp, q_base)
-        H[n + k] = central(p_base, q_base + dp, p_base, q_base - dp)
+    for row, inc in enumerate((p_inc, q_inc)):
+        g = guess.i_sq
+        np.copyto(g, base.i_sq)
+        for k, bus in enumerate(plan.bus.tolist()):
+            if leaving[k]:
+                g[leaving[k]] -= inc[leaving[k]]
+            g[branch[k]] += inc[branch[k]]
+            H[row * n + bus] = central(row, bus)
     P0 = base.p_pcc - (p_sched if p_sched is not None else base.p_pcc)
     return H, float(P0)
 

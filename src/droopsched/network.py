@@ -18,7 +18,13 @@ drop is cancelled once its range closes.  On feeders of a few dozen
 buses a sweep costs numpy calls, not arithmetic, so the sweep plan
 precomputes every operand an iteration would otherwise rebuild (one
 product of its impedance rows with the currents gives every loss term),
-and the residual check reuses the iteration's terms.  A ``NetworkModel``
+and the residual check reuses the iteration's terms.  Its reductions are
+direct ufunc or arg-reductions (``a[a.argmax()]``), never the
+``ndarray.max``/``.sum``/``.all`` methods: at this size each method call
+costs 1-2 us of Python wrapper, several times the reduction itself.
+A sweep that diverges is stopped before its squared flows can overflow:
+an injection or a change in squared current past ``_DIVERGED`` raises
+PowerFlowError.  A ``NetworkModel``
 is validated, oriented and planned once, when constructed, and is
 immutable, so no plan goes stale; ``dataclasses.replace`` changes one.
 
@@ -45,6 +51,11 @@ __all__ = [
 
 
 _MAX_ITER = 100  # sweep iterations before solve_power_flow gives up
+# Per unit, far beyond any flow a sweep converges on: an injection or a change
+# in squared current past it means the sweep diverges.  Below it, with
+# impedances and squared voltages of order one, squaring a flow cannot
+# overflow within _MAX_ITER sweeps.
+_DIVERGED = 1e100
 
 
 class NetworkDataError(ValueError):
@@ -260,6 +271,11 @@ def solve_power_flow(
     and the result keeps no reference to them, so a caller may refill
     and reuse one warm record.  A cold start begins from zero currents.
     Branch arrays of the result follow ``model.branches``.
+
+    Raises ValueError for a bad tol, shape or non-finite injection, and
+    PowerFlowError for a negative squared voltage, a diverging sweep (an
+    injection or a change in squared currents past ``_DIVERGED``) or no
+    convergence within ``_MAX_ITER`` sweeps.
     """
     if not 0.0 < tol < np.inf:
         raise ValueError("tol must be finite and positive")
@@ -270,8 +286,12 @@ def solve_power_flow(
     if p.shape != (n,) or q.shape != (n,):
         raise ValueError(f"injections must have shape ({n},)")
     inj = np.array((p, q))
-    if not np.isfinite(inj).all():
-        raise ValueError("injections must be finite")
+    mag = np.abs(inj).ravel()
+    mag = mag[mag.argmax()]  # NaN if any entry is NaN
+    if not mag <= _DIVERGED:
+        if not np.isfinite(mag):
+            raise ValueError("injections must be finite")
+        raise PowerFlowError(f"injection of magnitude {mag:.3g} p.u. diverges the sweep")
     if warm is not None and warm.i_sq.shape != (n,):
         raise ValueError(f"warm.i_sq must have shape ({n},): the warm solution is of another feeder")
 
@@ -285,26 +305,35 @@ def solve_power_flow(
     v_sq = v_ext[1:]
     i_sq = np.zeros(n) if warm is None else warm.i_sq.take(plan.order)
     zi = rxz * i_sq  # loss terms r i, x i and |z|^2 i of the current iterate, kept in place
+    zi_rx, zi_z = zi[:2], zi[2]
+    t = np.empty((2, n))  # scratch: 2 rx S, then S^2
+    t0, t1 = t
+    low = np.empty(n, dtype=bool)  # where v_sq <= 0, refilled every iteration
 
     for iterations in range(1, _MAX_ITER + 1):
         # backward: subtree sums of injections and previous-iterate losses
-        y = zi[:2] - inj
+        y = zi_rx - inj
         s = y.cumsum(axis=1)
         S = s.take(last, axis=1) - s + y
         # forward: squared-voltage drops summed along each root path
-        t = rx2 * S  # (2, n) scratch: 2 rx S here, S^2 below
-        drop2 = t[0] + t[1]  # 2 (r P + x Q)
-        drop = drop2 - zi[2]
+        np.multiply(rx2, S, t)
+        drop2 = t0 + t1  # 2 (r P + x Q)
+        drop = drop2 - zi_z
         np.subtract(v_sub_sq, (drop - np.bincount(end, drop, minlength=n + 1)[:n]).cumsum(), v_sq)
-        # fmin skips NaN, so this is (v_sq <= 0).any() in one reduction
-        if np.fmin.reduce(v_sq) <= 0.0:
+        # (v_sq <= 0).any(), NaN entries not counted
+        np.less_equal(v_sq, 0.0, low)
+        if low[low.argmax()]:
             raise PowerFlowError(
                 "negative squared voltage encountered: operating point infeasible"
             )
         v_from = v_ext.take(par)
         np.multiply(S, S, t)
-        i_sq_new = (t[0] + t[1]) / v_from
-        di = np.abs(i_sq_new - i_sq).max()
+        i_sq_new = (t0 + t1) / v_from
+        d = i_sq_new - i_sq
+        np.abs(d, d)
+        di = d[d.argmax()]  # NaN if any entry is NaN
+        if not di <= _DIVERGED:
+            raise PowerFlowError(f"sweep diverged: squared currents changed by {di:.3g} p.u.")
         i_sq = i_sq_new
         np.multiply(rxz, i_sq, zi)
         # the residuals at this iterate depend only on the change in currents
@@ -318,7 +347,7 @@ def solve_power_flow(
     v = np.empty(n + 1)
     v[0] = model.v_sub
     np.sqrt(v_sq.take(plan.pos), v[1:])
-    p_pcc = float(S[0].take(plan.root).sum())
+    p_pcc = float(np.add.reduce(S[0].take(plan.root)))
     P, Q = S[0].take(plan.inv), S[1].take(plan.inv)
     return PowerFlowSolution(v, P, Q, i_sq.take(plan.inv), p_pcc, True, iterations, residual)
 
@@ -329,7 +358,9 @@ def _residuals(plan, inj, S, zi, v_sq, v_from, drop2) -> float:
     # exactly: the current iterate is computed from S and v_from.
     nb = len(v_sq)
     child = np.bincount(plan.par2, S.ravel(), minlength=2 * nb + 2).reshape(2, nb + 1)[:, 1:]
-    res_flow = S - (child - inj + zi[:2])
-    res_drop = (v_from - v_sq) - (drop2 - zi[2])
-    return float(max(np.abs(res_flow).max(), np.abs(res_drop).max()))
+    res = np.empty((3, nb))  # flow rows, then the voltage-drop row
+    np.subtract(S, child - inj + zi[:2], res[:2])
+    np.subtract(v_from - v_sq, drop2 - zi[2], res[2])
+    res = np.abs(res, res).ravel()
+    return float(res[res.argmax()])  # NaN if any entry is NaN
 

@@ -223,7 +223,8 @@ def _project_in_place(k: np.ndarray, tau: np.ndarray, params: StabilityParams) -
         _check_taus(tau[0], tau[1])  # raises, naming tau_p or tau_q
     # |k| <= _HUGE tau_min bounds every |k / tau| by _HUGE, so the division
     # cannot overflow; the product is exact or, for huge tau, inf
-    if np.abs(k).max(initial=0.0) <= _HUGE * tau_min:
+    tame = np.abs(k).max(initial=0.0) <= _HUGE * tau_min
+    if tame:
         ab = k / tau
         clip = _quad(ab[0, ...], ab[1, ...], params.gamma) > -params.quad_margin
     elif not np.isfinite(k).all():
@@ -235,7 +236,14 @@ def _project_in_place(k: np.ndarray, tau: np.ndarray, params: StabilityParams) -
             raise ValueError("k_pv / tau_p and k_qv / tau_q must be finite: the scaled gains overflow")
         clip = _outside(ab[0, ...], ab[1, ...], params)
     if clip.any():
-        a, b = _onto_boundary(ab[0, ...][clip], ab[1, ...][clip], params)
+        pairs = ab[0, ...][clip], ab[1, ...][clip]
+        if tame:
+            a, b = _onto_boundary(*pairs, params)
+        else:
+            # a pair past _HUGE may overflow in the rotation or in the boundary
+            # cubic's coefficients, which then send it to the apex
+            with np.errstate(over="ignore"):
+                a, b = _onto_boundary(*pairs, params)
         # [i, ...] keeps 0-d rows as views, so the writes reach k
         k[0, ...][clip] = a * tau[0, ...][clip]
         k[1, ...][clip] = b * tau[1, ...][clip]

@@ -29,6 +29,8 @@ from droopsched.scenarios import load_der_units
 from droopsched.scheduler import SchedulerConfig
 from droopsched.stability import StabilityParams
 
+from .oracles import grid_project
+
 
 def pv_cap(s_max=1.0, pf_min=0.8, p_avail=1.0):
     return CapabilitySet(kind=PV, s_max=s_max, pf_min=pf_min, p_avail=p_avail)
@@ -129,6 +131,28 @@ class TestProjectCapability:
             got = np.array(project_capability(cap, z[0], z[1]))
             ref = grid_project_pv(cap, z)
             assert np.linalg.norm(got - ref) < 3e-3
+
+    @pytest.mark.parametrize("scale", [1e3, 1e20, 1e150])
+    @pytest.mark.parametrize("s_max, p_avail", [(1.0, 10.0), (2.5, 1.5)])
+    @pytest.mark.parametrize("direction", [(1.0, 0.1), (1.0, -0.1), (1.0, 1.0), (0.2, -1.0)])
+    def test_far_request_matches_grid_oracle(self, scale, s_max, p_avail, direction):
+        # at (1e150, 1e149) the squared distances to every candidate rounded to
+        # one tie, and the cone knee (0.8, 0.6) won over the arc point (0.995, 0.0995).
+        # z and every point on the ray from its projection c towards z share c, so
+        # the grid search is run from the point of that ray 0.1 s_max from c; the
+        # knee, found in place of the arc point, fails there by 0.047 s_max
+        cap = pv_cap(s_max=s_max, pf_min=0.8, p_avail=p_avail)
+        z = scale * s_max * np.array(direction)
+        got = np.array(project_capability(cap, *z))
+        ray = (z - got) / scale
+        near = got + 0.1 * s_max * ray / np.linalg.norm(ray)
+        p_cap = min(s_max, p_avail)
+
+        def feasible(p, q):
+            return (p * p + q * q <= s_max * s_max) & (np.abs(q) <= 0.75 * p) & (p <= p_cap)
+
+        ref = grid_project(feasible, near, (0.0, -s_max), (p_cap, s_max), 1e-3 * s_max)
+        assert np.linalg.norm(got - ref) < 0.03 * s_max
 
     def test_first_order_optimality_random(self):
         # <z - proj, y - proj> <= 0 for all feasible y characterizes the

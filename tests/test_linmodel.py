@@ -172,6 +172,26 @@ class TestPccSensitivity:
             assert len(iterations) == 4 * model.n + 1
             assert max(iterations[2::2]) <= 2
 
+    def test_plus_step_flows_converge_within_the_sweep_budget(self, monkeypatch):
+        # each +step flow starts from the one before it in its row, moved onto
+        # its own root path; started from the base currents, they took a mean
+        # of 3.71-3.76 sweeps at these 37-bus points
+        iterations = []
+
+        def counted(*args, **kwargs):
+            sol = solve_power_flow(*args, **kwargs)
+            iterations.append(sol.iterations)
+            return sol
+
+        monkeypatch.setattr(linmodel, "solve_power_flow", counted)
+        rng = np.random.default_rng(61)
+        model = ieee37_shaped_feeder()
+        for _ in range(3):
+            iterations.clear()
+            build_pcc_sensitivity(model, flat_rho(model.n), *loaded_point(rng, model.n, pv_buses=8))
+            assert len(iterations) == 4 * model.n + 1
+            assert np.mean(iterations[1::2]) <= 2.6
+
     def test_p0_measures_offset_from_schedule(self):
         model = chain([0.02], [0.02])
         p0 = np.array([-0.1])

@@ -3,6 +3,7 @@
 import copy
 import pickle
 import tempfile
+import warnings
 from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from droopsched.network import (
     PowerFlowSolution,
     solve_power_flow,
 )
-from droopsched.scenarios import load_network, six_bus_feeder
+from droopsched.scenarios import ieee37_shaped_feeder, load_network, six_bus_feeder
 
 from .oracles import distflow_residual, distflow_root
 
@@ -304,6 +305,29 @@ class TestSolvePowerFlow:
         warm = solve_power_flow(chain([0.01] * other, [0.01] * other), np.full(other, -0.01), np.zeros(other))
         with pytest.raises(ValueError, match=r"^warm.i_sq must have shape \(6,\): the warm solution is of another feeder$"):
             solve_power_flow(six_bus_feeder(), np.full(6, -0.01), np.zeros(6), warm=warm)
+
+    @pytest.mark.parametrize("feeder", [six_bus_feeder, ieee37_shaped_feeder])
+    @pytest.mark.parametrize("which", ["p", "q", "pq"])
+    @pytest.mark.parametrize("value", [1e50, -1e50, 1e150, 1e200])
+    def test_diverging_sweep_raises_before_any_overflow(self, feeder, which, value):
+        # huge generation raises every voltage, so the negative-voltage check
+        # never fired, and 1e200 warned "overflow encountered in multiply"
+        model = feeder()
+        inj = {w: np.full(model.n, value if w in which else 0.0) for w in "pq"}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PowerFlowError):
+                solve_power_flow(model, inj["p"], inj["q"])
+
+    @pytest.mark.parametrize("branch", [0, 3, 5])
+    def test_nan_in_warm_currents_is_not_reduced_away(self, branch):
+        # the sweep's arg-reductions must propagate NaN as ndarray.max did
+        model = six_bus_feeder()
+        p, q = np.full(6, -0.01), np.zeros(6)
+        warm = solve_power_flow(model, p, q)
+        warm.i_sq[branch] = np.nan
+        with pytest.raises(PowerFlowError, match="sweep diverged"):
+            solve_power_flow(model, p, q, warm=warm)
 
     def test_nonconvergence_raises(self):
         # absurd load collapses the voltage

@@ -170,3 +170,23 @@ def test_dataclasses_are_frozen_except_the_allowlist():
                 if flags and not flags[0]:
                     mutable.add(node.name)
     assert mutable == set(MUTABLE_RECORDS)
+
+
+SWEEP_FUNCTIONS = ("solve_power_flow", "_residuals")
+WRAPPED_REDUCTIONS = {"max", "min", "sum", "all", "any", "mean"}
+
+
+def test_the_sweep_calls_no_wrapped_array_reduction():
+    """The sweep reduces with ufuncs or a[a.argmax()]: ndarray.max and kin pay 1-2 us of wrapper per call."""
+    tree = ast.parse((PACKAGE / "network.py").read_text())
+    found = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name in SWEEP_FUNCTIONS:
+            found[node.name] = sorted(
+                f"line {call.lineno}: .{call.func.attr}()"
+                for call in ast.walk(node)
+                if isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Attribute)
+                and call.func.attr in WRAPPED_REDUCTIONS
+            )
+    assert found == {name: [] for name in SWEEP_FUNCTIONS}

@@ -347,6 +347,17 @@ class TestProjectGains:
             assert np.all(dist <= apex_dist * (1.0 + 1e-9) + 1e-9 * gamma)
 
 
+    @pytest.mark.parametrize("k_pv, k_qv", [(1.7e308, -1.7e308), (-1.7e308, -1e308), (1.7e308, 1.7e308), (1e308, -1e300)])
+    def test_pairs_near_the_float_limit_go_to_the_apex_without_warning(self, k_pv, k_qv):
+        # these warned "overflow encountered in subtract", "in add" or "in multiply"
+        params = StabilityParams(gamma=4.6)
+        apex = project_voltage_gains([1e150], [1e150], [1.0], [1.0], params)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = project_voltage_gains([k_pv], [k_qv], [1.0], [1.0], params)
+        assert np.array_equal(out, apex)
+        assert check_gains(DroopGains(k_pv=out[0][0], k_qv=out[1][0]), 1.0, 1.0, params)
+
 SQRT2 = np.sqrt(2.0)
 
 
