@@ -19,10 +19,11 @@ new ``p_avail`` makes a new set (``dataclasses.replace``).
 Capability kinds:
 
 * ``pv-inverter`` - apparent-power disk of radius s_max, minimum power
-  factor cone |q| <= p*tan(acos(pf_min)), and 0 <= p <= p_avail.
-* ``flexible-load`` - active power on [p_min, p_max] with reactive power
-  slaved to a fixed power factor (q = p * tan(acos(pf_fixed)), so the
-  sign of q follows the sign of p).
+  factor cone |q| <= p*tan(acos(pf_min)), and 0 <= p <= p_avail; a
+  p_avail of +inf leaves the disk as the only upper limit.
+* ``flexible-load`` - active power on [p_min, p_max], both finite, with
+  reactive power slaved to a fixed power factor (q = p *
+  tan(acos(pf_fixed)), so the sign of q follows the sign of p).
 
 Both sets are projected without angles, through one segment primitive.
 A load's set is the segment from (p_min, t p_min) to (p_max, t p_max).
@@ -96,6 +97,11 @@ class CapabilitySet:
             if not self.p_avail >= 0.0:
                 raise CapabilityError("empty feasible set: p_avail must be >= 0")
         else:
+            # an infinite limit would make the segment projection return NaN;
+            # a NaN one fails the range test below, as an empty set
+            for name, limit in (("p_min", self.p_min), ("p_max", self.p_max)):
+                if math.isinf(limit):
+                    raise CapabilityError(f"{name} must be finite")
             if not self.p_min <= self.p_max:
                 raise CapabilityError("empty feasible set: p_min must be <= p_max")
             if not 0.0 < self.pf_fixed <= 1.0:
@@ -225,8 +231,11 @@ def step_der(unit: DerUnit, u_p: float, u_q: float, dt: float) -> DerUnit:
     """Advance a unit by one forward-Euler step of its filter dynamics.
 
     The new outputs are projected onto the unit's capability set.
-    Requires 0 < dt < min(tau_p, tau_q) so the explicit update stays in
-    the monotone regime.
+    Requires 0 < dt < min(tau_p, tau_q), which keeps the update monotone
+    for one unit whose voltage is held.  It does not make the coupled
+    loop stable, where every unit's step moves the voltage the others
+    see: on the 37-bus feeder with 8 leaf units and k_pv = k_qv = -20,
+    the Euler map at dt = 0.1 s has spectral radius 1.26.
 
     Returns a new unit built by the ``DerUnit`` constructor, so its
     validation runs on the result; every field but ``p_c`` and ``q_c`` is

@@ -42,16 +42,13 @@ __all__ = [
     "check_gains",
     "project_gains",
     "project_voltage_gains",
-    "closed_loop_matrix",
 ]
 
 _SQRT2 = np.sqrt(2.0)
 _EPS = np.finfo(float).eps
-# Bounds that keep the projection's intermediates finite: a scaled gain past
-# _HUGE takes the overflow-free clip test of _outside, and a boundary cubic
-# with |p| past _CUBIC_P or |q| past _CUBIC_Q is not solved, its pair taking
-# the region's apex (see _onto_boundary).
-_HUGE = 2.0**510
+# Bounds that keep the boundary cubic's solution finite: a cubic with |p| past
+# _CUBIC_P or |q| past _CUBIC_Q is not solved, its pair taking the region's
+# apex (see _onto_boundary).
 _CUBIC_P = 2.0**340
 _CUBIC_Q = 2.0**510
 
@@ -194,56 +191,34 @@ def _onto_boundary(a: np.ndarray, b: np.ndarray, params: StabilityParams) -> tup
     return (s + w) / _SQRT2, (s - w) / _SQRT2
 
 
-def _outside(a: np.ndarray, b: np.ndarray, params: StabilityParams) -> np.ndarray:
-    """``_quad(a, b, gamma) > -quad_margin`` without overflow, for pairs that may pass _HUGE.
-
-    Past _HUGE, (a - b)^2 may overflow but is not needed.  Pairs with
-    a != b differ by at least 2^-54 max(|a|, |b|), whose square exceeds
-    the 8 gamma max(|a|, |b|) that the linear term can offset, so they
-    lie outside; a pair with a == b lies inside iff a < 0.  check_gains,
-    whose quadratic overflows to inf or NaN there, rejects the same pairs.
-    """
-    huge = np.maximum(np.abs(a), np.abs(b)) > _HUGE
-    tame = _quad(np.where(huge, 0.0, a), np.where(huge, 0.0, b), params.gamma) > -params.quad_margin
-    return np.where(huge, (a != b) | (a > 0.0), tame)
-
-
 def _project_in_place(k: np.ndarray, tau: np.ndarray, params: StabilityParams) -> None:
     """project_voltage_gains on the stacked pairs k = (k_pv, k_qv), overwritten in place.
 
     ``k`` and ``tau`` = (tau_p, tau_q) are float arrays of one shape
     (2, ...), and the caller owns ``k``.  All time constants are checked
-    in one pass, then all gains: a NaN pair would pass the region test
-    unprojected, an infinite one would overflow in the projection, and so
-    would a finite one whose scaled pair overflows.
+    in one pass.  A pair clips exactly where check_gains rejects it: a
+    quadratic that overflows to inf or NaN clips, and so does every
+    non-finite gain or scaled pair, so the gains are checked on the
+    clipped pairs only, before they reach the projection.
     """
     # the reductions propagate NaN, which fails the comparisons
-    tau_min = float(tau.min(initial=np.inf))
-    if not (0.0 < tau_min and tau.max(initial=0.0) < np.inf):
+    if not (0.0 < tau.min(initial=np.inf) and tau.max(initial=0.0) < np.inf):
         _check_taus(tau[0], tau[1])  # raises, naming tau_p or tau_q
-    # |k| <= _HUGE tau_min bounds every |k / tau| by _HUGE, so the division
-    # cannot overflow; the product is exact or, for huge tau, inf
-    tame = np.abs(k).max(initial=0.0) <= _HUGE * tau_min
-    if tame:
+    with np.errstate(over="ignore", invalid="ignore"):
         ab = k / tau
-        clip = _quad(ab[0, ...], ab[1, ...], params.gamma) > -params.quad_margin
-    elif not np.isfinite(k).all():
-        raise ValueError("k_pv and k_qv must be finite")
-    else:
-        with np.errstate(over="ignore"):
-            ab = k / tau
-        if not np.isfinite(ab).all():
-            raise ValueError("k_pv / tau_p and k_qv / tau_q must be finite: the scaled gains overflow")
-        clip = _outside(ab[0, ...], ab[1, ...], params)
+        # a quadratic that overflows to inf clips, and a NaN one fails <= and
+        # clips too: check_gains, in Python floats, rejects both without a warning
+        clip = ~(_quad(ab[0, ...], ab[1, ...], params.gamma) <= -params.quad_margin)
     if clip.any():
-        pairs = ab[0, ...][clip], ab[1, ...][clip]
-        if tame:
-            a, b = _onto_boundary(*pairs, params)
-        else:
-            # a pair past _HUGE may overflow in the rotation or in the boundary
-            # cubic's coefficients, which then send it to the apex
-            with np.errstate(over="ignore"):
-                a, b = _onto_boundary(*pairs, params)
+        if not np.isfinite(k[:, clip]).all():
+            raise ValueError("k_pv and k_qv must be finite")
+        pairs = ab[:, clip]
+        if not np.isfinite(pairs).all():
+            raise ValueError("k_pv / tau_p and k_qv / tau_q must be finite: the scaled gains overflow")
+        # a pair near the float limit may overflow in the rotation or in the
+        # boundary cubic's coefficients, which then send it to the apex
+        with np.errstate(over="ignore"):
+            a, b = _onto_boundary(pairs[0], pairs[1], params)
         # [i, ...] keeps 0-d rows as views, so the writes reach k
         k[0, ...][clip] = a * tau[0, ...][clip]
         k[1, ...][clip] = b * tau[1, ...][clip]
@@ -264,7 +239,7 @@ def project_voltage_gains(
     clipped pair lands a rounding-sized step inside the boundary, or at
     the region's apex for pairs so large (from about 1e28 gamma) that
     this step would take it farther out than the apex is.  The result
-    stays finite for scaled pairs up to about 1e300 in magnitude.
+    stays finite for every finite scaled pair, up to the float limit.
     Returns new arrays.  Raises ValueError unless the four arrays share
     one shape, every time constant is finite and positive, every gain
     is finite and every scaled pair k / tau is finite.
@@ -295,31 +270,3 @@ def project_gains(
         k_qv=float(k_qv[0]),
         k_qf=min(kf, max(-kf, gains.k_qf)),
     )
-
-
-def closed_loop_matrix(
-    sm: SensitivityModel,
-    k_pv: np.ndarray,
-    k_qv: np.ndarray,
-    tau_p: np.ndarray,
-    tau_q: np.ndarray,
-) -> np.ndarray:
-    """Small-signal state matrix T^-1 (K_v G - I) at full network dimension.
-
-    Gain vectors hold one (possibly zero) entry per non-substation bus.
-    """
-    n = sm.n
-    k_pv = np.asarray(k_pv, dtype=float)
-    k_qv = np.asarray(k_qv, dtype=float)
-    for name, vec in (("k_pv", k_pv), ("k_qv", k_qv), ("tau_p", tau_p), ("tau_q", tau_q)):
-        if np.shape(vec) != (n,):
-            raise ValueError(f"{name} must have shape ({n},)")
-    KvG = np.block(
-        [
-            [k_pv[:, None] * sm.R, k_pv[:, None] * sm.X],
-            [k_qv[:, None] * sm.R, k_qv[:, None] * sm.X],
-        ]
-    )
-    A = KvG - np.eye(2 * n)
-    tau = np.concatenate([np.asarray(tau_p, dtype=float), np.asarray(tau_q, dtype=float)])
-    return A / tau[:, None]

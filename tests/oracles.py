@@ -18,6 +18,9 @@ of the package because nothing in it calls them:
   the tracking error and the band rows itself, from the units' droop
   responses scattered onto bus vectors (``scattered_response``) and the
   model's R, X, H, v0 and P0; it calls no scheduler code.
+* ``closed_loop_matrix``, the small-signal state matrix
+  T^-1 (K_v G - I) whose eigenvalues the stability tests sweep to confirm
+  that the gate certifies stable loops.
 * ``lyapunov_value``, the energy 0.5 dx' blkdiag(R, X) dx the stability
   tests track along closed-loop trajectories.
 * ``two_clause_check_gains``, the stability gate as first written: the
@@ -374,6 +377,28 @@ def lagrangian(state, sm, rho, samples, cfg):
         - 0.5 * cfg.psi * float(state.lam @ state.lam)
         + 0.5 * cfg.reg_tau * float(state.cvar @ state.cvar)
     )
+
+
+def closed_loop_matrix(sm, k_pv, k_qv, tau_p, tau_q):
+    """Small-signal state matrix T^-1 (K_v G - I) at full network dimension.
+
+    Gain vectors hold one (possibly zero) entry per non-substation bus.
+    """
+    n = sm.n
+    k_pv = np.asarray(k_pv, dtype=float)
+    k_qv = np.asarray(k_qv, dtype=float)
+    for name, vec in (("k_pv", k_pv), ("k_qv", k_qv), ("tau_p", tau_p), ("tau_q", tau_q)):
+        if np.shape(vec) != (n,):
+            raise ValueError(f"{name} must have shape ({n},)")
+    KvG = np.block(
+        [
+            [k_pv[:, None] * sm.R, k_pv[:, None] * sm.X],
+            [k_qv[:, None] * sm.R, k_qv[:, None] * sm.X],
+        ]
+    )
+    A = KvG - np.eye(2 * n)
+    tau = np.concatenate([np.asarray(tau_p, dtype=float), np.asarray(tau_q, dtype=float)])
+    return A / tau[:, None]
 
 
 def lyapunov_value(sm, dx):

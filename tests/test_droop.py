@@ -222,6 +222,19 @@ class TestProjectCapability:
             with pytest.raises(CapabilityError, match="^empty feasible set: p_min must be <= p_max$"):
                 replace(cap, **{name: bad})
 
+    @pytest.mark.parametrize("name, bad", [("p_min", -np.inf), ("p_max", np.inf), ("p_min", np.inf), ("p_max", -np.inf)])
+    def test_load_with_an_infinite_limit_is_refused_by_name(self, name, bad):
+        # it was accepted, and the projection then returned (nan, nan) even for
+        # a point of the set
+        with pytest.raises(CapabilityError, match=f"^{name} must be finite$"):
+            CapabilitySet(kind=LOAD, **{"p_min": -0.5, "p_max": 0.0, "pf_fixed": 0.9, name: bad})
+
+    def test_unlimited_pv_availability_leaves_the_disk_as_the_limit(self):
+        # p_avail = +inf is legal: it means unlimited
+        unlimited, at_rating = pv_cap(p_avail=np.inf), pv_cap(p_avail=1.0)
+        for p, q in [(2.0, 0.0), (0.9, 0.5), (0.3, -0.1), (-1.0, 3.0)]:
+            assert project_capability(unlimited, p, q) == project_capability(at_rating, p, q)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("which", ["p", "q"])
     @pytest.mark.parametrize(
@@ -653,4 +666,12 @@ class TestLoadDerUnits:
         path = tmp_path / "ders.csv"
         path.write_text(f"node,kind,s_rating_pu,tau_p_s,tau_q_s,pf_min\n{row}\n")
         with pytest.raises(CapabilityError, match=f"ders.csv:2: {message}$"):
+            load_der_units(path)
+
+    @pytest.mark.parametrize("rating", ["inf", "-inf"])
+    def test_load_row_with_an_infinite_rating_is_refused(self, tmp_path, rating):
+        # an inf rating made a load whose every projection was (nan, nan)
+        path = tmp_path / "ders.csv"
+        path.write_text(f"node,kind,s_rating_pu,tau_p_s,tau_q_s,pf_min\n2,flexible-load,{rating},0.2,0.2,0.9\n")
+        with pytest.raises(CapabilityError, match="ders.csv:2: p_min must be finite$"):
             load_der_units(path)

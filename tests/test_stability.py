@@ -14,13 +14,12 @@ from droopsched.scenarios import six_bus_feeder
 from droopsched.stability import (
     StabilityParams,
     check_gains,
-    closed_loop_matrix,
     compute_gamma,
     project_gains,
     project_voltage_gains,
 )
 
-from .oracles import lyapunov_value, power_iteration_lambda_max, two_clause_check_gains
+from .oracles import closed_loop_matrix, lyapunov_value, power_iteration_lambda_max, two_clause_check_gains
 
 
 def make_sm(R, X):
@@ -459,6 +458,75 @@ class TestProjectionProperties:
         ip = (a - pa) * (ya - pa) + (b - pb) * (yb - pb)
         slack = 1e-10 * (np.hypot(a, b) + g) * (np.hypot(ya - pa, yb - pb) + np.hypot(a - pa, b - pb) + g)
         assert np.all(ip <= slack)
+
+
+CLIP_GAMMAS = [1e-4, 4.6, 100.0]
+FLOAT_LIMIT = 1.7e308
+# pairs whose quadratic overflows in one term or in both: equal pairs at the
+# float limit, one ulp apart so that (a - b)^2 overflows while 4 gamma (a + b)
+# may not, and a deep equal pair whose linear term decides
+OVERFLOW_PRONE = [
+    (FLOAT_LIMIT, FLOAT_LIMIT),
+    (-FLOAT_LIMIT, -FLOAT_LIMIT),
+    (-5e307, -5e307 * (1 + 2.0**-52)),
+    (-1e300, -1e300),
+]
+
+
+def assert_clip_rule(a, b, tau_p, tau_q, params):
+    """project_voltage_gains keeps bit for bit exactly the pairs check_gains accepts, and certifies the rest."""
+    k_pv, k_qv = a * tau_p, b * tau_q
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out_pv, out_qv = project_voltage_gains(k_pv, k_qv, tau_p, tau_q, params)
+    # check_gains in Python floats, whose arithmetic overflows without a warning
+    for kp, kq, out_p, out_q, tp, tq in zip(*map(np.ndarray.tolist, (k_pv, k_qv, out_pv, out_qv, tau_p, tau_q))):
+        if check_gains(DroopGains(k_pv=kp, k_qv=kq), tp, tq, params):
+            assert np.array([out_p, out_q]).tobytes() == np.array([kp, kq]).tobytes()
+        else:
+            assert check_gains(DroopGains(k_pv=out_p, k_qv=out_q), tp, tq, params), (kp / tp, kq / tq)
+
+
+@st.composite
+def any_magnitude_pairs(draw, count=8):
+    """Scaled pairs of either sign from 1e-3 gamma up to the float limit; some
+    have b = a (1 + j 2^-52), where only the linear term can certify them."""
+    gamma = draw(st.sampled_from(CLIP_GAMMAS))
+    log_mag = st.floats(np.log10(1e-3 * gamma), np.log10(FLOAT_LIMIT))
+    sign = st.sampled_from([-1.0, 1.0])
+    a, b = np.empty(count), np.empty(count)
+    for i in range(count):
+        a[i] = draw(sign) * 10 ** draw(log_mag)
+        if draw(st.booleans()):
+            b[i] = draw(sign) * 10 ** draw(log_mag)
+        else:
+            b[i] = a[i] * (1 + draw(st.integers(-4, 4)) * 2.0**-52)
+    taus = st.lists(st.floats(0.05, 1.0), min_size=count, max_size=count)
+    return StabilityParams(gamma=gamma), np.array(draw(taus)), np.array(draw(taus)), a, b
+
+
+class TestClipRule:
+    """The projection clips exactly where check_gains rejects, at every magnitude up to the float limit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(any_magnitude_pairs())
+    def test_kept_iff_accepted(self, case):
+        params, tau_p, tau_q, a, b = case
+        assert_clip_rule(a, b, tau_p, tau_q, params)
+
+    @pytest.mark.parametrize("gamma", CLIP_GAMMAS)
+    def test_log_spaced_sweep(self, gamma):
+        rng = np.random.default_rng(11)
+        mags = 10 ** rng.uniform(np.log10(1e-3 * gamma), np.log10(FLOAT_LIMIT), (2, 4000))
+        a, b = rng.choice([-1.0, 1.0], (2, 4000)) * mags
+        tau_p, tau_q = rng.uniform(0.05, 1.0, (2, 4000))
+        assert_clip_rule(a, b, tau_p, tau_q, StabilityParams(gamma=gamma))
+
+    @pytest.mark.parametrize("gamma", CLIP_GAMMAS)
+    @pytest.mark.parametrize("a, b", OVERFLOW_PRONE)
+    @pytest.mark.parametrize("tau", [0.2, 1.0])
+    def test_overflow_prone_pairs(self, gamma, a, b, tau):
+        assert_clip_rule(np.array([a, b]), np.array([b, a]), np.full(2, tau), np.full(2, tau), StabilityParams(gamma=gamma))
 
 
 class TestLyapunovValue:
