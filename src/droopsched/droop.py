@@ -25,13 +25,13 @@ Capability kinds:
   reactive power slaved to a fixed power factor (q = p *
   tan(acos(pf_fixed)), so the sign of q follows the sign of p).
 
-Both sets are projected without angles, through one segment primitive.
-A load's set is the segment from (p_min, t p_min) to (p_max, t p_max).
-A PV set is symmetric in q, so (p, |q|) is projected onto its upper half
-and the result takes the sign of q; the projection is the nearest of
-three candidates: the point on the cone edge, the radial point s z/|z|
-when it lies on the arc, and the point on the half chord at
-min(p_avail, s_max).
+Both sets are projected without angles.  A load's set lies on the line
+q = t p, so a request is projected onto that line and its p clamped to
+[p_min, p_max]; no term scales with the width of the range.  A PV set is
+symmetric in q, so (p, |q|) is projected onto its upper half and the
+result takes the sign of q; the projection is the nearest of three
+candidates: the point on the cone edge, the radial point s z/|z| when it
+lies on the arc, and the point on the half chord at min(p_avail, s_max).
 
 Generation is positive, consumption negative.  The DER table reader,
 ``load_der_units``, lives in ``scenarios``.
@@ -224,7 +224,8 @@ def project_capability(cap: CapabilitySet, p: float, q: float) -> tuple[float, f
             return p, q
         return _pv_project(cap, p, q)
     t = cap._tan
-    return _seg_project(p, q, (cap.p_min, t * cap.p_min), (cap.p_max, t * cap.p_max))
+    p = min(cap.p_max, max(cap.p_min, (p + t * q) / (1.0 + t * t)))
+    return p, t * p
 
 
 def step_der(unit: DerUnit, u_p: float, u_q: float, dt: float) -> DerUnit:

@@ -4,15 +4,25 @@ Every scheduling period the operator measures voltages and frequency,
 rebuilds the affine feeder model around that point, and performs one
 projected primal-dual gradient cycle on the regularized Lagrangian
 
-    L = C(kappa) + mu' l(kappa_v, tau) + lambda' r(e(kappa_f))
-        - phi/2 |mu|^2 - psi/2 |lambda|^2 + reg_tau/2 |tau|^2,
+    L = C(kappa) + mu' l(kappa_v) + lambda' r(e(kappa_f))
+        - phi/2 |mu|^2 - psi/2 |lambda|^2,
 
-where C is a weighted quadratic gain cost, l stacks the per-bus
-sample-average CVaR surrogates of the voltage chance constraints (upper
-bounds first, lower bounds second), and r is the two-sided band on the
-frequency-support tracking error.  Voltage gains are projected onto the
-certified-stable set each update; duals and CVaR auxiliaries stay
-nonnegative by clipping.
+where C is a weighted quadratic gain cost, l stacks the per-bus CVaR
+rows of the voltage chance constraints (upper bounds first, lower bounds
+second), and r is the two-sided band on the frequency-support tracking
+error.  Voltage gains are projected onto the certified-stable set each
+update; duals stay nonnegative by clipping.
+
+The rows are exact for the disturbance model of ``draw_samples``: bus i
+sees a zero-mean Gaussian xi_i with std sigma_i = noise_std * v_i.  For
+such a disturbance the auxiliary form of CVaR has a closed form,
+
+    min_c E max(x + xi + c, 0) - beta c = beta x + sigma phi(Phi^-1(beta)),
+
+which is beta times the mean of the worst beta-fraction of x + xi
+(Rockafellar & Uryasev, J. Risk 2000).  With x = vm_i - v_max for the
+upper row and v_min - vm_i for the lower one, each row is affine in
+kappa_v: no samples are drawn and no auxiliary variable is carried.
 
 Cross-coupling between the voltage and frequency tasks is avoided by
 feedforward: the voltage model uses the frequency gains broadcast in the
@@ -20,14 +30,14 @@ previous period, the tracking error uses the previous voltage gains.
 
 Layouts: kappa_v = (k_pv per online unit, then k_qv per unit), kappa_f
 analogous with (k_pf, k_qf).  The 2n CVaR rows are the per-bus upper
-bounds followed by the per-bus lower bounds; mu and the CVaR auxiliaries
-cvar share that layout, so mu[i] and cvar[i] both belong to row i.
+bounds followed by the per-bus lower bounds, and mu shares that layout.
 lambda = (lower band edge, upper band edge).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from statistics import NormalDist
 
 import numpy as np
 
@@ -53,27 +63,17 @@ _WF_STREAM = 104729  # rng stream tag for per-node cost weights
 class SchedulerConfig:
     """Step sizes, regularization, risk level, and constraint bounds.
 
-    ``alpha_tau`` is the step size of the CVaR-auxiliary block.  Its
-    default equals the default ``alpha_primal`` (the plain single-step
-    iteration), but it is a field of its own: setting ``alpha_primal``
-    leaves it unchanged.  The auxiliaries see an effective curvature of
-    roughly (multiplier magnitude) x (sample density at the hinge kink),
-    which on stiff instances is orders of magnitude above the gain
-    blocks' curvature, so a smaller dedicated step keeps the iteration
-    convergent without slowing the gains.  An auxiliary whose multiplier
-    is zero feels only ``reg_tau`` and contracts only at the rate
-    ``alpha_tau * reg_tau`` per step, so a small ``alpha_tau`` slows
-    those auxiliaries even though the gains keep their speed.
+    ``beta`` is the risk level: each voltage row bounds the mean of the
+    worst beta-fraction of the disturbed voltage.  ``noise_std`` is the
+    per-bus disturbance std per unit of measured voltage, so bus i's std
+    is noise_std * v_i.
     """
 
     alpha_primal: float = 0.8
     alpha_dual: float = 0.4
-    alpha_tau: float = 0.8
     phi: float = 3e-4
     psi: float = 3e-4
-    reg_tau: float = 3e-4
     beta: float = 0.1
-    n_samples: int = 100
     noise_std: float = 0.015
     v_min: float = 0.95
     v_max: float = 1.05
@@ -85,7 +85,7 @@ class SchedulerConfig:
     tau_s: float = 30.0
 
     def __post_init__(self):
-        for name in ("alpha_primal", "alpha_dual", "alpha_tau", "phi", "psi", "reg_tau", "tau_s"):
+        for name in ("alpha_primal", "alpha_dual", "phi", "psi", "tau_s"):
             if not 0.0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be finite and positive")
         if not 0.0 < self.beta < 1.0:
@@ -103,9 +103,6 @@ class SchedulerConfig:
                 continue  # drawn per node
             if not 0.0 <= value < np.inf:
                 raise ValueError(f"{name} must be finite and nonnegative")
-        n = self.n_samples
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-            raise ValueError("n_samples must be an integer >= 1")
         if not 0.0 <= self.noise_std < np.inf:
             raise ValueError("noise_std must be finite and nonnegative")
 
@@ -115,7 +112,6 @@ class SchedulerState:
     der_nodes: list[int]
     kappa_v: np.ndarray
     kappa_f: np.ndarray
-    cvar: np.ndarray
     mu: np.ndarray
     lam: np.ndarray
     prev_kappa_v: np.ndarray
@@ -135,7 +131,6 @@ class SchedulerState:
             der_nodes=list(der_nodes),
             kappa_v=np.zeros(2 * m),
             kappa_f=np.zeros(2 * m),
-            cvar=np.zeros(2 * n_bus),
             mu=np.zeros(2 * n_bus),
             lam=np.zeros(2),
             prev_kappa_v=np.zeros(2 * m),
@@ -196,16 +191,15 @@ def _freq_weights(der_nodes, cfg: SchedulerConfig, seed: int) -> np.ndarray:
     return w
 
 
-def draw_samples(v_meas: np.ndarray, cfg: SchedulerConfig, seed) -> np.ndarray:
+def draw_samples(v_meas: np.ndarray, cfg: SchedulerConfig, seed, n_samples: int) -> np.ndarray:
     """Zero-mean Gaussian voltage-disturbance samples, (n_samples, n), per-bus std scaled.
 
-    A fresh generator per call is deliberate: a period's samples depend
-    only on the ``seed`` it is given, e.g. (run seed, period index), not
-    on how many periods ran before.  The normal draw, not building the
-    generator, is most of the cost: building it takes about 16 of 65 us
-    for 100 x 36 samples on one core of a 2-vCPU Xeon.
+    This is the disturbance model the step's CVaR rows are exact for:
+    bus i's std is ``cfg.noise_std * v_meas[i]``.  The step itself draws
+    nothing; the samples serve sample-average checks of those rows.  A
+    fresh generator per call makes the samples depend only on ``seed``.
     """
-    samples = np.random.default_rng(seed).standard_normal((cfg.n_samples, len(v_meas)))
+    samples = np.random.default_rng(seed).standard_normal((n_samples, len(v_meas)))
     samples *= cfg.noise_std * np.asarray(v_meas)
     return samples
 
@@ -232,28 +226,6 @@ def _affine(sm: SensitivityModel, state: SchedulerState, rho: SchedulingPoint):
     return vm, e, G * u, h * d_omega
 
 
-def _hinge_args(vm, samples, cvar, cfg):
-    """Per-sample CVaR hinge arguments, (n_samples, 2n): upper rows, then lower rows."""
-    if (cvar < 0).any():
-        raise ValueError("CVaR auxiliaries must be nonnegative")
-    n = len(vm)
-    arg = np.empty((len(samples), 2 * n))
-    np.add(vm - cfg.v_max, samples, out=arg[:, :n])
-    np.subtract(cfg.v_min - vm, samples, out=arg[:, n:])
-    arg += cvar
-    return arg
-
-
-def _cvar_rows(arg, cvar, cfg) -> np.ndarray:
-    """Sample-average CVaR surrogate values, upper rows stacked over lower.
-
-    The average is ``sum(axis=0) / n_samples``, which is ``mean(axis=0)``
-    bit for bit: numpy's mean is the same ``add.reduce`` followed by a
-    true division by the sample count, only behind a Python wrapper.
-    """
-    return np.maximum(arg, 0.0).sum(axis=0) / len(arg) - cvar * cfg.beta
-
-
 def freq_error(sm: SensitivityModel, state: SchedulerState, rho: SchedulingPoint) -> float:
     """Tracking error of the PCC adjustment against the TSO requirement.
 
@@ -268,30 +240,10 @@ def band_residual(e: float, cfg: SchedulerConfig) -> np.ndarray:
     return np.array([cfg.e_min - e, e - cfg.e_max])
 
 
-def _signals(arg, mu, lam, J, grad_e, cfg):
-    """Constraint-derivative signals (s_v, s_f, d) at the multipliers mu, lam.
-
-    s_v and s_f chain the CVaR rows through the voltage slope J and the
-    band rows through the error slope grad_e; d, one entry per CVaR row,
-    holds the active-sample fractions against the risk level.  The hinge
-    subgradient is 1 for strictly positive arguments, 0 otherwise.  A
-    fraction is an exact integer count divided by n_samples, the one
-    rounding ``mean(axis=0)`` makes too, so ``sum / n_samples`` gives its bits.
-    """
-    n = J.shape[0]
-    frac = (arg > 0.0).sum(axis=0) / len(arg)
-    w = mu * frac
-    s_v = J.T @ (w[:n] - w[n:])
-    d = mu * (frac - cfg.beta)
-    s_f = (lam[1] - lam[0]) * grad_e
-    return s_v, s_f, d
-
-
 def primal_dual_step(
     state: SchedulerState,
     sm: SensitivityModel,
     rho: SchedulingPoint,
-    samples: np.ndarray,
     cfg: SchedulerConfig,
     stab: StabilityParams,
     tau_p: np.ndarray,
@@ -299,38 +251,40 @@ def primal_dual_step(
 ) -> SchedulerState:
     """One dual-then-primal gradient cycle on the regularized Lagrangian.
 
-    Duals ascend on the constraint values first; the primal gain and
-    CVaR-auxiliary updates then use the refreshed multipliers, with the
-    voltage-gain pairs projected onto the certified-stable set and the
-    frequency gains clamped to the configured box.  The hinge arguments
-    depend on neither multiplier, so the dual and the primal half share
-    one evaluation of them and of the gathered model.  Raises ValueError
-    for a stale model (``sm.rho`` is not ``rho``), for a state whose mu
-    and cvar are not sized for this feeder (2n entries), unless tau_p
-    and tau_q have shape (m,), one entry per online unit, finite and
-    positive, or when the updated voltage gains are not finite (a
+    Duals ascend on the constraint values first; the primal gain update
+    then uses the refreshed multipliers, with the voltage-gain pairs
+    projected onto the certified-stable set and the frequency gains
+    clamped to the configured box.  Each CVaR row is beta times the
+    predicted violation plus sigma_i phi(Phi^-1(beta)) (module
+    docstring), so its slope in kappa_v is beta times the voltage slope.
+    Raises ValueError for a stale model (``sm.rho`` is not ``rho``), for
+    a state whose mu is not sized for this feeder (2n entries), unless
+    tau_p and tau_q have shape (m,), one entry per online unit, finite
+    and positive, or when the updated voltage gains are not finite (a
     diverged iteration).
     """
     if sm.rho is not rho:
         raise ValueError("stale sensitivity model: built at another scheduling point")
-    rows = 2 * sm.n
-    if state.mu.shape != (rows,) or state.cvar.shape != (rows,):
-        raise ValueError(f"mu and cvar must have shape ({rows},): the state was built for another feeder")
+    n = sm.n
+    if state.mu.shape != (2 * n,):
+        raise ValueError(f"mu must have shape ({2 * n},): the state was built for another feeder")
     m = state.m
     for name, tau in (("tau_p", tau_p), ("tau_q", tau_q)):
         if np.shape(tau) != (m,):
             raise ValueError(f"{name} must have shape ({m},)")
 
     vm, e, J, grad_e = _affine(sm, state, rho)
-    arg = _hinge_args(vm, samples, state.cvar, cfg)
-    l_val = _cvar_rows(arg, state.cvar, cfg)
+    beta = cfg.beta
+    # inv_cdf(beta), not inv_cdf(1 - beta): the density is even, and 1 - beta rounds to 1 for tiny beta
+    tail = cfg.noise_std * rho.v_meas * NormalDist().pdf(NormalDist().inv_cdf(beta))
+    l_val = beta * np.concatenate((vm - cfg.v_max, cfg.v_min - vm)) + np.concatenate((tail, tail))
     r_val = band_residual(e, cfg)
 
     mu = np.maximum(state.mu + cfg.alpha_dual * (l_val - cfg.phi * state.mu), 0.0)
     lam = np.maximum(state.lam + cfg.alpha_dual * (r_val - cfg.psi * state.lam), 0.0)
 
-    s_v, s_f, d = _signals(arg, mu, lam, J, grad_e, cfg)
-
+    s_v = J.T @ (beta * (mu[:n] - mu[n:]))
+    s_f = (lam[1] - lam[0]) * grad_e
     wv = np.empty(2 * m)
     wv[:m] = cfg.cost_w_pv
     wv[m:] = cfg.cost_w_qv
@@ -342,7 +296,6 @@ def primal_dual_step(
         state,
         kappa_v=kappa_v,
         kappa_f=kappa_f.clip(-stab.kf_bound, stab.kf_bound),
-        cvar=np.maximum(state.cvar - cfg.alpha_tau * (d + cfg.reg_tau * state.cvar), 0.0),
         mu=mu,
         lam=lam,
     )
@@ -359,12 +312,13 @@ def schedule_step(
 ) -> tuple[SchedulerState, dict[int, DroopGains]]:
     """One full measurement -> dual -> signal -> primal cycle.
 
-    Realigns the gain slots to the currently online units, draws this
-    period's disturbance samples, performs one gradient cycle on the
-    frozen measurement, rotates the feedforward gains, and returns the
-    per-unit broadcast.  Raises ValueError, before any work, when an
-    online unit's node is not a bus of the feeder or holds another
-    online unit.
+    Realigns the gain slots to the currently online units, performs one
+    gradient cycle on the frozen measurement, rotates the feedforward
+    gains, and returns the per-unit broadcast.  Raises ValueError, before
+    any work, when an online unit's node is not a bus of the feeder or
+    holds another online unit.  ``sample_seed`` is not read: the CVaR
+    rows are exact, so the step draws no samples; it stays while callers
+    pass it by position.
     """
     online = [u for u in ders if u.online]
     nodes = [u.node for u in online]
@@ -373,8 +327,7 @@ def schedule_step(
     tau_p = np.array([u.tau_p for u in online])
     tau_q = np.array([u.tau_q for u in online])
 
-    samples = draw_samples(rho.v_meas, cfg, sample_seed)
-    state = primal_dual_step(state, sm, rho, samples, cfg, stab, tau_p, tau_q)
+    state = primal_dual_step(state, sm, rho, cfg, stab, tau_p, tau_q)
     # the step's state is new and only this function holds it: rotate in place
     state.prev_kappa_v = state.kappa_v.copy()
     state.prev_kappa_f = state.kappa_f.copy()

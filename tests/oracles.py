@@ -4,20 +4,23 @@ Everything here deliberately avoids the code paths under test: the power
 flow oracle hands the raw DistFlow residual system to a generic root
 finder, the residual oracle evaluates that system at a returned
 solution with child sums from ``np.bincount``, projections are checked
-by grid search / first-order optimality, eigenvalues come from dense general-purpose solvers, and the scheduler's
-saddle point comes from an exact solve of the slack-variable QP of its
-CVaR-constrained Lagrangian, which certifies its own accuracy through a
-subgradient bound and raises when it cannot.
+by grid search / first-order optimality, eigenvalues come from dense
+general-purpose solvers, and the scheduler's saddle point comes from a
+Newton solve of its dual-eliminated objective, which certifies its own
+accuracy through a gradient bound and raises when it cannot.  The
+scheduler's CVaR rows are checked two ways: term by term with scipy's
+normal density and quantile, and against ``saa_cvar_row``, the
+sample-average row minimized exactly over its auxiliary.
 
 The module also holds the references only the tests evaluate, kept out
 of the package because nothing in it calls them:
 
 * ``cost`` and ``lagrangian``, the scheduler's objective and its
   regularized Lagrangian, whose finite differences the gradient-signal
-  test checks.  ``lagrangian`` builds the voltage model, the CVaR rows,
-  the tracking error and the band rows itself, from the units' droop
-  responses scattered onto bus vectors (``scattered_response``) and the
-  model's R, X, H, v0 and P0; it calls no scheduler code.
+  test checks.  ``lagrangian`` builds the voltage model, the closed-form
+  CVaR rows, the tracking error and the band rows itself, from the units'
+  droop responses scattered onto bus vectors (``scattered_response``) and
+  the model's R, X, H, v0 and P0; it calls no scheduler code.
 * ``closed_loop_matrix``, the small-signal state matrix
   T^-1 (K_v G - I) whose eigenvalues the stability tests sweep to confirm
   that the gate certifies stable loops.
@@ -26,18 +29,20 @@ of the package because nothing in it calls them:
 * ``two_clause_check_gains``, the stability gate as first written: the
   quadratic inequality and the linear clause (a or b below gamma with a
   1e-6 gamma margin), against which the one-inequality gate is checked.
-* ``primal_dual_reference``, the scheduler's primal-dual step as first
-  written (``np.tile``, ``mean``, ``np.clip``, separate projected halves),
-  against which the step is checked bit for bit.  It calls no scheduler
-  code; of the stability module it uses only the boundary projection.
+* ``primal_dual_reference``, the scheduler's primal-dual step written
+  with ``np.tile``, ``np.clip`` and separate projected halves, against
+  which the step is checked bit for bit.  It calls no scheduler code; of
+  the stability module it uses only the boundary projection.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
+from statistics import NormalDist
 
 import numpy as np
 from scipy import optimize
+from scipy.stats import norm
 
 from droopsched.stability import _onto_boundary
 
@@ -163,176 +168,99 @@ def central_difference(fun, x0, step):
     return g
 
 
-def saddle_point(sm, rho, nodes, xi, cfg, w_f):
-    """Exact regularized saddle point on frozen data, certified to 5e-5.
+def saddle_point(sm, rho, nodes, cfg, w_f):
+    """Exact regularized saddle point on frozen data, certified to 1e-9.
 
     Maximizing the Lagrangian over the nonnegative multipliers in closed
     form (best response mu = [l]_+ / phi, lambda = [r]_+ / psi) leaves the
-    minimization over z = (kappa_v, kappa_f, tau), tau >= 0, of
+    minimization over z = (kappa_v, kappa_f) of
 
-        F(z) = C(kappa) + reg_tau/2 |tau|^2 + |[l]_+|^2 / (2 phi)
-               + |[r]_+|^2 / (2 psi).
+        F(z) = C(kappa) + |[l]_+|^2 / (2 phi) + |[r]_+|^2 / (2 psi).
 
-    F is strongly convex with modulus sigma = min(2 w_pv^2, 2 w_qv^2,
-    2 w_f^2, reg_tau), but it is not smooth: every sample hinge in l
-    puts a kink into F, and the CVaR auxiliaries of rows with a positive
-    multiplier sit on one at the minimum.  Three steps find and certify
-    the minimizer:
-
-    1. Slack QP.  As in the linear-programming form of CVaR (Rockafellar
-       & Uryasev, J. Risk 2000), slack variables take the hinges and the
-       [.]_+^2 terms out of the objective, which leaves a smooth convex
-       QP for SLSQP.  A row's hinge average is the largest of its Ns + 1
-       top-k partial averages of the sorted samples, so one slack per row
-       with Ns + 1 linear cuts replaces one slack per sample.
-    2. Polish.  On the piece of F the QP solution lies on (strictly
-       active samples, the sample at its kink, rows with a positive
-       multiplier, auxiliaries at their bound) the optimality conditions
-       are linear.  Solving them exactly removes the QP solver's error.
-    3. Certificate.  At the polished point an explicit eps-subgradient g
-       of F plus the normal cone of tau >= 0 gives
-       |z - z*| <= (|g| + sqrt(|g|^2 + 2 sigma eps)) / sigma, and the
-       best responses' Lipschitz constants carry that bound to mu and
-       lambda.  If the bound exceeds 5e-5 in any key, AssertionError is
-       raised instead of returning an uncertified point.
+    The rows l and r are affine in z, so F is C^1, piecewise quadratic
+    (one piece per set of positive rows) and strongly convex with modulus
+    sigma = min(2 w_pv^2, 2 w_qv^2, 2 w_f^2).  A damped Newton iteration
+    on the piece of the current point finds the minimizer, and at the
+    returned point |z - z*| <= |grad F(z)| / sigma.  The best responses'
+    Lipschitz constants carry that bound to mu and lambda.  If the bound
+    exceeds 1e-9 in any key, AssertionError is raised instead of
+    returning an uncertified point.
 
     All model arithmetic below is written out independently of the
-    package's scheduler code.
+    package's scheduler code; the CVaR rows take scipy's normal density
+    at its upper beta-quantile (``norm.isf``).
     """
     n = sm.R.shape[0]
     m = len(nodes)
-    nr = 2 * n  # CVaR rows, upper bounds first
-    nz = 4 * m + nr
-    ns = xi.shape[0]
     idx = np.asarray(nodes, dtype=int) - 1
     dv = rho.v_meas - rho.v_star
     d_om = rho.omega - rho.omega_star
     wv = np.concatenate([np.full(m, cfg.cost_w_pv), np.full(m, cfg.cost_w_qv)])
-    curv = np.concatenate([2 * wv**2, 2 * np.asarray(w_f) ** 2, np.full(nr, cfg.reg_tau)])
-    # hinge arguments of row k are y_k + c[k], with y = sgn * v_pred + tau
+    curv = np.concatenate([2 * wv**2, 2 * np.asarray(w_f) ** 2])
+    # CVaR row k is A[k] @ kappa_v + l0[k], upper bounds first
     sgn = np.repeat([1.0, -1.0], n)
     jv = np.concatenate([sm.R[:, idx] * dv[idx], sm.X[:, idx] * dv[idx]], axis=1)
-    jy = sgn[:, None] * np.vstack([jv, jv])
-    y0 = sgn * np.concatenate([sm.v0, sm.v0])
-    c = np.concatenate([xi - cfg.v_max, cfg.v_min - xi], axis=1).T
+    A = cfg.beta * sgn[:, None] * np.vstack([jv, jv])
+    spread = cfg.noise_std * rho.v_meas * norm.pdf(norm.isf(cfg.beta))
+    bound = np.concatenate([np.full(n, cfg.v_max), np.full(n, -cfg.v_min)])
+    l0 = cfg.beta * (sgn * np.concatenate([sm.v0, sm.v0]) - bound) + np.concatenate([spread, spread])
+    # band row k is B[k] @ kappa_f + r0[k]
     ge = np.concatenate([sm.H[:n][idx], sm.H[n:][idx]]) * d_om
     e0 = sm.P0 - rho.r_t * d_om
+    B = np.outer([-1.0, 1.0], ge)
+    r0 = np.array([cfg.e_min - e0, e0 - cfg.e_max])
 
-    def terms(z):
-        kv, kf, tau = z[: 2 * m], z[2 * m : 4 * m], z[4 * m :]
-        y = y0 + jy @ kv + tau
-        e = e0 + ge @ kf
-        return kv, kf, tau, y, np.array([cfg.e_min - e, e - cfg.e_max])
+    def parts(z):
+        l = A @ z[: 2 * m] + l0
+        r = B @ z[2 * m :] + r0
+        F = 0.5 * z @ (curv * z) + l[l > 0] @ l[l > 0] / (2 * cfg.phi) + r[r > 0] @ r[r > 0] / (2 * cfg.psi)
+        g = curv * z + np.concatenate([A.T @ np.maximum(l, 0.0) / cfg.phi, B.T @ np.maximum(r, 0.0) / cfg.psi])
+        return F, g, l > 0, r > 0
 
-    # 1. slack QP over x = (z, hinge averages h, [l]_+ slacks u, [r]_+ slacks s):
-    # min 1/2 x' diag(hess) x  s.t.  h_k >= (j y_k + top_kj) / ns,
-    # u >= h - beta tau, s >= r, and tau, u, s >= 0
-    j = np.arange(ns + 1)
-    top = np.concatenate([np.zeros((nr, 1)), np.cumsum(-np.sort(-c, axis=1), axis=1)], axis=1)
-    k = np.arange(nr)
-    cuts = np.zeros((nr, ns + 1, nz + 2 * nr + 2))
-    cuts[:, :, : 2 * m] = j[:, None] * jy[:, None, :] / ns
-    cuts[k, :, 4 * m + k] = j / ns
-    cuts[k, :, nz + k] = -1.0
-    lift = np.zeros((nr, nz + 2 * nr + 2))
-    lift[k, nz + k] = 1.0
-    lift[k, 4 * m + k] = -cfg.beta
-    lift[k, nz + nr + k] = -1.0
-    band = np.zeros((2, nz + 2 * nr + 2))
-    band[:, 2 * m : 4 * m] = np.outer([-1.0, 1.0], ge)
-    band[[0, 1], [-2, -1]] = -1.0
-    A = np.vstack([cuts.reshape(-1, nz + 2 * nr + 2), lift, band])
-    b = np.concatenate(
-        [-(j * y0[:, None] + top).ravel() / ns, np.zeros(nr), [e0 - cfg.e_min, cfg.e_max - e0]]
-    )
-    hess = np.concatenate([curv, np.zeros(nr), np.full(nr, 1 / cfg.phi), np.full(2, 1 / cfg.psi)])
-    qp = optimize.minimize(
-        lambda x: (0.5 * x @ (hess * x), hess * x),
-        np.zeros(hess.size),
-        jac=True,
-        method="SLSQP",
-        bounds=[(None, None)] * (4 * m)
-        + [(0.0, None)] * nr
-        + [(None, None)] * nr
-        + [(0.0, None)] * (nr + 2),
-        constraints=dict(type="ineq", fun=lambda x: b - A @ x, jac=lambda x: -A),
-        options=dict(maxiter=1000, ftol=1e-16),
-    )
+    z = np.zeros(4 * m)
+    F, g, on_l, on_r = parts(z)
+    for _ in range(200):
+        hess = np.diag(curv)
+        hess[: 2 * m, : 2 * m] += A[on_l].T @ A[on_l] / cfg.phi
+        hess[2 * m :, 2 * m :] += B[on_r].T @ B[on_r] / cfg.psi
+        step = np.linalg.solve(hess, g)
+        t = 1.0
+        while t > 1e-12:
+            F_new, g_new, l_new, r_new = parts(z - t * step)
+            if F_new <= F - 1e-4 * t * (g @ step):
+                break
+            t /= 2
+        else:
+            break  # no decrease left to resolve
+        z, F, g, on_l, on_r = z - t * step, F_new, g_new, l_new, r_new
+        if np.linalg.norm(g) == 0.0:
+            break
 
-    def polish(z):
-        """Solve the linear optimality conditions of the piece z lies on."""
-        snap = 1e-6  # well above the QP solver's error, below sample gaps
-        _, _, tau, y, r = terms(z)
-        a = y[:, None] + c
-        on = a > snap  # strictly active samples
-        cnt = on.sum(axis=1)
-        tot = np.where(on, c, 0.0).sum(axis=1)
-        pos = (np.maximum(a, 0.0).mean(axis=1) - cfg.beta * tau) > 0
-        s_k = np.argmin(np.abs(a), axis=1)
-        kink = np.flatnonzero(pos & (np.abs(a[k, s_k]) <= snap))
-        free = pos & (tau > snap)
-        active_band = r > 0
+    dist = np.linalg.norm(g) / curv.min()
+    lip_mu = np.sqrt((A**2).sum(axis=1)).max() / cfg.phi
+    lip_lam = np.linalg.norm(ge) / cfg.psi
+    err = dist * max(1.0, lip_mu, lip_lam)
+    if not err <= 1e-9:
+        raise AssertionError(f"saddle point not certified: error bound {err:.3g}")
+    kv, kf = z[: 2 * m], z[2 * m :]
+    mu = np.maximum(A @ kv + l0, 0.0) / cfg.phi
+    lam = np.maximum(B @ kf + r0, 0.0) / cfg.psi
+    return dict(kappa_v=kv, kappa_f=kf, mu=mu, lam=lam)
 
-        def residual(v):
-            kv, kf, tau, y, r = terms(v[:nz])
-            mu = np.where(pos, ((cnt * y + tot) / ns - cfg.beta * tau) / cfg.phi, 0.0)
-            lam = np.where(active_band, r / cfg.psi, 0.0)
-            w = mu * cnt / ns  # weight of y_k in the subgradient
-            w[kink] += v[nz:]
-            return np.concatenate(
-                [
-                    curv[: 2 * m] * kv + jy.T @ w,
-                    curv[2 * m : 4 * m] * kf + (lam[1] - lam[0]) * ge,
-                    np.where(free, cfg.reg_tau * tau + w - cfg.beta * mu, tau),
-                    y[kink] + c[kink, s_k[kink]],
-                ]
-            )
 
-        # the residual is affine in v: read its matrix off unit vectors
-        r0 = residual(np.zeros(nz + kink.size))
-        M = np.column_stack([residual(e) - r0 for e in np.eye(r0.size)])
-        v = np.linalg.solve(M, -r0)
-        v -= np.linalg.solve(M, residual(v))
-        z = v[:nz].copy()
-        z[4 * m :] = np.where(free, np.maximum(z[4 * m :], 0.0), 0.0)
-        return z
+def saa_cvar_row(x, xi, beta):
+    """The sample-average CVaR row: min over c of mean(max(x + xi + c, 0)) - beta c.
 
-    def certified_error(z):
-        """Bound on the distance of every returned key from the exact saddle."""
-        kink = 1e-9  # any threshold is sound: eps pays for the |a| it admits
-        kv, kf, tau, y, r = terms(z)
-        a = y[:, None] + c
-        mu = np.maximum(np.maximum(a, 0.0).mean(axis=1) - cfg.beta * tau, 0.0) / cfg.phi
-        lam = np.maximum(r, 0.0) / cfg.psi
-        # any slope between these fractions is an eps-subgradient slope of
-        # the hinge average; take the one that zeroes the tau condition
-        lo = (a > kink).mean(axis=1)
-        hi = (a >= -kink).mean(axis=1)
-        want = cfg.beta - cfg.reg_tau * tau / np.where(mu > 0, mu, 1.0)
-        slope = np.clip(want, lo, hi)
-        g_tau = cfg.reg_tau * tau + mu * (slope - cfg.beta)
-        g = np.linalg.norm(
-            np.concatenate(
-                [
-                    curv[: 2 * m] * kv + jy.T @ (mu * slope),
-                    curv[2 * m : 4 * m] * kf + (lam[1] - lam[0]) * ge,
-                    np.where(tau > 0, g_tau, np.minimum(g_tau, 0.0)),
-                ]
-            )
-        )
-        eps = np.sum(mu * np.where(np.abs(a) <= kink, np.abs(a), 0.0).mean(axis=1))
-        sigma = curv.min()
-        dist = (g + np.sqrt(g * g + 2 * sigma * eps)) / sigma
-        lip_mu = np.sqrt((jy**2).sum(axis=1) + (1 + cfg.beta) ** 2).max() / cfg.phi
-        lip_lam = np.linalg.norm(ge) / cfg.psi
-        return dist * max(1.0, lip_mu, lip_lam), mu, lam
-
-    z = polish(qp.x[:nz])
-    err, mu, lam = certified_error(z)
-    if not err <= 5e-5:
-        raise AssertionError(f"saddle point not certified: error bound {err:.3g} ({qp.message})")
-    kv, kf, tau, _, _ = terms(z)
-    return dict(kappa_v=kv, kappa_f=kf, cvar=tau, mu=mu, lam=lam)
+    The objective is convex and piecewise linear in c, with slope
+    -beta left of every breakpoint -(x + xi_s) and 1 - beta right of
+    them all, so one breakpoint minimizes it.  With a = x + xi sorted in
+    descending order, c = -a_k gives (sum_{j<k} a_j - k a_k) / N + beta a_k;
+    every breakpoint is evaluated and the least value returned.
+    """
+    a = np.sort(x + np.asarray(xi, dtype=float))[::-1]
+    k = np.arange(a.size)
+    above = np.concatenate([[0.0], np.cumsum(a)[:-1]])
+    return float(np.min((above - k * a) / a.size + beta * a))
 
 
 def cost(state, cfg):
@@ -353,21 +281,24 @@ def scattered_response(state, rho, n, kv, kf):
     return p, q
 
 
-def lagrangian(state, sm, rho, samples, cfg):
+def lagrangian(state, sm, rho, cfg):
     """Regularized Lagrangian value at the state's primal/dual point.
 
     The voltage model takes the current voltage gains with the previous
     frequency gains, the tracking error the previous voltage gains with
     the current frequency gains, as the scheduler's feedforward does.
+    Each CVaR row is beta x + sigma phi(Phi^-1(1 - beta)), the quantile
+    from scipy's inverse survival function.
     """
     n = sm.R.shape[0]
     p, q = scattered_response(state, rho, n, state.kappa_v, state.prev_kappa_f)
     vm = sm.R @ p + sm.X @ q + sm.v0
     p, q = scattered_response(state, rho, n, state.prev_kappa_v, state.kappa_f)
     e = sm.P0 + sm.H[:n] @ p + sm.H[n:] @ q - rho.r_t * (rho.omega - rho.omega_star)
-    upper = np.maximum(vm - cfg.v_max + samples + state.cvar[:n], 0.0).mean(axis=0)
-    lower = np.maximum(cfg.v_min - vm - samples + state.cvar[n:], 0.0).mean(axis=0)
-    l_val = np.concatenate([upper, lower]) - cfg.beta * state.cvar
+    spread = cfg.noise_std * rho.v_meas * norm.pdf(norm.isf(cfg.beta))
+    upper = cfg.beta * (vm - cfg.v_max) + spread
+    lower = cfg.beta * (cfg.v_min - vm) + spread
+    l_val = np.concatenate([upper, lower])
     r_val = np.array([cfg.e_min - e, e - cfg.e_max])
     return (
         cost(state, cfg)
@@ -375,7 +306,6 @@ def lagrangian(state, sm, rho, samples, cfg):
         + float(state.lam @ r_val)
         - 0.5 * cfg.phi * float(state.mu @ state.mu)
         - 0.5 * cfg.psi * float(state.lam @ state.lam)
-        + 0.5 * cfg.reg_tau * float(state.cvar @ state.cvar)
     )
 
 
@@ -419,8 +349,8 @@ def two_clause_check_gains(k_pv, k_qv, tau_p, tau_q, gamma):
     return a <= gamma - margin or b <= gamma - margin
 
 
-def primal_dual_reference(state, sm, rho, samples, cfg, stab, tau_p, tau_q):
-    """One dual-then-primal cycle in the formulas the scheduler first used.
+def primal_dual_reference(state, sm, rho, cfg, stab, tau_p, tau_q):
+    """One dual-then-primal cycle written without the scheduler's helpers.
 
     Same arithmetic in the same order as ``scheduler.primal_dual_step``,
     so every returned array must match it bit for bit; the inputs are
@@ -436,16 +366,14 @@ def primal_dual_reference(state, sm, rho, samples, cfg, stab, tau_p, tau_q):
     delivered = h @ (state.prev_kappa_v * u + state.kappa_f * d_omega) + sm.P0
     e = float(delivered - rho.r_t * (rho.omega - rho.omega_star))
 
-    arg = np.concatenate([vm - cfg.v_max + samples, cfg.v_min - vm - samples], axis=1) + state.cvar
-    l_val = np.maximum(arg, 0.0).mean(axis=0) - state.cvar * cfg.beta
+    sigma = cfg.noise_std * rho.v_meas
+    phi_z = NormalDist().pdf(NormalDist().inv_cdf(cfg.beta))
+    l_val = cfg.beta * np.concatenate([vm - cfg.v_max, cfg.v_min - vm]) + np.tile(sigma * phi_z, 2)
     r_val = np.array([cfg.e_min - e, e - cfg.e_max])
     mu = np.maximum(state.mu + cfg.alpha_dual * (l_val - cfg.phi * state.mu), 0.0)
     lam = np.maximum(state.lam + cfg.alpha_dual * (r_val - cfg.psi * state.lam), 0.0)
 
-    frac = (arg > 0.0).mean(axis=0)
-    w = mu * frac
-    s_v = (G * u).T @ (w[:n] - w[n:])
-    d = mu * (frac - cfg.beta)
+    s_v = (G * u).T @ (cfg.beta * (mu[:n] - mu[n:]))
     s_f = (lam[1] - lam[0]) * (h * d_omega)
 
     wv = np.concatenate([np.full(m, cfg.cost_w_pv), np.full(m, cfg.cost_w_qv)])
@@ -464,7 +392,6 @@ def primal_dual_reference(state, sm, rho, samples, cfg, stab, tau_p, tau_q):
         state,
         kappa_v=np.concatenate([k_pv, k_qv]),
         kappa_f=np.clip(kappa_f, -stab.kf_bound, stab.kf_bound),
-        cvar=np.maximum(state.cvar - cfg.alpha_tau * (d + cfg.reg_tau * state.cvar), 0.0),
         mu=mu,
         lam=lam,
     )

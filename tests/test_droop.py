@@ -200,6 +200,18 @@ class TestProjectCapability:
             pb = np.array(project_capability(cap, b[0], b[1]))
             assert np.linalg.norm(pa - pb) <= np.linalg.norm(a - b) + 1e-12
 
+    @pytest.mark.parametrize("k", [0, 8, 12, 16, 154, 300])
+    def test_load_nearest_point_does_not_depend_on_the_range_width(self, k):
+        # the segment used to be parameterized from its far end p_min, so p - p_min
+        # cancelled: off by 1e-8 at k = 8, 1.6e-5 at k = 12, (0, 0) from k = 16
+        cap = CapabilitySet(kind=LOAD, p_min=-(10.0**k), p_max=0.0, pf_fixed=0.9)
+        cos, sin = 0.9, math.sqrt(1.0 - 0.81)
+        along = -0.5 * cos - 0.1 * sin  # the request's coordinate along the line
+        p, q = project_capability(cap, -0.5, -0.1)
+        assert p == pytest.approx(along * cos, rel=1e-15)
+        assert q == pytest.approx(along * sin, rel=1e-15)
+        assert project_capability(cap, 0.3, -0.2) == (0.0, 0.0)
+
     def test_empty_set_raises(self):
         for limits in ({"p_min": 0.2, "p_max": -0.2}, {"p_min": np.nan}, {"p_max": np.nan}):
             with pytest.raises(CapabilityError, match="empty feasible set"):

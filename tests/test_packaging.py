@@ -137,21 +137,63 @@ def test_no_unused_imports_or_private_names():
 
 
 
+def _bench_and_package_sources():
+    """The package's modules and the benchmark's, less its tests."""
+    return sorted(PACKAGE.glob("*.py")) + [p for p in sorted(PERFBENCH.glob("*.py")) if not p.name.startswith("test_")]
+
+
 # Exported names that no code under the package or the benchmark reads, with
 # the reason.  A name only the tests read belongs in tests/oracles.py.
 UNREAD_EXPORTS = {
     "load_network": "the package's input reader for a feeder table",
     "load_der_units": "the package's input reader for a DER table",
     "project_gains": "perfbench/spans.py traces it by name, as a string",
+    "draw_samples": "perfbench/spans.py traces it by name, as a string; the tests' "
+    "sample-average check of the CVaR rows draws from it",
 }
 
 
 def test_every_export_is_read_outside_the_tests():
     """A public name is read by the package or the benchmark, not by the tests alone."""
-    sources = sorted(PACKAGE.glob("*.py")) + [p for p in sorted(PERFBENCH.glob("*.py")) if not p.name.startswith("test_")]
-    reads = set().union(*(_reads(ast.parse(path.read_text())) for path in sources))
+    reads = set().union(*(_reads(ast.parse(path.read_text())) for path in _bench_and_package_sources()))
     exported = [name for m in MODULES for name in getattr(importlib.import_module(f"droopsched.{m}"), "__all__", ())]
     assert {name for name in exported if name not in reads} == set(UNREAD_EXPORTS)
+
+
+# Record fields that no code under the package or the benchmark reads, with the reason.
+UNREAD_FIELDS = {
+    ("SchedulingPoint", "timestamp"): "perfbench passes it by keyword; nothing has read it "
+    "since the staleness check became sm.rho is rho",
+    ("PowerFlowSolution", "residual"): "kept for the per-period record of each power flow's "
+    "iterations and final residual",
+}
+
+
+def _is_record(node) -> bool:
+    """A ``dataclass``-decorated class or a ``NamedTuple`` subclass."""
+    decorated = any(_is_frozen_dataclass(d) is not None for d in node.decorator_list)
+    return decorated or any(isinstance(b, ast.Name) and b.id == "NamedTuple" for b in node.bases)
+
+
+def test_every_record_field_is_read_outside_the_tests():
+    """A field is read as an attribute by the package or the benchmark, not only stored."""
+    reads = {
+        node.attr
+        for path in _bench_and_package_sources()
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and _is_record(node):
+                unread |= {
+                    (node.name, stmt.target.id)
+                    for stmt in node.body
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                    and stmt.target.id not in reads
+                }
+    assert unread == set(UNREAD_FIELDS)
 
 
 # Records left mutable, with the reason.  A cost is per construction, mutable ->
