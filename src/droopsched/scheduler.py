@@ -260,8 +260,9 @@ def primal_dual_step(
     Raises ValueError for a stale model (``sm.rho`` is not ``rho``), for
     a state whose mu is not sized for this feeder (2n entries), unless
     tau_p and tau_q have shape (m,), one entry per online unit, finite
-    and positive, or when the updated voltage gains are not finite (a
-    diverged iteration).
+    and positive, or when an updated voltage-gain pair is not finite or
+    clips with a scaled gain past 2^64 gamma (a diverged iteration,
+    refused by stability.project_voltage_gains).
     """
     if sm.rho is not rho:
         raise ValueError("stale sensitivity model: built at another scheduling point")

@@ -23,6 +23,15 @@ in the test suite confirms the sum form is the sound one.  The region
 is convex (a parabola sublevel set), so candidate gains can be repaired
 by exact Euclidean projection.
 
+The projection keeps every pair that check_gains accepts bit for bit,
+at any magnitude, and moves every other pair a rounding-sized step
+inside the boundary.  A pair that clips with a scaled gain past
+2^64 gamma is not projected but refused by name, as the mark of a
+diverged iteration, and so is a projected pair whose gains underflow
+out of the region (subnormal k).  StabilityParams admits gamma within
+[2^-400, 2^400], so that up to that bound no step of the projection
+overflows and the strictness margin never underflows.
+
 Frequency-droop gains do not enter the voltage stability analysis; they
 are kept bounded by a configurable box.
 """
@@ -46,11 +55,6 @@ __all__ = [
 
 _SQRT2 = np.sqrt(2.0)
 _EPS = np.finfo(float).eps
-# Bounds that keep the boundary cubic's solution finite: a cubic with |p| past
-# _CUBIC_P or |q| past _CUBIC_Q is not solved, its pair taking the region's
-# apex (see _onto_boundary).
-_CUBIC_P = 2.0**340
-_CUBIC_Q = 2.0**510
 
 
 @dataclass(frozen=True)
@@ -63,6 +67,10 @@ class StabilityParams:
     def __post_init__(self):
         if not 0.0 < self.gamma < np.inf:
             raise ValueError("gamma must be finite and positive")
+        # within this range and the projection's 2^64 gamma bound, no step of
+        # the projection overflows, and quad_margin stays a normal float
+        if not 2.0**-400 <= self.gamma <= 2.0**400:
+            raise ValueError("gamma must lie within [2**-400, 2**400]")
         if not self.kf_bound >= 0.0:
             raise ValueError("kf_bound must be non-negative")
 
@@ -72,10 +80,10 @@ class StabilityParams:
         return 4.0 * self.gamma * (1e-6 * self.gamma)
 
 
-def _check_taus(tau_p: np.ndarray, tau_q: np.ndarray) -> None:
-    """Raise ValueError unless every time constant is finite and positive."""
+def _check_taus(tau_p, tau_q) -> None:
+    """Raise ValueError unless every time constant, float or array entry, is finite and positive."""
     for name, tau in (("tau_p", tau_p), ("tau_q", tau_q)):
-        if not ((0.0 < tau) & (tau < np.inf)).all():
+        if not np.all((0.0 < tau) & (tau < np.inf)):
             raise ValueError(f"{name} must be finite and positive")
 
 
@@ -116,9 +124,9 @@ def check_gains(
     boundary itself is rejected, and so is a NaN.  Raises ValueError
     unless both time constants are finite and positive.
     """
-    for name, tau in (("tau_p", tau_p), ("tau_q", tau_q)):
-        if not 0.0 < tau < np.inf:
-            raise ValueError(f"{name} must be finite and positive")
+    # chained comparisons: np.all on a Python bool costs some 50 times as much
+    if not (0.0 < tau_p < np.inf and 0.0 < tau_q < np.inf):
+        _check_taus(tau_p, tau_q)  # raises, naming tau_p or tau_q
     return _quad(gains.k_pv / tau_p, gains.k_qv / tau_q, params.gamma) <= -params.quad_margin
 
 
@@ -162,12 +170,10 @@ def _inward(w, s, g):
 def _onto_boundary(a: np.ndarray, b: np.ndarray, params: StabilityParams) -> tuple[np.ndarray, np.ndarray]:
     """Projection of scaled pairs outside the certified region onto its boundary.
 
-    The boundary point is stepped inside by its rounding bound.  Where
-    that step leaves it farther from the pair than the region's apex is,
-    by more than a relative 1e-12 that keeps rounding-level ties (this
-    starts near 1e28 gamma), or where the boundary cubic's coefficients
-    are too large to solve without overflow, the pair goes to the apex,
-    stepped inside the same way.
+    The boundary point is stepped inside by its rounding bound.  The
+    pairs must lie within 2^64 gamma, as _project_in_place ensures: then,
+    for every gamma that StabilityParams admits, no step overflows and
+    the result is no farther from the pair than the region's apex is.
     """
     g = params.gamma
     # rotate to w = (a-b)/sqrt2, s = (a+b)/sqrt2: the region is s <= d - w^2 / (2 sqrt2 g)
@@ -176,18 +182,8 @@ def _onto_boundary(a: np.ndarray, b: np.ndarray, params: StabilityParams) -> tup
     d = (4.0 * g * g - params.quad_margin) / (4.0 * _SQRT2 * g)
     # stationarity of the squared distance to the boundary curve in x = w / g:
     # x^3 + 4 (1 + (s0 - d) / (sqrt2 g)) x - 4 w0 / g = 0
-    p = 4.0 * (1.0 + (s0 - d) / (_SQRT2 * g))
-    q = -4.0 * w0 / g
-    solvable = (np.abs(p) <= _CUBIC_P) & (np.abs(q) <= _CUBIC_Q)
-    if not solvable.all():
-        # x^3 + x = 0 has the root x = 0, the apex
-        p, q = np.where(solvable, p, 1.0), np.where(solvable, q, 0.0)
-    w = g * _nearest_root(p, q)
+    w = g * _nearest_root(4.0 * (1.0 + (s0 - d) / (_SQRT2 * g)), -4.0 * w0 / g)
     s = _inward(w, d - w * w / (2.0 * _SQRT2 * g), g)
-    s_apex = _inward(0.0, d, g)
-    far = np.hypot(w - w0, s - s0) > np.hypot(w0, s_apex - s0) * (1.0 + 1e-12)
-    if far.any():
-        w, s = np.where(far, 0.0, w), np.where(far, s_apex, s)
     return (s + w) / _SQRT2, (s - w) / _SQRT2
 
 
@@ -199,29 +195,31 @@ def _project_in_place(k: np.ndarray, tau: np.ndarray, params: StabilityParams) -
     in one pass.  A pair clips exactly where check_gains rejects it: a
     quadratic that overflows to inf or NaN clips, and so does every
     non-finite gain or scaled pair, so the gains are checked on the
-    clipped pairs only, before they reach the projection.
+    clipped pairs only.  A clipped pair with a scaled gain past 2^64
+    gamma, an infinite k / tau included, is refused before any pair is
+    projected, and so is a result whose gains round out of the region
+    (products k = a tau in subnormals); ``k`` is then left unchanged.
     """
     # the reductions propagate NaN, which fails the comparisons
     if not (0.0 < tau.min(initial=np.inf) and tau.max(initial=0.0) < np.inf):
         _check_taus(tau[0], tau[1])  # raises, naming tau_p or tau_q
+    g = params.gamma
     with np.errstate(over="ignore", invalid="ignore"):
         ab = k / tau
         # a quadratic that overflows to inf clips, and a NaN one fails <= and
         # clips too: check_gains, in Python floats, rejects both without a warning
-        clip = ~(_quad(ab[0, ...], ab[1, ...], params.gamma) <= -params.quad_margin)
+        clip = ~(_quad(ab[0, ...], ab[1, ...], g) <= -params.quad_margin)
     if clip.any():
         if not np.isfinite(k[:, clip]).all():
             raise ValueError("k_pv and k_qv must be finite")
-        pairs = ab[:, clip]
-        if not np.isfinite(pairs).all():
-            raise ValueError("k_pv / tau_p and k_qv / tau_q must be finite: the scaled gains overflow")
-        # a pair near the float limit may overflow in the rotation or in the
-        # boundary cubic's coefficients, which then send it to the apex
-        with np.errstate(over="ignore"):
-            a, b = _onto_boundary(pairs[0], pairs[1], params)
-        # [i, ...] keeps 0-d rows as views, so the writes reach k
-        k[0, ...][clip] = a * tau[0, ...][clip]
-        k[1, ...][clip] = b * tau[1, ...][clip]
+        pairs, t = ab[:, clip], tau[:, clip]
+        if not np.abs(pairs).max() <= 2.0**64 * g:
+            raise ValueError("k / tau must lie within 2**64 gamma where it clips: refused as diverged")
+        out = np.array(_onto_boundary(pairs[0], pairs[1], params)) * t
+        # check_gains's own test: a subnormal product rounds by more than the inward step
+        if not (_quad(out[0] / t[0], out[1] / t[1], g) <= -params.quad_margin).all():
+            raise ValueError("the projected gains underflow out of the certified region: tau too small")
+        k[:, clip] = out
 
 
 def project_voltage_gains(
@@ -235,14 +233,15 @@ def project_voltage_gains(
 
     Arrays of one shape, one entry per unit; the projection is taken in
     the scaled pairs (k_pv / tau_p, k_qv / tau_q), and its result passes
-    check_gains.  A pair that already passes is returned bit-for-bit; a
-    clipped pair lands a rounding-sized step inside the boundary, or at
-    the region's apex for pairs so large (from about 1e28 gamma) that
-    this step would take it farther out than the apex is.  The result
-    stays finite for every finite scaled pair, up to the float limit.
+    check_gains.  A pair that already passes is returned bit-for-bit, at
+    any magnitude; a clipped pair lands a rounding-sized step inside the
+    boundary, no farther from the pair than the region's apex is.
     Returns new arrays.  Raises ValueError unless the four arrays share
-    one shape, every time constant is finite and positive, every gain
-    is finite and every scaled pair k / tau is finite.
+    one shape, every time constant is finite and positive and every gain
+    is finite; for the whole array when one clipped pair has a scaled
+    gain past 2^64 gamma, an infinite one included (a diverged
+    iteration); and when a projected gain underflows out of the region
+    (subnormal k).
     """
     if not np.shape(k_pv) == np.shape(k_qv) == np.shape(tau_p) == np.shape(tau_q):
         raise ValueError("k_pv, k_qv, tau_p and tau_q must share one shape")

@@ -469,6 +469,14 @@ class TestPrimalDualStep:
         with pytest.raises(ValueError, match=f"^{name} must be finite and positive$"):
             primal_dual_step(state, sm, rho, cfg, stab, **taus)
 
+    def test_refuses_voltage_gains_diverged_past_the_bound(self):
+        # such a state came back projected to the region's apex, hiding the divergence
+        _, sm, rho, cfg, stab, state, _ = desk_instance()
+        taus = np.full(3, 0.2)
+        far = replace(state, kappa_v=np.full(2 * state.m, 2.0**65 * stab.gamma * 0.2))
+        with pytest.raises(ValueError, match=r"^k / tau must lie within 2\*\*64 gamma where it clips: refused as diverged$"):
+            primal_dual_step(far, sm, rho, cfg, stab, taus, taus)
+
     def test_rejects_a_state_built_for_another_feeder(self):
         # numpy used to fail broadcasting a (14,) mu against the (12,) rows
         _, sm, rho, cfg, stab, state, nodes = desk_instance()

@@ -1,5 +1,6 @@
 """Stability gate tests: gamma, certified region, projection, closed loop."""
 
+import math
 import warnings
 
 import numpy as np
@@ -20,6 +21,11 @@ from droopsched.stability import (
 )
 
 from .oracles import closed_loop_matrix, lyapunov_value, power_iteration_lambda_max, two_clause_check_gains
+
+# a clipped scaled pair past 2^64 gamma is refused, not projected
+BOUND = 2.0**64
+REFUSED = r"^k / tau must lie within 2\*\*64 gamma where it clips: refused as diverged$"
+GAMMA_ENDS = [2.0**-400, 2.0**400]
 
 
 def make_sm(R, X):
@@ -83,6 +89,14 @@ class TestStabilityParams:
         with pytest.raises(ValueError, match="^gamma must be finite and positive$"):
             StabilityParams(gamma=gamma)
 
+    @pytest.mark.parametrize("gamma", [1e200, 2.0**400 * (1 + 2.0**-52), 1e-160, 2.0**-401])
+    def test_rejects_gamma_outside_its_range(self, gamma):
+        # gamma = 1e200 made quad_margin inf, and (1, 1e300) then projected to
+        # (nan, nan) without a warning; below about 1e-159 quad_margin
+        # underflowed to 0, so check_gains accepted the boundary itself
+        with pytest.raises(ValueError, match=r"^gamma must lie within \[2\*\*-400, 2\*\*400\]$"):
+            StabilityParams(gamma=gamma)
+
     @pytest.mark.parametrize("kf_bound", [np.nan, -1.0, -np.inf])
     def test_rejects_nan_or_negative_kf_bound(self, kf_bound):
         with pytest.raises(ValueError, match="^kf_bound must be non-negative$"):
@@ -107,6 +121,13 @@ class TestCheckGains:
     def test_boundary_root_fails(self):
         u = (-2.0 + 2.0 * np.sqrt(2.0)) * self.params.gamma
         assert not check_gains(DroopGains(k_pv=u * 0.2), 0.2, 0.2, self.params)
+
+    @pytest.mark.parametrize("gamma", GAMMA_ENDS)
+    def test_boundary_fails_at_the_ends_of_the_gamma_range(self, gamma):
+        # a = b = gamma / 2 puts the quadratic at exactly 0, short of the margin
+        params = StabilityParams(gamma=gamma)
+        assert 0.0 < params.quad_margin < np.inf
+        assert not check_gains(DroopGains(k_pv=gamma / 2, k_qv=gamma / 2), 1.0, 1.0, params)
 
     def test_sum_form_rejects_unstable_pair(self):
         # a=0.9, b=0.5 on R=X=T=I is genuinely unstable (det < 0); the
@@ -219,16 +240,16 @@ class TestProjectGains:
         [(1e300, 0.0, 1e-10), (0.0, -1e300, 1e-10), (-1e308, 1e308, 0.5), (1e307, 1e307, 1e-3)],
     )
     def test_projection_rejects_scaled_pair_that_overflows(self, k_pv, k_qv, tau):
-        # finite gains whose k / tau overflowed warned "overflow encountered in divide"
+        # finite gains whose k / tau overflowed warned "overflow encountered in
+        # divide"; an infinite scaled pair lies past the bound and is refused
         arrays = {"k_pv": np.full(3, -0.1), "k_qv": np.full(3, -0.1), "tau_p": np.full(3, 0.2), "tau_q": np.full(3, 0.2)}
         arrays["k_pv"][1], arrays["k_qv"][1] = k_pv, k_qv
         arrays["tau_p"][1] = arrays["tau_q"][1] = tau
-        message = "^k_pv / tau_p and k_qv / tau_q must be finite: the scaled gains overflow$"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=message):
+            with pytest.raises(ValueError, match=REFUSED):
                 project_voltage_gains(params=self.params, **arrays)
-            with pytest.raises(ValueError, match=message):
+            with pytest.raises(ValueError, match=REFUSED):
                 project_gains(DroopGains(k_pv=k_pv, k_qv=k_qv), tau, tau, self.params)
 
     @pytest.mark.parametrize("name", ["k_pv", "k_qv"])
@@ -320,42 +341,53 @@ class TestProjectGains:
         assert not check_gains(gains, 1.0, 1.0, params)
         assert check_gains(project_gains(gains, 1.0, 1.0, params), 1.0, 1.0, params)
 
-    @pytest.mark.parametrize("gamma", [1e-4, 4.6, 100.0])
+    @pytest.mark.parametrize("gamma", [GAMMA_ENDS[0], 1e-4, 4.6, 100.0, GAMMA_ENDS[1]])
     @pytest.mark.parametrize("tau_p, tau_q", [(0.2, 0.2), (0.05, 1.0)])
     def test_extreme_finite_pairs_stay_finite_certified_and_near(self, gamma, tau_p, tau_q):
-        # the boundary cubic overflowed from about 1e100 gamma on, (-1e240, -2e240)
-        # came back as -inf, and past about 1e28 gamma the rounding step put the
-        # result farther out than the apex: (-1e200, -2e200) gave -9.6e285
+        # pairs on circles from 2^-10 gamma out to the bound, 2^64 gamma: a
+        # clipped one may come back no farther than the region's apex
         params = StabilityParams(gamma=gamma)
         angle = np.linspace(0.0, 2.0 * np.pi, 73)
-        pairs = [np.array([[-1e200], [-2e200]]), np.array([[-1e240], [-2e240]])]
-        pairs += [mag * np.array([np.cos(angle), np.sin(angle)]) for mag in 10.0 ** np.arange(0, 301, 10)]
-        for k in pairs:
-            tau = np.array([np.full(k.shape[1], tau_p), np.full(k.shape[1], tau_q)])
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                out = np.array(project_voltage_gains(k[0], k[1], tau[0], tau[1], params))
-            assert np.isfinite(out).all()
-            for k_pv, k_qv in out.T:
-                assert check_gains(DroopGains(k_pv=k_pv, k_qv=k_qv), tau_p, tau_q, params)
-            # the projection is Euclidean in the scaled pairs, and the apex of
-            # the region that check_gains certifies is a = b = gamma / 2 less the margin
-            ab, ab_out = k / tau, out / tau
-            dist = np.hypot(*(ab_out - ab))
-            apex_dist = np.hypot(*((4 * gamma * gamma - params.quad_margin) / (8 * gamma) - ab))
-            assert np.all(dist <= apex_dist * (1.0 + 1e-9) + 1e-9 * gamma)
-
-
-    @pytest.mark.parametrize("k_pv, k_qv", [(1.7e308, -1.7e308), (-1.7e308, -1e308), (1.7e308, 1.7e308), (1e308, -1e300)])
-    def test_pairs_near_the_float_limit_go_to_the_apex_without_warning(self, k_pv, k_qv):
-        # these warned "overflow encountered in subtract", "in add" or "in multiply"
-        params = StabilityParams(gamma=4.6)
-        apex = project_voltage_gains([1e150], [1e150], [1.0], [1.0], params)
+        mags = gamma * np.append(2.0 ** np.arange(-10, 64, 2), BOUND)
+        ab = np.concatenate([mag * np.array([np.cos(angle), np.sin(angle)]) for mag in mags], axis=1)
+        tau = np.array([np.full(ab.shape[1], tau_p), np.full(ab.shape[1], tau_q)])
+        k = ab * tau
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = project_voltage_gains([k_pv], [k_qv], [1.0], [1.0], params)
-        assert np.array_equal(out, apex)
-        assert check_gains(DroopGains(k_pv=out[0][0], k_qv=out[1][0]), 1.0, 1.0, params)
+            out = np.array(project_voltage_gains(k[0], k[1], tau[0], tau[1], params))
+        assert np.isfinite(out).all()
+        for k_pv, k_qv in out.T:
+            assert check_gains(DroopGains(k_pv=k_pv, k_qv=k_qv), tau_p, tau_q, params)
+        # the projection is Euclidean in the scaled pairs, and the apex of
+        # the region that check_gains certifies is a = b = gamma / 2 less the margin
+        ab, ab_out = k / tau, out / tau
+        dist = np.hypot(*(ab_out - ab))
+        apex_dist = np.hypot(*((4 * gamma * gamma - params.quad_margin) / (8 * gamma) - ab))
+        assert np.all(dist <= apex_dist * (1.0 + 1e-9))
+
+    @pytest.mark.parametrize(
+        "k_pv, k_qv",
+        [(1.7e308, -1.7e308), (-1.7e308, -1e308), (1.7e308, 1.7e308), (1e308, -1e300), (BOUND * 4.6 * (1 + 2.0**-52), 0.0)],
+    )
+    def test_clipped_pairs_past_the_bound_are_refused_without_warning(self, k_pv, k_qv):
+        # the float-limit pairs warned "overflow encountered in subtract", "in add"
+        # or "in multiply", and were then sent to the apex
+        params = StabilityParams(gamma=4.6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=REFUSED):
+                project_voltage_gains([-0.1, k_pv], [-0.1, k_qv], [1.0, 1.0], [1.0, 1.0], params)
+            with pytest.raises(ValueError, match=REFUSED):
+                project_gains(DroopGains(k_pv=k_pv, k_qv=k_qv), 1.0, 1.0, params)
+
+    @pytest.mark.parametrize("gamma, tau", [(100.0, 1e-320), (1e-4, 3e-308)])
+    def test_projection_that_underflows_is_refused(self, gamma, tau):
+        # the projected pair times tau landed in subnormals, where its rounding
+        # outgrew the inward step: the result failed check_gains
+        message = "^the projected gains underflow out of the certified region: tau too small$"
+        with pytest.raises(ValueError, match=message):
+            project_voltage_gains([0.0], [1e-300], [tau], [tau], StabilityParams(gamma=gamma))
+
 
 SQRT2 = np.sqrt(2.0)
 
@@ -460,7 +492,7 @@ class TestProjectionProperties:
         assert np.all(ip <= slack)
 
 
-CLIP_GAMMAS = [1e-4, 4.6, 100.0]
+CLIP_GAMMAS = [GAMMA_ENDS[0], 1e-4, 4.6, 100.0, GAMMA_ENDS[1]]
 FLOAT_LIMIT = 1.7e308
 # pairs whose quadratic overflows in one term or in both: equal pairs at the
 # float limit, one ulp apart so that (a - b)^2 overflows while 4 gamma (a + b)
@@ -474,17 +506,33 @@ OVERFLOW_PRONE = [
 
 
 def assert_clip_rule(a, b, tau_p, tau_q, params):
-    """project_voltage_gains keeps bit for bit exactly the pairs check_gains accepts, and certifies the rest."""
+    """project_voltage_gains keeps bit for bit exactly the pairs check_gains accepts, certifies
+    the other pairs within 2^64 gamma no farther than the apex, and refuses the rest by name."""
     k_pv, k_qv = a * tau_p, b * tau_q
+    g = params.gamma
+    # check_gains in Python floats, whose arithmetic overflows without a warning
+    rows = list(zip(*map(np.ndarray.tolist, (k_pv, k_qv, tau_p, tau_q))))
+    kept = np.array([check_gains(DroopGains(k_pv=kp, k_qv=kq), tp, tq, params) for kp, kq, tp, tq in rows])
+    past = ~kept & np.array([max(abs(kp / tp), abs(kq / tq)) > BOUND * g for kp, kq, tp, tq in rows])
+    apex = (4 * g * g - params.quad_margin) / (8 * g)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out_pv, out_qv = project_voltage_gains(k_pv, k_qv, tau_p, tau_q, params)
-    # check_gains in Python floats, whose arithmetic overflows without a warning
-    for kp, kq, out_p, out_q, tp, tq in zip(*map(np.ndarray.tolist, (k_pv, k_qv, out_pv, out_qv, tau_p, tau_q))):
-        if check_gains(DroopGains(k_pv=kp, k_qv=kq), tp, tq, params):
+        if past.any():
+            with pytest.raises(ValueError, match=REFUSED):
+                project_voltage_gains(k_pv, k_qv, tau_p, tau_q, params)
+        for i in np.flatnonzero(past):
+            with pytest.raises(ValueError, match=REFUSED):
+                project_voltage_gains(k_pv[i], k_qv[i], tau_p[i], tau_q[i], params)
+        out_pv, out_qv = project_voltage_gains(*(x[~past] for x in (k_pv, k_qv, tau_p, tau_q)), params)
+    for (kp, kq, tp, tq), keep, out_p, out_q in zip(
+        (row for row, p in zip(rows, past) if not p), kept[~past], out_pv.tolist(), out_qv.tolist()
+    ):
+        if keep:
             assert np.array([out_p, out_q]).tobytes() == np.array([kp, kq]).tobytes()
         else:
             assert check_gains(DroopGains(k_pv=out_p, k_qv=out_q), tp, tq, params), (kp / tp, kq / tq)
+            dist = math.hypot(out_p / tp - kp / tp, out_q / tq - kq / tq)
+            assert dist <= math.hypot(apex - kp / tp, apex - kq / tq) * (1.0 + 1e-9)
 
 
 @st.composite
@@ -506,7 +554,8 @@ def any_magnitude_pairs(draw, count=8):
 
 
 class TestClipRule:
-    """The projection clips exactly where check_gains rejects, at every magnitude up to the float limit."""
+    """The projection clips exactly where check_gains rejects, at every magnitude up to the float limit,
+    and refuses a clipped pair past 2^64 gamma."""
 
     @settings(max_examples=300, deadline=None)
     @given(any_magnitude_pairs())
@@ -516,10 +565,16 @@ class TestClipRule:
 
     @pytest.mark.parametrize("gamma", CLIP_GAMMAS)
     def test_log_spaced_sweep(self, gamma):
+        # 4000 pairs each: magnitudes up to the float limit, the same up to the
+        # bound, and b = a (1 + j 2^-52), where only the linear term can certify
         rng = np.random.default_rng(11)
-        mags = 10 ** rng.uniform(np.log10(1e-3 * gamma), np.log10(FLOAT_LIMIT), (2, 4000))
-        a, b = rng.choice([-1.0, 1.0], (2, 4000)) * mags
-        tau_p, tau_q = rng.uniform(0.05, 1.0, (2, 4000))
+        lo = np.log10(1e-3 * gamma)
+        mags = 10 ** np.concatenate([rng.uniform(lo, np.log10(top), (2, 4000)) for top in (FLOAT_LIMIT, BOUND * gamma)], axis=1)
+        a, b = rng.choice([-1.0, 1.0], (2, 8000)) * mags
+        near = rng.choice([-1.0, 1.0], 4000) * 10 ** rng.uniform(lo, np.log10(FLOAT_LIMIT), 4000)
+        a = np.concatenate([a, near])
+        b = np.concatenate([b, near * (1 + rng.integers(-4, 5, 4000) * 2.0**-52)])
+        tau_p, tau_q = rng.uniform(0.05, 1.0, (2, 12000))
         assert_clip_rule(a, b, tau_p, tau_q, StabilityParams(gamma=gamma))
 
     @pytest.mark.parametrize("gamma", CLIP_GAMMAS)
