@@ -18,18 +18,16 @@ The PCC projection H and the flow constant P0 linearise the active power
 drawn at the substation, H by central finite differences of the
 nonlinear solver and P0 as the offset of the base exchange from the
 reference (scheduled) exchange.  H costs 4n + 1 power flows: one at the
-base point, then a +step and a -step flow per injection.  The
-injections are stepped one row at a time (p, then q), bus by bus in the
-sweep plan's preorder.  Each +step flow starts from the +step solution
-before it in its row (the base, for the first), corrected by a
-path-only prediction: a +step moves the flow by the step on exactly the
-branches of its bus's root path, and in preorder consecutive root paths
-differ only in the new bus's branch and the subtrees that just closed.
-Each -step flow starts from the mirror image 2 i_base - i_plus of the
-+step flow just solved, which matches the -step solution to second
-order in the step, so it converges in about one sweep.  H stays a
-central difference, not an exact adjoint, while the benchmark pins
-those 4n + 1 nested flows (ROADMAP items 1 and 5).
+base point, then a +step and a -step flow per injection.  Each stepped
+flow starts from the exact tangent of the base flow.  The sweep is a
+fixed point l = g(l; p, q) on the squared branch currents, so at the
+converged base their derivative is T = (I - dg/dl)^-1 dg/d(p, q), read
+off the base's flows, currents and voltages; the stepped flow's
+currents differ from l_base + step T e_j by a term of order step^2
+only, and one sweep settles them.  T also gives H exactly: p_pcc sums
+r l - p over every branch, so d p_pcc = r . dl - dp.  H stays the
+central difference of the 4n + 1 flows while the benchmark pins those
+nested flows (ROADMAP items 1a and 5).
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .network import NetworkModel, solve_power_flow
+from .network import NetworkModel, PowerFlowSolution, solve_power_flow
 
 __all__ = [
     "SchedulingPoint",
@@ -164,6 +162,39 @@ def build_rx(model: NetworkModel) -> tuple[np.ndarray, np.ndarray]:
     return (R + R.T) / 2.0, (X + X.T) / 2.0
 
 
+def _current_tangent(model: NetworkModel, base: PowerFlowSolution) -> np.ndarray:
+    """Exact d i_sq / d (p, q) of the power flow at the converged ``base``.
+
+    The sweep iterates l = g(l; p, q) on the squared branch currents l:
+    P and Q are the subtree sums of r l - p and x l - q, the squared
+    voltage at a bus is v_sub^2 less the path sum of the drops
+    2 (r P + x Q) - |z|^2 l, and g = (P^2 + Q^2) / v_from, v_from the
+    squared sending-end voltage.  At the fixed point the tangent is
+    T = (I - dg/dl)^-1 dg/d(p, q), with both Jacobians read off the base.
+    A loss r l enters P as a load of r l does, so dg/dl is
+    -r dg/dp - x dg/dq, less the loss term's own share of the drops.
+    Rows follow ``model.branches``; columns are d/dp_j for every bus,
+    then d/dq_j, as in H.
+    """
+    plan = model.plan()
+    n = model.n
+    k = np.arange(n)
+    # preorder positions: sub[a, b] iff b is in the subtree of a, up[a, b] iff b is a strict ancestor of a
+    sub = ((k[:, None] <= k) & (k < plan.end[:, None])).astype(float)
+    up = sub.T - np.eye(n)
+    l, P, Q = (a.take(plan.order) for a in (base.i_sq, base.p_flow, base.q_flow))
+    v_from = base.v[[b.frm for b in model.branches]].take(plan.order) ** 2
+    r, x, z = plan.rxz
+    lv = (l / v_from)[:, None]
+    # g moves with the flows it squares, and against its sending-end voltage
+    gp = (-2.0 * P / v_from)[:, None] * sub - 2.0 * lv * ((up * r) @ sub)
+    gq = (-2.0 * Q / v_from)[:, None] * sub - 2.0 * lv * ((up * x) @ sub)
+    eye_less_gl = gp * r + gq * x + lv * (up * z)
+    eye_less_gl.flat[:: n + 1] += 1.0
+    T = np.linalg.solve(eye_less_gl, np.concatenate((gp, gq), axis=1))
+    return T[np.ix_(plan.inv, np.concatenate((plan.pos, plan.pos + n)))]
+
+
 def build_pcc_sensitivity(
     model: NetworkModel,
     rho: SchedulingPoint,
@@ -180,62 +211,31 @@ def build_pcc_sensitivity(
     ``rho`` is not read; it stays while callers pass it by position.
 
     Every flow solves to ``_FD_TOL``: first the base point, then per
-    injection a +step and a -step flow, the p row before the q row and
-    each row in the sweep plan's preorder.  A +step flow is warm-started
-    from the +step solution before it in its row (the base, for the
-    first), whose squared currents are moved onto the new root path: on
-    each branch that joins the path, by the increment
-    ``((P - step)^2 + Q^2) / v_from - i_base`` of the base flows P, Q and
-    sending-end voltage (``Q - step`` in the q row), and on each branch
-    that leaves it, back by its own increment.  A -step flow is
-    warm-started from the mirror ``2 i_base - i_plus`` of the +step
-    flow's branch currents.  One guess record and one mirror record
-    serve every flow: their currents are refilled before each, which is
-    safe because solve_power_flow reads ``warm`` once and keeps nothing
-    of it.
+    injection, p before q and bus by bus, a +step and a -step flow.
+    Each stepped flow starts from the base currents moved along the
+    exact tangent T of the base flow (``_current_tangent``), which is
+    off the stepped solution by a second-order term only, so it settles
+    in one sweep.  One warm record serves every flow: its currents are
+    refilled before each, which is safe because solve_power_flow reads
+    ``warm`` once and keeps nothing of it.
     """
     n = model.n
-    plan = model.plan()
     p_base = np.asarray(p_base, dtype=float)
     q_base = np.asarray(q_base, dtype=float)
     base = solve_power_flow(model, p_base, q_base, tol=_FD_TOL)
-    twice_base = 2.0 * base.i_sq
-    guess = replace(base, i_sq=np.empty(n))
-    mirror = replace(base, i_sq=np.empty(n))
-    # path increments of a +step in p and in q, per branch in model order
-    v_from = base.v[[b.frm for b in model.branches]] ** 2
-    P, Q = base.p_flow, base.q_flow
-    p_inc = ((P - _FD_STEP) ** 2 + Q * Q) / v_from - base.i_sq
-    q_inc = (P * P + (Q - _FD_STEP) ** 2) / v_from - base.i_sq
-    # walking the preorder, position k joins the root path, and every branch
-    # whose subtree ends just before k (end == k) leaves it
-    branch = plan.order.tolist()
-    leaving = [[] for _ in range(n + 1)]
-    for j, e in enumerate(plan.end.tolist()):
-        leaving[e].append(branch[j])
-
-    def stepped(row, bus, step):
-        inj = [p_base, q_base]
-        inj[row] = inj[row].copy()
-        inj[row][bus] += step
-        return inj
-
-    def central(row, bus):
-        plus = solve_power_flow(model, *stepped(row, bus, _FD_STEP), tol=_FD_TOL, warm=guess)
-        np.subtract(twice_base, plus.i_sq, mirror.i_sq)
-        np.copyto(guess.i_sq, plus.i_sq)  # where the row's next +step flow starts
-        minus = solve_power_flow(model, *stepped(row, bus, -_FD_STEP), tol=_FD_TOL, warm=mirror)
-        return (plus.p_pcc - minus.p_pcc) / (2 * _FD_STEP)
-
-    H = np.zeros(2 * n)
-    for row, inc in enumerate((p_inc, q_inc)):
-        g = guess.i_sq
-        np.copyto(g, base.i_sq)
-        for k, bus in enumerate(plan.bus.tolist()):
-            if leaving[k]:
-                g[leaving[k]] -= inc[leaving[k]]
-            g[branch[k]] += inc[branch[k]]
-            H[row * n + bus] = central(row, bus)
+    steps = _FD_STEP * _current_tangent(model, base).T
+    warm = replace(base, i_sq=np.empty(n))
+    H = np.empty(2 * n)
+    for j in range(2 * n):
+        row, bus = divmod(j, n)
+        pcc = []
+        for sign in (1.0, -1.0):
+            inj = [p_base, q_base]
+            inj[row] = inj[row].copy()  # a new array per flow: a caller may keep a flow's arguments
+            inj[row][bus] += sign * _FD_STEP
+            np.add(base.i_sq, sign * steps[j], warm.i_sq)
+            pcc.append(solve_power_flow(model, *inj, tol=_FD_TOL, warm=warm).p_pcc)
+        H[j] = (pcc[0] - pcc[1]) / (2 * _FD_STEP)
     P0 = base.p_pcc - (p_sched if p_sched is not None else base.p_pcc)
     return H, float(P0)
 

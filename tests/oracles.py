@@ -158,14 +158,12 @@ def power_iteration_lambda_max(M, iters=20000, tol=1e-14, seed=0):
 
 
 def central_difference(fun, x0, step):
-    """Central finite-difference gradient of a scalar function."""
+    """Central finite differences of ``fun`` over a 1-D ``x0``, one column per coordinate.
+
+    A scalar function gives its gradient; a vector function its Jacobian.
+    """
     x0 = np.asarray(x0, dtype=float)
-    g = np.zeros_like(x0)
-    for k in range(x0.size):
-        e = np.zeros_like(x0)
-        e[k] = step
-        g[k] = (fun(x0 + e) - fun(x0 - e)) / (2 * step)
-    return g
+    return np.stack([(fun(x0 + e) - fun(x0 - e)) / (2 * step) for e in step * np.eye(x0.size)], axis=-1)
 
 
 def saddle_point(sm, rho, nodes, cfg, w_f):

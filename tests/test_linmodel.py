@@ -7,6 +7,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from droopsched import linmodel
 from droopsched.linmodel import (
@@ -35,13 +37,39 @@ def loaded_point(rng, n, pv_buses=0):
 
 
 def pcc_oracle(model, p, q):
-    """Central differences (step 1e-4) of the PCC import over cold solves at tol 1e-13."""
+    """Central differences of the PCC import over cold solves at tol 1e-13.
+
+    Richardson-extrapolated from the steps 1e-4 and 2e-4, which cancels
+    the step^2 term: on its own, step 1e-4 is off by 1.9e-8 at the
+    117-bus feeder of ``sweep_cases``.
+    """
     n = model.n
 
     def pcc(z):
         return solve_power_flow(model, z[:n], z[n:], tol=1e-13).p_pcc
 
-    return central_difference(pcc, np.concatenate([p, q]), 1e-4)
+    z = np.concatenate([p, q])
+    return (4.0 * central_difference(pcc, z, 1e-4) - central_difference(pcc, z, 2e-4)) / 3.0
+
+
+def cold_current_jacobian(model, p, q):
+    """Central differences (step 1e-4) of the squared branch currents over cold solves at tol 1e-13."""
+    n = model.n
+
+    def i_sq(z):
+        return solve_power_flow(model, z[:n], z[n:], tol=1e-13).i_sq
+
+    return central_difference(i_sq, np.concatenate([p, q]), 1e-4)
+
+
+def sweep_cases():
+    """A loaded 37-bus point, then random feeders of 1 to 117 buses under load."""
+    rng = np.random.default_rng(61)
+    model = ieee37_shaped_feeder()
+    cases = [(model, *loaded_point(rng, model.n, pv_buses=8))]
+    for n in (1, 5, 30, 80, 117):
+        cases.append((random_radial_feeder(n, rng), -rng.uniform(0.0, 0.02, n), -rng.uniform(0.0, 0.01, n)))
+    return cases
 
 
 def affine_voltage(sm, p, q):
@@ -145,52 +173,36 @@ class TestPccSensitivity:
             (six, np.array([-0.05, -0.08, -0.04, 0.3, 0.3, 0.3]), np.array([-0.02, -0.03, -0.01, 0.0, 0.0, 0.0])),
             (six, np.full(6, -0.1), np.full(6, -0.05)),
         ]
+        cases += [case for case in sweep_cases() if case[0].n in (30, 80, 117)]
         for model, p, q in cases:
             H, _ = build_pcc_sensitivity(model, flat_rho(model.n), p, q)
-            assert np.max(np.abs(H - pcc_oracle(model, p, q))) <= 1e-5
+            # measured: 8.4e-11 at most; stepped flows stopped at residual 1e-10 were off by 1.5e-5 at n = 117
+            assert np.max(np.abs(H - pcc_oracle(model, p, q))) <= 1e-8
 
-    def test_every_minus_step_flow_converges_within_two_sweeps(self, monkeypatch):
-        # the -step flows start from the mirror of their +step flow; started
-        # from the base currents, they took up to 8 sweeps on these feeders
-        iterations = []
+    def test_every_stepped_flow_settles_in_one_sweep(self, monkeypatch):
+        # each stepped flow starts on the base flow's tangent; started from the
+        # base currents, they took up to 8 sweeps on these feeders
+        flows = []
 
-        def counted(*args, **kwargs):
-            sol = solve_power_flow(*args, **kwargs)
-            iterations.append(sol.iterations)
+        def counted(*args, warm=None, **kwargs):
+            start = None if warm is None else warm.i_sq.copy()
+            sol = solve_power_flow(*args, warm=warm, **kwargs)
+            flows.append((start, sol))
             return sol
 
         monkeypatch.setattr(linmodel, "solve_power_flow", counted)
-        rng = np.random.default_rng(61)
-        model = ieee37_shaped_feeder()
-        cases = [(model, *loaded_point(rng, model.n, pv_buses=8))]
-        for n in (1, 5, 30, 80, 117):
-            cases.append((random_radial_feeder(n, rng), -rng.uniform(0.0, 0.02, n), -rng.uniform(0.0, 0.01, n)))
-        for model, p, q in cases:
-            iterations.clear()
+        moved = 0.0
+        for model, p, q in sweep_cases():
+            flows.clear()
             build_pcc_sensitivity(model, flat_rho(model.n), p, q)
-            # the base flow, then a +step and a -step flow per injection
-            assert len(iterations) == 4 * model.n + 1
-            assert max(iterations[2::2]) <= 2
-
-    def test_plus_step_flows_converge_within_the_sweep_budget(self, monkeypatch):
-        # each +step flow starts from the one before it in its row, moved onto
-        # its own root path; started from the base currents, they took a mean
-        # of 3.71-3.76 sweeps at these 37-bus points
-        iterations = []
-
-        def counted(*args, **kwargs):
-            sol = solve_power_flow(*args, **kwargs)
-            iterations.append(sol.iterations)
-            return sol
-
-        monkeypatch.setattr(linmodel, "solve_power_flow", counted)
-        rng = np.random.default_rng(61)
-        model = ieee37_shaped_feeder()
-        for _ in range(3):
-            iterations.clear()
-            build_pcc_sensitivity(model, flat_rho(model.n), *loaded_point(rng, model.n, pv_buses=8))
-            assert len(iterations) == 4 * model.n + 1
-            assert np.mean(iterations[1::2]) <= 2.6
+            # the base flow, cold, then a +step and a -step flow per injection
+            assert len(flows) == 4 * model.n + 1
+            assert flows[0][0] is None and all(start is not None for start, _ in flows[1:])
+            assert [sol.iterations for _, sol in flows[1:]] == [1] * (4 * model.n)
+            moved = max(moved, max(np.max(np.abs(sol.i_sq - start)) for start, sol in flows[1:]))
+        # the sweep stops once a sweep moves the currents by 10 tol = 1e-9 at most;
+        # the largest first-sweep move measured here is 2.7e-10, at n = 117
+        assert moved <= 1e-9
 
     def test_p0_measures_offset_from_schedule(self):
         model = chain([0.02], [0.02])
@@ -199,6 +211,54 @@ class TestPccSensitivity:
         base = solve_power_flow(model, p0, q0)
         _, P0 = build_pcc_sensitivity(model, flat_rho(1), p0, q0, p_sched=base.p_pcc - 0.03)
         assert P0 == pytest.approx(0.03, abs=1e-12)
+
+
+def tangent_pcc_row(model, T):
+    """The PCC row of the current tangent: p_pcc sums r l - p over every branch."""
+    r = np.array([b.r for b in model.branches])
+    return r @ T - np.repeat([1.0, 0.0], model.n)
+
+
+def assert_tangent_matches_oracles(model, p, q):
+    T = linmodel._current_tangent(model, solve_power_flow(model, p, q, tol=1e-13))
+    # cold flows stop once a sweep moves the currents by 1e-12 at most, which
+    # the 2e-4 difference turns into up to 5e-9; measured 7.5e-9 at most
+    assert np.max(np.abs(T - cold_current_jacobian(model, p, q))) <= 3e-8
+    assert np.max(np.abs(tangent_pcc_row(model, T) - pcc_oracle(model, p, q))) <= 1e-8
+
+
+class TestCurrentTangent:
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1), scale=st.floats(0.0, 1.0))
+    def test_matches_cold_central_differences(self, n, seed, scale):
+        # loaded_point's loads and 0.3 pu PV, scaled down to none at scale 0
+        rng = np.random.default_rng(seed)
+        model = random_radial_feeder(n, rng)
+        p, q = loaded_point(rng, n, pv_buses=int(rng.integers(0, n // 4 + 1)))
+        assert_tangent_matches_oracles(model, scale * p, scale * q)
+
+    def test_unloaded_feeder_has_zero_tangent(self):
+        # no flow, no current: the base sweep stops at l = 0, and both Jacobians vanish
+        model = random_radial_feeder(12, np.random.default_rng(3))
+        n = model.n
+        T = linmodel._current_tangent(model, solve_power_flow(model, np.zeros(n), np.zeros(n), tol=1e-13))
+        assert T.shape == (n, 2 * n)
+        assert np.array_equal(T, np.zeros((n, 2 * n)))
+        H, _ = build_pcc_sensitivity(model, flat_rho(n), np.zeros(n), np.zeros(n))
+        assert np.max(np.abs(tangent_pcc_row(model, T) - H)) <= 1e-8
+
+    @pytest.mark.parametrize("rs, xs", [([0.02, 0.0, 0.01], [0.01, 0.03, 0.02]), ([0.02, 0.03, 0.01], [0.01, 0.0, 0.02])])
+    def test_branch_without_resistance_or_reactance(self, rs, xs):
+        model = NetworkModel([Branch(0, 1, rs[0], xs[0]), Branch(1, 2, rs[1], xs[1]), Branch(1, 3, rs[2], xs[2])])
+        assert_tangent_matches_oracles(model, np.array([-0.1, 0.2, -0.15]), np.array([-0.05, 0.0, -0.04]))
+
+    def test_same_inputs_give_bit_identical_output(self):
+        model, p, q = sweep_cases()[0]
+        base = solve_power_flow(model, p, q, tol=1e-13)
+        assert np.array_equal(linmodel._current_tangent(model, base), linmodel._current_tangent(model, base))
+        first = build_pcc_sensitivity(model, flat_rho(model.n), p, q)
+        again = build_pcc_sensitivity(model, flat_rho(model.n), p, q)
+        assert np.array_equal(first[0], again[0]) and first[1] == again[1]
 
 
 class TestAffineAccuracy:
