@@ -24,9 +24,11 @@ which is beta times the mean of the worst beta-fraction of x + xi
 upper row and v_min - vm_i for the lower one, each row is affine in
 kappa_v: no samples are drawn and no auxiliary variable is carried.
 
-Cross-coupling between the voltage and frequency tasks is avoided by
-feedforward: the voltage model uses the frequency gains broadcast in the
-previous period, the tracking error uses the previous voltage gains.
+Both tasks see one droop response x = kappa_v u + kappa_f d_omega, with
+u the measured voltage deviation at each unit: the voltage model is
+G x + v0 and the PCC exchange h x + P0.  Each gain block takes its
+gradient through its own task only: kappa_v through the voltage rows,
+kappa_f through the band rows.
 
 Layouts: kappa_v = (k_pv per online unit, then k_qv per unit), kappa_f
 analogous with (k_pf, k_qf).  The 2n CVaR rows are the per-bus upper
@@ -114,8 +116,6 @@ class SchedulerState:
     kappa_f: np.ndarray
     mu: np.ndarray
     lam: np.ndarray
-    prev_kappa_v: np.ndarray
-    prev_kappa_f: np.ndarray
     w_f: np.ndarray
     seed: int = 0
 
@@ -133,8 +133,6 @@ class SchedulerState:
             kappa_f=np.zeros(2 * m),
             mu=np.zeros(2 * n_bus),
             lam=np.zeros(2),
-            prev_kappa_v=np.zeros(2 * m),
-            prev_kappa_f=np.zeros(2 * m),
             w_f=_freq_weights(der_nodes, cfg, seed),
             seed=seed,
         )
@@ -161,8 +159,6 @@ class SchedulerState:
             der_nodes=list(der_nodes),
             kappa_v=carry(self.kappa_v),
             kappa_f=carry(self.kappa_f),
-            prev_kappa_v=carry(self.prev_kappa_v),
-            prev_kappa_f=carry(self.prev_kappa_f),
             w_f=_freq_weights(der_nodes, cfg, self.seed),
         )
 
@@ -209,10 +205,11 @@ def _affine(sm: SensitivityModel, state: SchedulerState, rho: SchedulingPoint):
 
     Gathers the online units' columns once: G = [R[:, idx], X[:, idx]]
     (n, 2m), h = [H_p[idx], H_q[idx]] (2m,), and u, the measured voltage
-    deviation at each unit repeated for its p and its q slot.  The
-    voltage prediction is affine in kappa_v with slope G u, the tracking
-    error affine in kappa_f with slope h d_omega; the other gain block
-    enters through the previous broadcast.
+    deviation at each unit repeated for its p and its q slot.  Both
+    tasks see the one droop response x = kappa_v u + kappa_f d_omega:
+    the voltage prediction is G x + v0 and the exchange h x + P0.  The
+    returned slopes are each task's own, G u in kappa_v for the voltage
+    and h d_omega in kappa_f for the tracking error.
     """
     idx = np.asarray(state.der_nodes, dtype=np.intp) - 1
     G = np.concatenate((sm.R[:, idx], sm.X[:, idx]), axis=1)
@@ -220,17 +217,17 @@ def _affine(sm: SensitivityModel, state: SchedulerState, rho: SchedulingPoint):
     du = rho.v_meas[idx] - rho.v_star
     u = np.concatenate((du, du))
     d_omega = rho.d_omega
-    vm = G @ (state.kappa_v * u + state.prev_kappa_f * d_omega) + sm.v0
-    delivered = h @ (state.prev_kappa_v * u + state.kappa_f * d_omega) + sm.P0
-    e = float(delivered - tso_requirement(rho.r_t, rho.omega, rho.omega_star))
+    x = state.kappa_v * u + state.kappa_f * d_omega
+    vm = G @ x + sm.v0
+    e = float(h @ x + sm.P0 - tso_requirement(rho.r_t, rho.omega, rho.omega_star))
     return vm, e, G * u, h * d_omega
 
 
 def freq_error(sm: SensitivityModel, state: SchedulerState, rho: SchedulingPoint) -> float:
     """Tracking error of the PCC adjustment against the TSO requirement.
 
-    Linear in the current kappa_f; the voltage-droop contribution to the
-    exchange enters through the previous period's gains.
+    Affine in kappa_f and in kappa_v, through the one droop response of
+    ``_affine``.
     """
     return _affine(sm, state, rho)[1]
 
@@ -314,8 +311,8 @@ def schedule_step(
     """One full measurement -> dual -> signal -> primal cycle.
 
     Realigns the gain slots to the currently online units, performs one
-    gradient cycle on the frozen measurement, rotates the feedforward
-    gains, and returns the per-unit broadcast.  Raises ValueError, before
+    gradient cycle on the frozen measurement, and returns the per-unit
+    broadcast.  Raises ValueError, before
     any work, when an online unit's node is not a bus of the feeder or
     holds another online unit.  ``sample_seed`` is not read: the CVaR
     rows are exact, so the step draws no samples; it stays while callers
@@ -329,10 +326,6 @@ def schedule_step(
     tau_q = np.array([u.tau_q for u in online])
 
     state = primal_dual_step(state, sm, rho, cfg, stab, tau_p, tau_q)
-    # the step's state is new and only this function holds it: rotate in place
-    state.prev_kappa_v = state.kappa_v.copy()
-    state.prev_kappa_f = state.kappa_f.copy()
-
     m = len(nodes)
     kv = state.kappa_v.tolist()
     kf = state.kappa_f.tolist()

@@ -169,9 +169,13 @@ def central_difference(fun, x0, step):
 def saddle_point(sm, rho, nodes, cfg, w_f):
     """Exact regularized saddle point on frozen data, certified to 1e-9.
 
-    Maximizing the Lagrangian over the nonnegative multipliers in closed
-    form (best response mu = [l]_+ / phi, lambda = [r]_+ / psi) leaves the
-    minimization over z = (kappa_v, kappa_f) of
+    Each gain block takes its gradient through its own task only, with
+    the other block's droop response held: the voltage model sees the
+    frequency gains' response as an offset on v0, and the tracking error
+    sees the voltage gains' response as an offset on P0.  For fixed
+    offsets, maximizing the Lagrangian over the nonnegative multipliers
+    in closed form (best response mu = [l]_+ / phi, lambda = [r]_+ / psi)
+    leaves the minimization over z = (kappa_v, kappa_f) of
 
         F(z) = C(kappa) + |[l]_+|^2 / (2 phi) + |[r]_+|^2 / (2 psi).
 
@@ -183,6 +187,11 @@ def saddle_point(sm, rho, nodes, cfg, w_f):
     Lipschitz constants carry that bound to mu and lambda.  If the bound
     exceeds 1e-9 in any key, AssertionError is raised instead of
     returning an uncertified point.
+
+    The saddle is the fixed point of that solve in its offsets: the
+    offsets of the last minimizer are fed back until a pass moves no
+    entry of z by more than 1e-12, and AssertionError is raised if 50
+    passes do not get there.
 
     All model arithmetic below is written out independently of the
     package's scheduler code; the CVaR rows take scipy's normal density
@@ -197,53 +206,64 @@ def saddle_point(sm, rho, nodes, cfg, w_f):
     curv = np.concatenate([2 * wv**2, 2 * np.asarray(w_f) ** 2])
     # CVaR row k is A[k] @ kappa_v + l0[k], upper bounds first
     sgn = np.repeat([1.0, -1.0], n)
-    jv = np.concatenate([sm.R[:, idx] * dv[idx], sm.X[:, idx] * dv[idx]], axis=1)
+    cols = np.concatenate([sm.R[:, idx], sm.X[:, idx]], axis=1)
+    u = np.concatenate([dv[idx], dv[idx]])
+    jv = cols * u
     A = cfg.beta * sgn[:, None] * np.vstack([jv, jv])
     spread = cfg.noise_std * rho.v_meas * norm.pdf(norm.isf(cfg.beta))
     bound = np.concatenate([np.full(n, cfg.v_max), np.full(n, -cfg.v_min)])
-    l0 = cfg.beta * (sgn * np.concatenate([sm.v0, sm.v0]) - bound) + np.concatenate([spread, spread])
     # band row k is B[k] @ kappa_f + r0[k]
-    ge = np.concatenate([sm.H[:n][idx], sm.H[n:][idx]]) * d_om
-    e0 = sm.P0 - rho.r_t * d_om
+    h = np.concatenate([sm.H[:n][idx], sm.H[n:][idx]])
+    ge = h * d_om
     B = np.outer([-1.0, 1.0], ge)
-    r0 = np.array([cfg.e_min - e0, e0 - cfg.e_max])
 
-    def parts(z):
-        l = A @ z[: 2 * m] + l0
-        r = B @ z[2 * m :] + r0
-        F = 0.5 * z @ (curv * z) + l[l > 0] @ l[l > 0] / (2 * cfg.phi) + r[r > 0] @ r[r > 0] / (2 * cfg.psi)
-        g = curv * z + np.concatenate([A.T @ np.maximum(l, 0.0) / cfg.phi, B.T @ np.maximum(r, 0.0) / cfg.psi])
-        return F, g, l > 0, r > 0
+    def solve(v0, e0):
+        l0 = cfg.beta * (sgn * np.concatenate([v0, v0]) - bound) + np.concatenate([spread, spread])
+        r0 = np.array([cfg.e_min - e0, e0 - cfg.e_max])
+
+        def parts(z):
+            l = A @ z[: 2 * m] + l0
+            r = B @ z[2 * m :] + r0
+            F = 0.5 * z @ (curv * z) + l[l > 0] @ l[l > 0] / (2 * cfg.phi) + r[r > 0] @ r[r > 0] / (2 * cfg.psi)
+            g = curv * z + np.concatenate([A.T @ np.maximum(l, 0.0) / cfg.phi, B.T @ np.maximum(r, 0.0) / cfg.psi])
+            return F, g, l > 0, r > 0
+
+        z = np.zeros(4 * m)
+        F, g, on_l, on_r = parts(z)
+        for _ in range(200):
+            hess = np.diag(curv)
+            hess[: 2 * m, : 2 * m] += A[on_l].T @ A[on_l] / cfg.phi
+            hess[2 * m :, 2 * m :] += B[on_r].T @ B[on_r] / cfg.psi
+            step = np.linalg.solve(hess, g)
+            t = 1.0
+            while t > 1e-12:
+                F_new, g_new, l_new, r_new = parts(z - t * step)
+                if F_new <= F - 1e-4 * t * (g @ step):
+                    break
+                t /= 2
+            else:
+                break  # no decrease left to resolve
+            z, F, g, on_l, on_r = z - t * step, F_new, g_new, l_new, r_new
+            if np.linalg.norm(g) == 0.0:
+                break
+
+        dist = np.linalg.norm(g) / curv.min()
+        lip_mu = np.sqrt((A**2).sum(axis=1)).max() / cfg.phi
+        lip_lam = np.linalg.norm(ge) / cfg.psi
+        err = dist * max(1.0, lip_mu, lip_lam)
+        if not err <= 1e-9:
+            raise AssertionError(f"saddle point not certified: error bound {err:.3g}")
+        return z, np.maximum(A @ z[: 2 * m] + l0, 0.0) / cfg.phi, np.maximum(B @ z[2 * m :] + r0, 0.0) / cfg.psi
 
     z = np.zeros(4 * m)
-    F, g, on_l, on_r = parts(z)
-    for _ in range(200):
-        hess = np.diag(curv)
-        hess[: 2 * m, : 2 * m] += A[on_l].T @ A[on_l] / cfg.phi
-        hess[2 * m :, 2 * m :] += B[on_r].T @ B[on_r] / cfg.psi
-        step = np.linalg.solve(hess, g)
-        t = 1.0
-        while t > 1e-12:
-            F_new, g_new, l_new, r_new = parts(z - t * step)
-            if F_new <= F - 1e-4 * t * (g @ step):
-                break
-            t /= 2
-        else:
-            break  # no decrease left to resolve
-        z, F, g, on_l, on_r = z - t * step, F_new, g_new, l_new, r_new
-        if np.linalg.norm(g) == 0.0:
-            break
-
-    dist = np.linalg.norm(g) / curv.min()
-    lip_mu = np.sqrt((A**2).sum(axis=1)).max() / cfg.phi
-    lip_lam = np.linalg.norm(ge) / cfg.psi
-    err = dist * max(1.0, lip_mu, lip_lam)
-    if not err <= 1e-9:
-        raise AssertionError(f"saddle point not certified: error bound {err:.3g}")
-    kv, kf = z[: 2 * m], z[2 * m :]
-    mu = np.maximum(A @ kv + l0, 0.0) / cfg.phi
-    lam = np.maximum(B @ kf + r0, 0.0) / cfg.psi
-    return dict(kappa_v=kv, kappa_f=kf, mu=mu, lam=lam)
+    for _ in range(50):
+        kv, kf = z[: 2 * m], z[2 * m :]
+        z_new, mu, lam = solve(sm.v0 + cols @ (kf * d_om), sm.P0 + h @ (kv * u) - rho.r_t * d_om)
+        moved = np.abs(z_new - z).max(initial=0.0)
+        z = z_new
+        if moved <= 1e-12:
+            return dict(kappa_v=z[: 2 * m], kappa_f=z[2 * m :], mu=mu, lam=lam)
+    raise AssertionError(f"saddle point not a fixed point of its offsets: last pass moved {moved:.3g}")
 
 
 def saa_cvar_row(x, xi, beta):
@@ -279,19 +299,23 @@ def scattered_response(state, rho, n, kv, kf):
     return p, q
 
 
-def lagrangian(state, sm, rho, cfg):
+def lagrangian(state, sm, rho, cfg, held=None):
     """Regularized Lagrangian value at the state's primal/dual point.
 
-    The voltage model takes the current voltage gains with the previous
-    frequency gains, the tracking error the previous voltage gains with
-    the current frequency gains, as the scheduler's feedforward does.
+    The voltage model takes the state's voltage gains with the frequency
+    gains of ``held``; the tracking error takes the voltage gains of
+    ``held`` with the state's frequency gains.  By default ``held`` is the
+    state itself, so both see the one droop response of its gains; a
+    fixed ``held`` gives the function whose gradient in each gain block
+    is the step's signal, taken through that block's own task only.
     Each CVaR row is beta x + sigma phi(Phi^-1(1 - beta)), the quantile
     from scipy's inverse survival function.
     """
     n = sm.R.shape[0]
-    p, q = scattered_response(state, rho, n, state.kappa_v, state.prev_kappa_f)
+    held = state if held is None else held
+    p, q = scattered_response(state, rho, n, state.kappa_v, held.kappa_f)
     vm = sm.R @ p + sm.X @ q + sm.v0
-    p, q = scattered_response(state, rho, n, state.prev_kappa_v, state.kappa_f)
+    p, q = scattered_response(state, rho, n, held.kappa_v, state.kappa_f)
     e = sm.P0 + sm.H[:n] @ p + sm.H[n:] @ q - rho.r_t * (rho.omega - rho.omega_star)
     spread = cfg.noise_std * rho.v_meas * norm.pdf(norm.isf(cfg.beta))
     upper = cfg.beta * (vm - cfg.v_max) + spread
@@ -360,9 +384,9 @@ def primal_dual_reference(state, sm, rho, cfg, stab, tau_p, tau_q):
     h = sm.H[np.concatenate([idx, idx + n])]
     u = np.tile(rho.v_meas[idx] - rho.v_star, 2)
     d_omega = rho.omega - rho.omega_star
-    vm = G @ (state.kappa_v * u + state.prev_kappa_f * d_omega) + sm.v0
-    delivered = h @ (state.prev_kappa_v * u + state.kappa_f * d_omega) + sm.P0
-    e = float(delivered - rho.r_t * (rho.omega - rho.omega_star))
+    x = state.kappa_v * u + state.kappa_f * d_omega
+    vm = G @ x + sm.v0
+    e = float(h @ x + sm.P0 - rho.r_t * (rho.omega - rho.omega_star))
 
     sigma = cfg.noise_std * rho.v_meas
     phi_z = NormalDist().pdf(NormalDist().inv_cdf(cfg.beta))

@@ -206,8 +206,7 @@ MUTABLE_RECORDS = {
     "PowerFlowSolution": "1.2 -> 2.3 us; one per power flow, 145 per period of the "
     "37-bus linearisation",
     "SchedulerState": "the scheduler's iterate, not a validated value: it has no checks "
-    "to protect; each period builds a new one, on which schedule_step then sets the "
-    "rotated feedforward gains",
+    "to protect; each period builds a new one",
 }
 
 def _is_frozen_dataclass(decorator) -> bool | None:

@@ -238,7 +238,7 @@ class TestCvarConstraints:
         _, sm, rho, cfg, _, state, _ = desk_instance()
         cfg = replace(cfg, beta=beta, noise_std=0.02)
         rng = np.random.default_rng(9)
-        state = replace(state, kappa_v=rng.normal(0, 0.5, 2 * state.m), prev_kappa_f=rng.normal(0, 0.5, 2 * state.m))
+        state = replace(state, kappa_v=rng.normal(0, 0.5, 2 * state.m), kappa_f=rng.normal(0, 0.5, 2 * state.m))
         vm = voltage_model(sm, state, rho)
         spread = cfg.noise_std * rho.v_meas * norm.pdf(norm.isf(beta))
         expect = np.concatenate([beta * (vm - cfg.v_max) + spread, beta * (cfg.v_min - vm) + spread])
@@ -494,8 +494,8 @@ class TestPrimalDualStep:
 
     def test_gradient_signals_match_lagrangian_differences(self):
         # the rows are affine, so L is a quadratic in the gains: the step's
-        # primal direction is its gradient at the refreshed multipliers.
-        # Taus of 100 s keep every pair inside the region and the box wide.
+        # primal direction is its gradient at the refreshed multipliers, with
+        # the other gain block's response held at the starting point.  Taus of 100 s keep every pair inside the region and the box wide.
         _, sm, rho, cfg, stab, state, _ = desk_instance()
         rng = np.random.default_rng(31)
         state = replace(
@@ -511,13 +511,13 @@ class TestPrimalDualStep:
         h = 1e-7
 
         def L_of_kv(kv):
-            return lagrangian(replace(at, kappa_v=kv), sm, rho, cfg)
+            return lagrangian(replace(at, kappa_v=kv), sm, rho, cfg, held=state)
 
         g_kv = central_difference(L_of_kv, state.kappa_v, h)
         assert g_kv == pytest.approx((state.kappa_v - out.kappa_v) / cfg.alpha_primal, rel=1e-6, abs=1e-9)
 
         def L_of_kf(kf):
-            return lagrangian(replace(at, kappa_f=kf), sm, rho, cfg)
+            return lagrangian(replace(at, kappa_f=kf), sm, rho, cfg, held=state)
 
         g_kf = central_difference(L_of_kf, state.kappa_f, h)
         assert g_kf == pytest.approx((state.kappa_f - out.kappa_f) / cfg.alpha_primal, rel=1e-6, abs=1e-9)
@@ -574,13 +574,11 @@ class TestGatheredModel:
         sm = build_sensitivity_model(model, rho, *rng.normal(0.0, 0.01, (2, n)), p_base, q_base, hp0=hp0)
         cfg = SchedulerConfig()
         full = SchedulerState.initial(nodes, n, cfg, seed=seed)
-        gains = ("kappa_v", "kappa_f", "prev_kappa_v", "prev_kappa_f")
-        full = replace(full, **{key: rng.normal(0.0, 1.0, 2 * full.m) for key in gains})
+        full = replace(full, **{key: rng.normal(0.0, 1.0, 2 * full.m) for key in ("kappa_v", "kappa_f")})
         dropped = full.realigned([k for k in nodes if k != nodes[0]], cfg)
         for state in (full, dropped, full.realigned([], cfg)):
-            p, q = scattered_response(state, rho, n, state.kappa_v, state.prev_kappa_f)
+            p, q = scattered_response(state, rho, n, state.kappa_v, state.kappa_f)
             assert np.max(np.abs(voltage_model(sm, state, rho) - (sm.R @ p + sm.X @ q + sm.v0))) <= 1e-12
-            p, q = scattered_response(state, rho, n, state.prev_kappa_v, state.kappa_f)
             e = sm.P0 + sm.H @ np.concatenate([p, q]) - tso_requirement(rho.r_t, rho.omega, rho.omega_star)
             assert abs(freq_error(sm, state, rho) - e) <= 1e-12
 
@@ -622,8 +620,6 @@ def step_cases(draw):
         SchedulerState.initial(nodes, n, cfg, seed=int(rng.integers(100))),
         kappa_v=np.concatenate([a * tau_p, b * tau_q]),
         kappa_f=rng.normal(0.0, 2e-3, 2 * m),
-        prev_kappa_v=rng.normal(0.0, 0.1, 2 * m),
-        prev_kappa_f=rng.normal(0.0, 2e-3, 2 * m),
         mu=nonneg(2 * n),
         lam=20.0 * nonneg(2),
     )
@@ -669,7 +665,6 @@ class TestStepPinnedToReference:
         tau_p = np.array([u.tau_p for u in online])
         tau_q = np.array([u.tau_q for u in online])
         ref = primal_dual_reference(state, sm, rho, cfg, stab, tau_p, tau_q)
-        ref = replace(ref, prev_kappa_v=ref.kappa_v.copy(), prev_kappa_f=ref.kappa_f.copy())
         assert_same_state(out, ref)
         m = ref.m
         assert broadcast == {
