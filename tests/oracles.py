@@ -31,7 +31,9 @@ of the package because nothing in it calls them:
   1e-6 gamma margin), against which the one-inequality gate is checked.
 * ``primal_dual_reference``, the scheduler's primal-dual step written
   with ``np.tile``, ``np.clip`` and separate projected halves, against
-  which the step is checked bit for bit.  It calls no scheduler code; of
+  which the step is checked bit for bit: half a Jacobi step for the
+  multipliers, a step of 1 / (2 max(w_pv, w_qv)^2) for the voltage
+  gains and the clipped minimizer for the frequency gains.  It calls no scheduler code; of
   the stability module it uses only the boundary projection.
 """
 
@@ -247,7 +249,7 @@ def saddle_point(sm, rho, nodes, cfg, w_f):
             if np.linalg.norm(g) == 0.0:
                 break
 
-        dist = np.linalg.norm(g) / curv.min()
+        dist = np.linalg.norm(g) / curv.min(initial=np.inf)  # no units: no gains to bound
         lip_mu = np.sqrt((A**2).sum(axis=1)).max() / cfg.phi
         lip_lam = np.linalg.norm(ge) / cfg.psi
         err = dist * max(1.0, lip_mu, lip_lam)
@@ -392,15 +394,17 @@ def primal_dual_reference(state, sm, rho, cfg, stab, tau_p, tau_q):
     phi_z = NormalDist().pdf(NormalDist().inv_cdf(cfg.beta))
     l_val = cfg.beta * np.concatenate([vm - cfg.v_max, cfg.v_min - vm]) + np.tile(sigma * phi_z, 2)
     r_val = np.array([cfg.e_min - e, e - cfg.e_max])
-    mu = np.maximum(state.mu + cfg.alpha_dual * (l_val - cfg.phi * state.mu), 0.0)
-    lam = np.maximum(state.lam + cfg.alpha_dual * (r_val - cfg.psi * state.lam), 0.0)
+    wv = np.concatenate([np.full(m, cfg.cost_w_pv), np.full(m, cfg.cost_w_qv)])
+    d = cfg.beta * cfg.beta * ((G * u) ** 2 @ (0.5 / wv**2)) + cfg.phi
+    d_lam = (h * d_omega) ** 2 @ (0.5 / state.w_f**2) + cfg.psi
+    mu = np.maximum(state.mu + 0.5 * (l_val - cfg.phi * state.mu) / np.tile(d, 2), 0.0)
+    lam = np.maximum(state.lam + 0.5 * (r_val - cfg.psi * state.lam) / d_lam, 0.0)
 
     s_v = (G * u).T @ (cfg.beta * (mu[:n] - mu[n:]))
     s_f = (lam[1] - lam[0]) * (h * d_omega)
 
-    wv = np.concatenate([np.full(m, cfg.cost_w_pv), np.full(m, cfg.cost_w_qv)])
-    kappa_v = state.kappa_v - cfg.alpha_primal * (2.0 * wv**2 * state.kappa_v + s_v)
-    kappa_f = state.kappa_f - cfg.alpha_primal * (2.0 * state.w_f**2 * state.kappa_f + s_f)
+    kappa_v = state.kappa_v - 0.5 / max(cfg.cost_w_pv, cfg.cost_w_qv) ** 2 * (2.0 * wv**2 * state.kappa_v + s_v)
+    kappa_f = -s_f / (2.0 * state.w_f**2)
     k_pv, k_qv = kappa_v[:m].copy(), kappa_v[m:].copy()
     a, b = k_pv / tau_p, k_qv / tau_q
     g = stab.gamma
