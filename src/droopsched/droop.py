@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 
 __all__ = [
     "DroopGains",
@@ -129,8 +130,12 @@ class DerUnit:
     online: bool = True
 
     def __post_init__(self):
-        if not self.node >= 1:
-            raise ValueError(f"node must be >= 1 (bus 0 is the substation), got {self.node!r}")
+        node = self.node
+        if not node >= 1:
+            raise ValueError(f"node must be >= 1 (bus 0 is the substation), got {node!r}")
+        # a plain int passes on the first comparison; numpy integers are Integral, bools are not buses
+        if type(node) is not int and (type(node) is bool or not isinstance(node, Integral)):
+            raise ValueError(f"node must be an integer bus, got {node!r}")
         if not 0.0 < self.tau_p < math.inf:
             raise ValueError("tau_p must be finite and positive")
         if not 0.0 < self.tau_q < math.inf:

@@ -209,6 +209,7 @@ def build_pcc_sensitivity(
     exchange minus the scheduled exchange ``p_sched``; when no schedule
     is supplied the base point itself is the schedule and P0 = 0.
     ``rho`` is not read; it stays while callers pass it by position.
+    Raises ValueError, before any flow, when ``p_sched`` is not finite.
 
     Every flow solves to ``_FD_TOL``: first the base point, then per
     injection, p before q and bus by bus, a +step and a -step flow.
@@ -219,6 +220,8 @@ def build_pcc_sensitivity(
     refilled before each, which is safe because solve_power_flow reads
     ``warm`` once and keeps nothing of it.
     """
+    if p_sched is not None and not np.isfinite(p_sched):
+        raise ValueError("p_sched must be finite")
     n = model.n
     p_base = np.asarray(p_base, dtype=float)
     q_base = np.asarray(q_base, dtype=float)

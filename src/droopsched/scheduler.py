@@ -184,10 +184,10 @@ class SchedulerState:
 
 
 def _check_nodes(nodes, n_bus: int) -> None:
-    """Raise ValueError unless the nodes are distinct buses 1..n_bus."""
+    """Raise ValueError unless the nodes are distinct integer buses 1..n_bus (no bools)."""
     seen = set()
     for node in nodes:
-        if not (isinstance(node, (int, np.integer)) and 1 <= node <= n_bus):
+        if not (type(node) is not bool and isinstance(node, (int, np.integer)) and 1 <= node <= n_bus):
             raise ValueError(f"DER node {node!r} is not a bus of the feeder (1..{n_bus})")
         if node in seen:
             raise ValueError(f"DER node {node} holds more than one online unit")

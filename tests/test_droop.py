@@ -551,6 +551,16 @@ class TestStepDer:
         with pytest.raises(ValueError, match="^node must be >= 1"):
             pv_unit(node=node)
 
+    @pytest.mark.parametrize("node", [1.5, 4.0, True, np.float64(2.0), np.True_], ids=repr)
+    def test_rejects_node_that_is_not_an_integer_bus(self, node):
+        # 1.5 used to construct and fail later at an array index; True stood for bus 1
+        with pytest.raises(ValueError, match=rf"^node must be an integer bus, got {re.escape(repr(node))}$"):
+            pv_unit(node=node)
+
+    @pytest.mark.parametrize("node", [3, np.int64(3), np.int32(2), np.uint8(1)], ids=repr)
+    def test_accepts_integer_nodes_numpy_ones_included(self, node):
+        assert pv_unit(node=node).node == node
+
     # a value other than the default for every DerUnit field but the
     # operating point, so a field the result does not carry over shows up
     UNIT = dict(

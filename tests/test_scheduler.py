@@ -857,6 +857,7 @@ BAD_NODES = [
     ((4, 5, 0), "DER node 0 is not a bus of the feeder"),
     ((4, 5, 7), "DER node 7 is not a bus of the feeder"),
     ((4, 5, 4.5), "DER node 4.5 is not a bus of the feeder"),
+    ((4, 5, True), "DER node True is not a bus of the feeder"),  # used to pass as bus 1
     ((4, 6, 6), "DER node 6 holds more than one online unit"),
 ]
 
