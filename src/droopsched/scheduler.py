@@ -92,9 +92,9 @@ class SchedulerConfig:
     set here.  ``beta`` is the risk level: each voltage row bounds the
     mean of the worst beta-fraction of the disturbed voltage.
     ``noise_std`` is the per-bus disturbance std per unit of measured
-    voltage, so bus i's std is noise_std * v_i.  The cost weights must be
-    positive, since each one's curvature scales a step; ``cost_w_f`` None
-    draws a weight per node.
+    voltage, so bus i's std is noise_std * v_i.  The cost weights and
+    their squares must be finite and positive, since each one's curvature
+    scales a step; ``cost_w_f`` None draws a weight per node.
     """
 
     phi: float = 3e-4
@@ -111,11 +111,16 @@ class SchedulerConfig:
     tau_s: float = 30.0
 
     def __post_init__(self):
-        for name in ("phi", "psi", "tau_s", "cost_w_pv", "cost_w_qv", "cost_w_f"):
-            if name == "cost_w_f" and self.cost_w_f is None:
-                continue  # drawn per node
+        for name in ("phi", "psi", "tau_s"):
             if not 0.0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be finite and positive")
+        for name in ("cost_w_pv", "cost_w_qv", "cost_w_f"):
+            value = getattr(self, name)
+            if name == "cost_w_f" and value is None:
+                continue  # drawn per node
+            # the step divides by the curvature 2 w^2: a square that underflows to 0 or overflows is refused too
+            if not (0.0 < value and 0.0 < value * value < np.inf):
+                raise ValueError(f"{name} must be finite and positive, and so must its square")
         if not 0.0 < self.beta < 1.0:
             raise ValueError("beta must lie in (0, 1)")
         if not self.v_min < self.v_max:
@@ -300,19 +305,18 @@ def primal_dual_step(
     l_val = beta * np.concatenate((vm - cfg.v_max, cfg.v_min - vm)) + np.concatenate((tail, tail))
     r_val = band_residual(e, cfg)
 
-    wv = np.empty(2 * m)
-    wv[:m] = cfg.cost_w_pv
-    wv[m:] = cfg.cost_w_qv
-    d = beta * beta * ((J * J) @ (0.5 / wv**2)) + cfg.phi
-    d_lam = (grad_e * grad_e) @ (0.5 / state.w_f**2) + cfg.psi
-    mu = np.maximum(state.mu + _DUAL_DAMPING * (l_val - cfg.phi * state.mu) / np.concatenate((d, d)), 0.0)
-    lam = np.maximum(state.lam + _DUAL_DAMPING * (r_val - cfg.psi * state.lam) / d_lam, 0.0)
+    curv = np.empty(2 * m)  # the cost's curvature 2 w^2 in each voltage gain
+    curv[:m] = 2.0 * cfg.cost_w_pv**2
+    curv[m:] = 2.0 * cfg.cost_w_qv**2
+    d = (J * J) @ (beta * beta / curv) + cfg.phi
+    f_dir = grad_e / (2.0 * state.w_f**2)  # each kappa_f's minimizer per unit of lam[0] - lam[1]
+    d_lam = grad_e @ f_dir + cfg.psi
+    mu = np.maximum(state.mu + _DUAL_DAMPING / np.concatenate((d, d)) * (l_val - cfg.phi * state.mu), 0.0)
+    lam = np.maximum(state.lam + _DUAL_DAMPING / d_lam * (r_val - cfg.psi * state.lam), 0.0)
 
     s_v = J.T @ (beta * (mu[:n] - mu[n:]))
-    s_f = (lam[1] - lam[0]) * grad_e
-    step_v = 0.5 / max(cfg.cost_w_pv, cfg.cost_w_qv) ** 2
-    kappa_v = state.kappa_v - step_v * (2.0 * wv**2 * state.kappa_v + s_v)
-    kappa_f = -s_f / (2.0 * state.w_f**2)
+    kappa_v = state.kappa_v - (curv * state.kappa_v + s_v) / (2.0 * max(cfg.cost_w_pv, cfg.cost_w_qv) ** 2)
+    kappa_f = (lam[0] - lam[1]) * f_dir
     _project_in_place(kappa_v.reshape(2, m), np.array((tau_p, tau_q), dtype=float), stab)
 
     return replace(

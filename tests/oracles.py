@@ -394,17 +394,15 @@ def primal_dual_reference(state, sm, rho, cfg, stab, tau_p, tau_q):
     phi_z = NormalDist().pdf(NormalDist().inv_cdf(cfg.beta))
     l_val = cfg.beta * np.concatenate([vm - cfg.v_max, cfg.v_min - vm]) + np.tile(sigma * phi_z, 2)
     r_val = np.array([cfg.e_min - e, e - cfg.e_max])
-    wv = np.concatenate([np.full(m, cfg.cost_w_pv), np.full(m, cfg.cost_w_qv)])
-    d = cfg.beta * cfg.beta * ((G * u) ** 2 @ (0.5 / wv**2)) + cfg.phi
-    d_lam = (h * d_omega) ** 2 @ (0.5 / state.w_f**2) + cfg.psi
-    mu = np.maximum(state.mu + 0.5 * (l_val - cfg.phi * state.mu) / np.tile(d, 2), 0.0)
-    lam = np.maximum(state.lam + 0.5 * (r_val - cfg.psi * state.lam) / d_lam, 0.0)
+    curv = np.concatenate([np.full(m, 2.0 * cfg.cost_w_pv**2), np.full(m, 2.0 * cfg.cost_w_qv**2)])
+    d = (G * u) ** 2 @ (cfg.beta * cfg.beta / curv) + cfg.phi
+    f_dir = (h * d_omega) / (2.0 * state.w_f**2)
+    mu = np.maximum(state.mu + 0.5 / np.tile(d, 2) * (l_val - cfg.phi * state.mu), 0.0)
+    lam = np.maximum(state.lam + 0.5 / ((h * d_omega) @ f_dir + cfg.psi) * (r_val - cfg.psi * state.lam), 0.0)
 
     s_v = (G * u).T @ (cfg.beta * (mu[:n] - mu[n:]))
-    s_f = (lam[1] - lam[0]) * (h * d_omega)
-
-    kappa_v = state.kappa_v - 0.5 / max(cfg.cost_w_pv, cfg.cost_w_qv) ** 2 * (2.0 * wv**2 * state.kappa_v + s_v)
-    kappa_f = -s_f / (2.0 * state.w_f**2)
+    kappa_v = state.kappa_v - (curv * state.kappa_v + s_v) / (2.0 * max(cfg.cost_w_pv, cfg.cost_w_qv) ** 2)
+    kappa_f = (lam[0] - lam[1]) * f_dir
     k_pv, k_qv = kappa_v[:m].copy(), kappa_v[m:].copy()
     a, b = k_pv / tau_p, k_qv / tau_q
     g = stab.gamma

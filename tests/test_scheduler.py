@@ -140,15 +140,17 @@ class TestSchedulerConfig:
             (dict(noise_std=np.nan), "noise_std must be finite and nonnegative"),
             (dict(noise_std=np.inf), "noise_std must be finite and nonnegative"),
             (dict(beta=np.nan), r"beta must lie in \(0, 1\)"),
-            (dict(cost_w_pv=np.nan), "cost_w_pv must be finite and positive"),
-            (dict(cost_w_pv=-1.0), "cost_w_pv must be finite and positive"),
-            (dict(cost_w_qv=-np.inf), "cost_w_qv must be finite and positive"),
-            (dict(cost_w_f=np.nan), "cost_w_f must be finite and positive"),
-            # a zero weight leaves its gain no curvature to scale the step by
-            (dict(cost_w_pv=0.0), "cost_w_pv must be finite and positive"),
-            (dict(cost_w_qv=0.0), "cost_w_qv must be finite and positive"),
-            (dict(cost_w_f=0.0), "cost_w_f must be finite and positive"),
-            (dict(cost_w_f=np.inf), "cost_w_f must be finite and positive"),
+            (dict(cost_w_pv=np.nan), "cost_w_pv must be finite and positive, and so must its square"),
+            (dict(cost_w_pv=-1.0), "cost_w_pv must be finite and positive, and so must its square"),
+            (dict(cost_w_qv=-np.inf), "cost_w_qv must be finite and positive, and so must its square"),
+            (dict(cost_w_f=np.nan), "cost_w_f must be finite and positive, and so must its square"),
+            # a zero weight leaves its gain no curvature to scale the step by; a
+            # square of 0 divided the row curvatures by zero, one of inf froze the gains
+            (dict(cost_w_pv=0.0), "cost_w_pv must be finite and positive, and so must its square"),
+            (dict(cost_w_qv=1e-200), "cost_w_qv must be finite and positive, and so must its square"),
+            (dict(cost_w_pv=1e200), "cost_w_pv must be finite and positive, and so must its square"),
+            (dict(cost_w_f=0.0), "cost_w_f must be finite and positive, and so must its square"),
+            (dict(cost_w_f=np.inf), "cost_w_f must be finite and positive, and so must its square"),
             (dict(v_min=-np.inf), "v_min must be finite"),
             (dict(v_max=np.inf), "v_max must be finite"),
             (dict(e_min=-np.inf), "e_min must be finite"),
