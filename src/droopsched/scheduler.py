@@ -118,8 +118,8 @@ class SchedulerConfig:
             value = getattr(self, name)
             if name == "cost_w_f" and value is None:
                 continue  # drawn per node
-            # the step divides by the curvature 2 w^2: a square that underflows to 0 or overflows is refused too
-            if not (0.0 < value and 0.0 < value * value < np.inf):
+            # the step divides by the curvature 2 w^2, so w^2 must be a finite normal float too
+            if not (0.0 < value and np.finfo(float).tiny <= value * value < np.inf):
                 raise ValueError(f"{name} must be finite and positive, and so must its square")
         if not 0.0 < self.beta < 1.0:
             raise ValueError("beta must lie in (0, 1)")

@@ -145,9 +145,11 @@ class TestSchedulerConfig:
             (dict(cost_w_qv=-np.inf), "cost_w_qv must be finite and positive, and so must its square"),
             (dict(cost_w_f=np.nan), "cost_w_f must be finite and positive, and so must its square"),
             # a zero weight leaves its gain no curvature to scale the step by; a
-            # square of 0 divided the row curvatures by zero, one of inf froze the gains
+            # square of 0 divided the row curvatures by zero, a subnormal one made
+            # them inf, and one of inf froze the gains
             (dict(cost_w_pv=0.0), "cost_w_pv must be finite and positive, and so must its square"),
             (dict(cost_w_qv=1e-200), "cost_w_qv must be finite and positive, and so must its square"),
+            (dict(cost_w_qv=1e-160), "cost_w_qv must be finite and positive, and so must its square"),
             (dict(cost_w_pv=1e200), "cost_w_pv must be finite and positive, and so must its square"),
             (dict(cost_w_f=0.0), "cost_w_f must be finite and positive, and so must its square"),
             (dict(cost_w_f=np.inf), "cost_w_f must be finite and positive, and so must its square"),
