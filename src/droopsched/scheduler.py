@@ -340,10 +340,10 @@ def schedule_step(
     """One full measurement -> dual -> signal -> primal cycle.
 
     Realigns the gain slots to the currently online units, performs one
-    gradient cycle on the frozen measurement, and returns the per-unit
-    broadcast.  Raises ValueError, before
-    any work, when an online unit's node is not a bus of the feeder or
-    holds another online unit.  ``sample_seed`` is not read: the CVaR
+    primal-dual cycle on the frozen measurement, and returns the per-unit
+    broadcast.  Raises ValueError, before any work, when an online unit's
+    node is not an integer bus of the feeder or holds another online
+    unit.  ``sample_seed`` is not read: the CVaR
     rows are exact, so the step draws no samples; it stays while callers
     pass it by position.
     """

@@ -33,8 +33,9 @@ of the package because nothing in it calls them:
   with ``np.tile``, ``np.clip`` and separate projected halves, against
   which the step is checked bit for bit: half a Jacobi step for the
   multipliers, a step of 1 / (2 max(w_pv, w_qv)^2) for the voltage
-  gains and the clipped minimizer for the frequency gains.  It calls no scheduler code; of
-  the stability module it uses only the boundary projection.
+  gains and the clipped minimizer for the frequency gains.  It calls no
+  scheduler code; of the stability module it uses only the boundary
+  projection.
 """
 
 from __future__ import annotations

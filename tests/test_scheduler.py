@@ -50,7 +50,8 @@ def desk_instance(
     anchored there with zero droop deviations (initial gains are zero).
 
     The voltage step is 1 / (2 cost_w_pv^2), so the slowest gain mode is
-    k_qv, which contracts by (cost_w_qv / cost_w_pv)^2 = 1/9 per step.
+    k_qv, which keeps 1 - (cost_w_qv / cost_w_pv)^2 = 8/9 of its distance
+    to the saddle per step.
     """
     model = six_bus_feeder()
     n = model.n
@@ -791,9 +792,9 @@ class TestSaddleConvergence:
         # taus of 1e6 s keep every pair deep inside the certified set and a box
         # of 10 holds the saddle's frequency gains, so the step's fixed point is
         # the oracle's.  The slowest gain mode, k_qv, keeps 8/9 per step: from
-        # the drawn |kappa_v| <= 64 that is 153 steps to 1e-6.  Over 300 draws
-        # the worst took 190 steps from the drawn start and 101 after the
-        # drop-out, which starts at the old saddle.
+        # a drawn |kappa_v| of 64, the largest in 300 draws, that is 153 steps
+        # to 1e-6.  Over those draws the worst took 190 steps from the drawn
+        # start and 101 after the drop-out, which starts at the old saddle.
         state, sm, rho, cfg, stab, _ = case
         stab = replace(stab, kf_bound=10.0)
         keys = ("kappa_v", "kappa_f", "mu", "lam")
