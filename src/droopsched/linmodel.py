@@ -62,6 +62,20 @@ def _rebuild(record):
     return (type(record), tuple(getattr(record, f.name) for f in fields(record)))
 
 
+def _has_cholesky(a) -> bool:
+    """Whether ``a`` holds matrices (symmetric, last two axes), each positive definite.
+
+    An empty matrix has no lambda_min, so it is not.
+    """
+    if not a.size:
+        return False
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 @dataclass(frozen=True, eq=False)
 class SchedulingPoint:
     """Measurement bundle a linearization is anchored to.
@@ -108,8 +122,12 @@ class SensitivityModel:
     convention (see build_sensitivity_model).  Construction checks that
     R and X are n x n, finite, symmetric and positive definite, that v0
     and rho.v_meas have n entries and H 2n, and that v0, H and P0 are
-    finite.  R, X, v0 and H are stored as read-only copies.  Equality and
-    hash are by identity, as for SchedulingPoint.
+    finite.  Positive definite means lambda_min > 1e-12, tested as one
+    Cholesky factorization of the stacked M - 1e-12 I, which exists
+    exactly when every eigenvalue of M exceeds 1e-12; a failing pair is
+    checked again matrix by matrix, so that R is named before X.  R, X,
+    v0 and H are stored as read-only copies.  Equality and hash are by
+    identity, as for SchedulingPoint.
     """
 
     R: np.ndarray
@@ -134,10 +152,15 @@ class SensitivityModel:
         for name in ("v0", "H", "P0", "R", "X"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} must be finite")
-        for name, M in (("R", self.R), ("X", self.X)):
+        pair = (self.R, self.X)
+        shifted = np.array(pair)
+        shifted.reshape(2, -1)[:, :: n + 1] -= 1e-12
+        if all(np.array_equal(M, M.T) for M in pair) and _has_cholesky(shifted):
+            return
+        for name, M, S in zip(("R", "X"), pair, shifted):
             if not np.array_equal(M, M.T):
                 raise ValueError(f"{name} must be symmetric")
-            if np.linalg.eigvalsh(M)[0] <= 1e-12:
+            if not _has_cholesky(S):
                 raise ValueError(f"{name} must be positive definite")
 
     @property
@@ -183,7 +206,8 @@ def _current_tangent(model: NetworkModel, base: PowerFlowSolution) -> np.ndarray
     sub = ((k[:, None] <= k) & (k < plan.end[:, None])).astype(float)
     up = sub.T - np.eye(n)
     l, P, Q = (a.take(plan.order) for a in (base.i_sq, base.p_flow, base.q_flow))
-    v_from = base.v[[b.frm for b in model.branches]].take(plan.order) ** 2
+    # squared sending-end voltages: the substation's, then the voltage of the bus each position feeds
+    v_from = np.concatenate((base.v[:1], base.v[1:].take(plan.bus))).take(plan.par) ** 2
     r, x, z = plan.rxz
     lv = (l / v_from)[:, None]
     # g moves with the flows it squares, and against its sending-end voltage
@@ -192,7 +216,7 @@ def _current_tangent(model: NetworkModel, base: PowerFlowSolution) -> np.ndarray
     eye_less_gl = gp * r + gq * x + lv * (up * z)
     eye_less_gl.flat[:: n + 1] += 1.0
     T = np.linalg.solve(eye_less_gl, np.concatenate((gp, gq), axis=1))
-    return T[np.ix_(plan.inv, np.concatenate((plan.pos, plan.pos + n)))]
+    return T.take(plan.inv, axis=0).take(np.concatenate((plan.pos, plan.pos + n)), axis=1)
 
 
 def build_pcc_sensitivity(
@@ -227,18 +251,21 @@ def build_pcc_sensitivity(
     q_base = np.asarray(q_base, dtype=float)
     base = solve_power_flow(model, p_base, q_base, tol=_FD_TOL)
     steps = _FD_STEP * _current_tangent(model, base).T
+    # row j: the start of column j's +step and -step flow (a - s is a + (-s) bit for bit)
+    starts = (base.i_sq + steps, base.i_sq - steps)
+    # the warm record owns its currents: a caller that keeps a flow's
+    # arguments then keeps one (n,) vector, not the starts
     warm = replace(base, i_sq=np.empty(n))
-    H = np.empty(2 * n)
+    pcc = np.empty((2, 2 * n))  # p_pcc of the +step flows, then of the -step flows
     for j in range(2 * n):
         row, bus = divmod(j, n)
-        pcc = []
-        for sign in (1.0, -1.0):
+        for k, step in enumerate((_FD_STEP, -_FD_STEP)):
             inj = [p_base, q_base]
-            inj[row] = inj[row].copy()  # a new array per flow: a caller may keep a flow's arguments
-            inj[row][bus] += sign * _FD_STEP
-            np.add(base.i_sq, sign * steps[j], warm.i_sq)
-            pcc.append(solve_power_flow(model, *inj, tol=_FD_TOL, warm=warm).p_pcc)
-        H[j] = (pcc[0] - pcc[1]) / (2 * _FD_STEP)
+            stepped = inj[row] = inj[row].copy()  # a new array per flow: a caller may keep a flow's arguments
+            stepped[bus] += step
+            warm.i_sq[...] = starts[k][j]
+            pcc[k, j] = solve_power_flow(model, *inj, tol=_FD_TOL, warm=warm).p_pcc
+    H = (pcc[0] - pcc[1]) / (2 * _FD_STEP)
     P0 = base.p_pcc - (p_sched if p_sched is not None else base.p_pcc)
     return H, float(P0)
 

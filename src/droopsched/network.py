@@ -21,7 +21,10 @@ product of its impedance rows with the currents gives every loss term),
 and the residual check reuses the iteration's terms.  Its reductions are
 direct ufunc or arg-reductions (``a[a.argmax()]``), never the
 ``ndarray.max``/``.sum``/``.all`` methods: at this size each method call
-costs 1-2 us of Python wrapper, several times the reduction itself.
+costs 1-2 us of Python wrapper, several times the reduction itself.  The
+same holds for its accumulations, which call ``np.add.accumulate``, the
+loop behind ``ndarray.cumsum`` without its wrapper, and for the
+temporaries: the subtree sums and the residual rows are formed in place.
 A sweep that diverges is stopped before its squared flows can overflow:
 an injection or a change in squared current past ``_DIVERGED`` raises
 PowerFlowError.  A ``NetworkModel``
@@ -148,9 +151,11 @@ class _SweepPlan:
     the branches on the root path of position k are the j <= k with
     ``end[j] > k``.  ``par[k]`` is the position of the parent branch
     plus one, or 0 for a branch leaving the substation, and indexes an
-    array that carries the substation value in slot 0; ``par2`` repeats
-    it for a second row, offset by n + 1, so one ``np.bincount`` over a
-    flattened (2, n) array gives the child sums of both rows.
+    array that carries the substation value in slot 0.  ``par2`` indexes
+    a flattened (2, n) array: entry k of a row goes to its parent's
+    entry in the same row, an entry of a branch leaving the substation
+    to 2n (first row) or 2n + 1 (second row), so the first 2n bins of
+    one ``np.bincount`` are the child sums of both rows, contiguous.
     ``bus[k]`` is the row (bus id - 1) of the bus the branch feeds,
     ``pos[j]`` the position of the branch feeding bus j + 1, and
     ``order[k]`` the caller's index of the branch, with ``inv`` its
@@ -199,7 +204,8 @@ def _build_plan(branches: tuple[Branch, ...], pre: list[int]) -> _SweepPlan:
     for a in (rxz, rx, rx2):
         a.setflags(write=False)
     return _SweepPlan(
-        order, np.argsort(order), bus, pos, end, end - 1, par, np.concatenate((par, par + nb + 1)),
+        order, np.argsort(order), bus, pos, end, end - 1, par,
+        np.concatenate((np.where(par > 0, par - 1, 2 * nb), np.where(par > 0, par - 1 + nb, 2 * nb + 1))),
         np.flatnonzero(par == 0), rxz, rx, rx2,
     )
 
@@ -313,13 +319,16 @@ def solve_power_flow(
     for iterations in range(1, _MAX_ITER + 1):
         # backward: subtree sums of injections and previous-iterate losses
         y = zi_rx - inj
-        s = y.cumsum(axis=1)
-        S = s.take(last, axis=1) - s + y
+        s = np.add.accumulate(y, axis=1)
+        S = s.take(last, axis=1)
+        S -= s
+        S += y
         # forward: squared-voltage drops summed along each root path
         np.multiply(rx2, S, t)
         drop2 = t0 + t1  # 2 (r P + x Q)
         drop = drop2 - zi_z
-        np.subtract(v_sub_sq, (drop - np.bincount(end, drop, minlength=n + 1)[:n]).cumsum(), v_sq)
+        drop -= np.bincount(end, drop, minlength=n + 1)[:n]
+        np.subtract(v_sub_sq, np.add.accumulate(drop, out=drop), v_sq)
         # (v_sq <= 0).any(), NaN entries not counted
         np.less_equal(v_sq, 0.0, low)
         if low[low.argmax()]:
@@ -328,7 +337,8 @@ def solve_power_flow(
             )
         v_from = v_ext.take(par)
         np.multiply(S, S, t)
-        i_sq_new = (t0 + t1) / v_from
+        i_sq_new = t0 + t1
+        i_sq_new /= v_from
         d = i_sq_new - i_sq
         np.abs(d, d)
         di = d[d.argmax()]  # NaN if any entry is NaN
@@ -338,7 +348,7 @@ def solve_power_flow(
         np.multiply(rxz, i_sq, zi)
         # the residuals at this iterate depend only on the change in currents
         if di <= 10.0 * tol:
-            residual = _residuals(plan, inj, S, zi, v_sq, v_from, drop2)
+            residual = _residuals(plan, inj, S, zi_rx, zi_z, v_sq, v_from, drop2)
             if residual <= tol:
                 break
     else:
@@ -352,15 +362,19 @@ def solve_power_flow(
     return PowerFlowSolution(v, P, Q, i_sq.take(plan.inv), p_pcc, True, iterations, residual)
 
 
-def _residuals(plan, inj, S, zi, v_sq, v_from, drop2) -> float:
-    # zi: loss terms of the current iterate, v_from: sending-end squared
-    # voltages, drop2: 2 (r P + x Q) of S.  The current equation holds
-    # exactly: the current iterate is computed from S and v_from.
-    nb = len(v_sq)
-    child = np.bincount(plan.par2, S.ravel(), minlength=2 * nb + 2).reshape(2, nb + 1)[:, 1:]
-    res = np.empty((3, nb))  # flow rows, then the voltage-drop row
-    np.subtract(S, child - inj + zi[:2], res[:2])
-    np.subtract(v_from - v_sq, drop2 - zi[2], res[2])
-    res = np.abs(res, res).ravel()
+def _residuals(plan, inj, S, zi_rx, zi_z, v_sq, v_from, drop2) -> float:
+    # zi_rx, zi_z: loss terms of the current iterate, v_from: sending-end
+    # squared voltages, drop2: 2 (r P + x Q) of S, overwritten.  The current
+    # equation holds exactly: the current iterate is computed from S and v_from.
+    # every (2, n) array here is contiguous, so it is read flattened
+    nb2 = 2 * len(v_sq)
+    child = np.bincount(plan.par2, S.ravel(), minlength=nb2 + 2)[:nb2]
+    res = np.empty(nb2 + len(v_sq))  # flow rows, then the voltage-drop row
+    flow, drop = res[:nb2], res[nb2:]
+    np.subtract(child, inj.ravel(), flow)
+    flow += zi_rx.ravel()
+    np.subtract(S.ravel(), flow, flow)
+    np.subtract(v_from, v_sq, drop)
+    drop -= np.subtract(drop2, zi_z, drop2)
+    np.abs(res, res)
     return float(res[res.argmax()])  # NaN if any entry is NaN
-

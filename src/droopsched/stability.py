@@ -99,11 +99,11 @@ def compute_gamma(
     n = sm.n
     if tau_p.shape != (n,) or tau_q.shape != (n,):
         raise ValueError(f"tau vectors must have shape ({n},)")
-    # R and X are positive definite (SensitivityModel checks), so lam_max > 0
-    return 1.0 / max(
-        float(np.linalg.eigvalsh(sq[:, None] * M * sq)[-1])
-        for M, sq in ((sm.R, np.sqrt(tau_p)), (sm.X, np.sqrt(tau_q)))
-    )
+    # one batched eigensolve of the scaled pair; R and X are positive
+    # definite (SensitivityModel checks), so lam_max > 0
+    sq = np.sqrt(np.array((tau_p, tau_q)))
+    lam_max = np.linalg.eigvalsh(sq[:, :, None] * np.array((sm.R, sm.X)) * sq[:, None, :])[:, -1]
+    return 1.0 / float(max(lam_max))
 
 
 def _quad(a, b, g):

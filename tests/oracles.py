@@ -29,6 +29,10 @@ of the package because nothing in it calls them:
 * ``two_clause_check_gains``, the stability gate as first written: the
   quadratic inequality and the linear clause (a or b below gamma with a
   1e-6 gamma margin), against which the one-inequality gate is checked.
+* ``eigvalsh_definite`` and ``two_call_gamma``, the definiteness rule
+  of ``SensitivityModel`` and the gamma of ``compute_gamma`` as first
+  written, one ``eigvalsh`` call per matrix, against which the
+  Cholesky test and the batched eigensolve are checked.
 * ``primal_dual_reference``, the scheduler's primal-dual step written
   with ``np.tile``, ``np.clip`` and separate projected halves, against
   which the step is checked bit for bit: half a Jacobi step for the
@@ -372,6 +376,19 @@ def two_clause_check_gains(k_pv, k_qv, tau_p, tau_q, gamma):
     if (a - b) * (a - b) + 4.0 * gamma * (a + b) - 4.0 * gamma * gamma > -(4.0 * gamma * margin):
         return False
     return a <= gamma - margin or b <= gamma - margin
+
+
+def eigvalsh_definite(M) -> bool:
+    """SensitivityModel's definiteness rule by eigenvalues: lambda_min(M) > 1e-12."""
+    return bool(np.linalg.eigvalsh(M)[0] > 1e-12)
+
+
+def two_call_gamma(sm, tau_p, tau_q) -> float:
+    """1 / lambda_max(G T) from one eigvalsh call per scaled block, R's then X's."""
+    return 1.0 / max(
+        float(np.linalg.eigvalsh(sq[:, None] * M * sq)[-1])
+        for M, sq in ((sm.R, np.sqrt(tau_p)), (sm.X, np.sqrt(tau_q)))
+    )
 
 
 def primal_dual_reference(state, sm, rho, cfg, stab, tau_p, tau_q):

@@ -21,7 +21,7 @@ from droopsched.linmodel import (
 from droopsched.network import Branch, NetworkModel, solve_power_flow
 from droopsched.scenarios import ieee37_shaped_feeder, random_radial_feeder, six_bus_feeder
 
-from .oracles import central_difference
+from .oracles import central_difference, eigvalsh_definite
 from .test_network import chain, random_feeder
 
 
@@ -183,18 +183,29 @@ class TestPccSensitivity:
         # each stepped flow starts on the base flow's tangent; started from the
         # base currents, they took up to 8 sweeps on these feeders
         flows = []
+        kept = []  # each flow's injection arrays, as a caller that keeps its arguments holds them
 
-        def counted(*args, warm=None, **kwargs):
-            start = None if warm is None else warm.i_sq.copy()
-            sol = solve_power_flow(*args, warm=warm, **kwargs)
+        def counted(model, p_inj, q_inj, warm=None, **kwargs):
+            start = None
+            if warm is not None:
+                # the warm record owns its currents, so keeping it keeps n floats
+                assert warm.i_sq.base is None and warm.i_sq.shape == (model.n,)
+                start = warm.i_sq.copy()
+            sol = solve_power_flow(model, p_inj, q_inj, warm=warm, **kwargs)
             flows.append((start, sol))
+            kept.append(((p_inj, q_inj), (p_inj.copy(), q_inj.copy())))
             return sol
 
         monkeypatch.setattr(linmodel, "solve_power_flow", counted)
         moved = 0.0
         for model, p, q in sweep_cases():
             flows.clear()
+            kept.clear()
+            given = p.copy(), q.copy()
             build_pcc_sensitivity(model, flat_rho(model.n), p, q)
+            assert p.tobytes() == given[0].tobytes() and q.tobytes() == given[1].tobytes()
+            # after the build, every flow's arrays still hold the injections it solved
+            assert all(a.tobytes() == b.tobytes() for held, solved in kept for a, b in zip(held, solved))
             # the base flow, cold, then a +step and a -step flow per injection
             assert len(flows) == 4 * model.n + 1
             assert flows[0][0] is None and all(start is not None for start, _ in flows[1:])
@@ -309,6 +320,9 @@ class TestAffineAccuracy:
         assert err(1.0) / err(0.5) >= 3.5
 
 
+ASYMMETRIC = np.array([[1.0, 0.1], [0.0, 1.0]])
+
+
 class TestSensitivityModelInvariants:
     VALID = dict(R=np.eye(2), X=np.eye(2), v0=np.ones(2), H=np.zeros(4), P0=0.0, rho=flat_rho(2))
 
@@ -352,6 +366,14 @@ class TestSensitivityModelInvariants:
             (dict(R=np.array([[1.0, np.nan], [np.nan, 1.0]])), "R must be finite"),
             (dict(X=np.array([[1.0, 0.0], [0.0, -np.inf]])), "X must be finite"),
             (dict(X=np.array([[1.0, np.nan], [0.0, 1.0]])), "X must be finite"),
+            # R's checks come first, and each matrix is checked for symmetry before definiteness
+            (dict(R=np.zeros((2, 2)), X=np.zeros((2, 2))), "R must be positive definite"),
+            (dict(R=np.zeros((2, 2)), X=ASYMMETRIC), "R must be positive definite"),
+            (dict(X=ASYMMETRIC), "X must be symmetric"),
+            (dict(R=ASYMMETRIC, X=np.zeros((2, 2))), "R must be symmetric"),
+            (dict(X=-np.eye(2)), "X must be positive definite"),
+            # an empty matrix has no lambda_min to exceed 1e-12
+            (dict(R=np.eye(0), X=np.eye(0), v0=np.ones(0), H=np.zeros(0), rho=flat_rho(0)), "R must be positive definite"),
         ],
     )
     def test_rejects_what_the_scheduler_cannot_use(self, kw, message):
@@ -383,6 +405,42 @@ class TestSensitivityModelInvariants:
         rho = SchedulingPoint(v_meas=sol.v[1:], r_t=0.02, omega=1.0, omega_star=1.0)
         sm = build_sensitivity_model(model, rho, p_c, q_c, p_c, q_c)
         assert affine_voltage(sm, p_c, q_c) == pytest.approx(sol.v[1:], abs=1e-14)
+
+
+def with_spectrum(seed, eigenvalues):
+    """Symmetric matrix with the given eigenvalues, in a random orthonormal basis."""
+    n = len(eigenvalues)
+    basis, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+    M = (basis * eigenvalues) @ basis.T
+    return (M + M.T) / 2.0
+
+
+class TestDefinitenessRule:
+    """SensitivityModel accepts R and X exactly when eigvalsh puts lambda_min above 1e-12."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        name=st.sampled_from(["R", "X"]),
+        seed=st.integers(0, 2**32 - 1),
+        lam_min=st.sampled_from([0.95e-12, 1.05e-12]),
+        rest=st.lists(st.floats(2e-12, 1.0), max_size=7),
+    )
+    def test_matches_the_eigenvalue_rule_near_its_threshold(self, name, seed, lam_min, rest):
+        M = with_spectrum(seed, [lam_min, *rest])
+        n = M.shape[0]
+        kw = dict(R=np.eye(n), X=np.eye(n), v0=np.ones(n), H=np.zeros(2 * n), P0=0.0, rho=flat_rho(n))
+        kw[name] = M
+        if eigvalsh_definite(M):
+            SensitivityModel(**kw)
+        else:
+            with pytest.raises(ValueError, match=f"^{name} must be positive definite$"):
+                SensitivityModel(**kw)
+
+    def test_the_drawn_thresholds_fall_on_both_sides_of_the_rule(self):
+        # so the property above exercises both outcomes
+        for seed in range(5):
+            assert not eigvalsh_definite(with_spectrum(seed, [0.95e-12, 0.5]))
+            assert eigvalsh_definite(with_spectrum(seed, [1.05e-12, 0.5]))
 
 
 class TestSchedulingPoint:

@@ -232,11 +232,11 @@ def test_dataclasses_are_frozen_except_the_allowlist():
 
 
 SWEEP_FUNCTIONS = ("solve_power_flow", "_residuals")
-WRAPPED_REDUCTIONS = {"max", "min", "sum", "all", "any", "mean"}
+WRAPPED_REDUCTIONS = {"max", "min", "sum", "all", "any", "mean", "cumsum", "cumprod"}
 
 
 def test_the_sweep_calls_no_wrapped_array_reduction():
-    """The sweep reduces with ufuncs or a[a.argmax()]: ndarray.max and kin pay 1-2 us of wrapper per call."""
+    """The sweep reduces and accumulates with ufuncs or a[a.argmax()]: ndarray.max, .cumsum and kin pay 1-2 us of wrapper per call."""
     tree = ast.parse((PACKAGE / "network.py").read_text())
     found = {}
     for node in tree.body:

@@ -20,7 +20,13 @@ from droopsched.stability import (
     project_voltage_gains,
 )
 
-from .oracles import closed_loop_matrix, lyapunov_value, power_iteration_lambda_max, two_clause_check_gains
+from .oracles import (
+    closed_loop_matrix,
+    lyapunov_value,
+    power_iteration_lambda_max,
+    two_call_gamma,
+    two_clause_check_gains,
+)
 
 # a clipped scaled pair past 2^64 gamma is refused, not projected
 BOUND = 2.0**64
@@ -69,8 +75,12 @@ class TestComputeGamma:
             R, X = build_rx(model)
             sm = make_sm(R, X)
             n = sm.n
-            g = compute_gamma(sm, rng.uniform(0.1, 0.4, n), rng.uniform(0.1, 0.4, n))
+            tau_p, tau_q = rng.uniform(0.1, 0.4, n), rng.uniform(0.1, 0.4, n)
+            g = compute_gamma(sm, tau_p, tau_q)
             assert g > 0
+            # the batched eigensolve gives the one-call-per-block gamma bit for bit
+            ref = two_call_gamma(sm, tau_p, tau_q)
+            assert type(g) is float and g.hex() == ref.hex()
 
     def test_rejects_bad_taus(self):
         sm = make_sm(np.eye(1), np.eye(1))
