@@ -16,10 +16,14 @@ rejects the singular matrix that results.
 
 The PCC projection H and the flow constant P0 linearise the active power
 drawn at the substation, H by central finite differences of the
-nonlinear solver and P0 as the offset of the base exchange from the
-reference (scheduled) exchange.  H costs 4n + 1 power flows: one at the
-base point, then a +step and a -step flow per injection.  Each stepped
-flow starts from the exact tangent of the base flow.  The sweep is a
+nonlinear solver.  P0 is the offset of the base exchange from the
+scheduled one; build_pcc_sensitivity takes the base point as the
+schedule, so its P0 is 0, and a caller with another schedule passes its
+own (H, P0) to build_sensitivity_model through ``hp0``.
+
+H costs 4n + 1 power flows: one at the base point, then a +step and a
+-step flow per injection.  Each stepped flow starts from the exact
+tangent of the base flow.  The sweep is a
 fixed point l = g(l; p, q) on the squared branch currents, so at the
 converged base their derivative is T = (I - dg/dl)^-1 dg/d(p, q), read
 off the base's flows, currents and voltages; the stepped flow's
@@ -63,7 +67,7 @@ def _rebuild(record):
 
 
 def _has_cholesky(a) -> bool:
-    """Whether ``a`` holds matrices (symmetric, last two axes), each positive definite.
+    """Whether the symmetric matrix ``a`` is positive definite.
 
     An empty matrix has no lambda_min, so it is not.
     """
@@ -118,16 +122,18 @@ class SensitivityModel:
     """Affine voltage/PCC model valid near ``rho``.
 
     ``H`` stacks d p_pcc / d p_j for every bus first, then
-    d p_pcc / d q_j; ``v0`` is chosen by the caller's coordinate
-    convention (see build_sensitivity_model).  Construction checks that
-    R and X are n x n, finite, symmetric and positive definite, that v0
-    and rho.v_meas have n entries and H 2n, and that v0, H and P0 are
-    finite.  Positive definite means lambda_min > 1e-12, tested as one
-    Cholesky factorization of the stacked M - 1e-12 I, which exists
-    exactly when every eigenvalue of M exceeds 1e-12; a failing pair is
-    checked again matrix by matrix, so that R is named before X.  R, X,
-    v0 and H are stored as read-only copies.  Equality and hash are by
-    identity, as for SchedulingPoint.
+    d p_pcc / d q_j; ``P0`` is the exchange's offset from its schedule,
+    0 from build_pcc_sensitivity, whose base point is the schedule, or a
+    caller's own value passed through build_sensitivity_model's ``hp0``;
+    ``v0`` is chosen by the caller's coordinate convention (see
+    build_sensitivity_model).  Construction checks that R and X are
+    n x n, finite, symmetric and positive definite, that v0 and
+    rho.v_meas have n entries and H 2n, and that v0, H and P0 are
+    finite.  Each matrix, R before X, is checked in one pass: its
+    symmetry, then lambda_min > 1e-12 as a Cholesky factorization of
+    M - 1e-12 I, which exists exactly when every eigenvalue of M exceeds
+    1e-12.  R, X, v0 and H are stored as read-only copies.  Equality and
+    hash are by identity, as for SchedulingPoint.
     """
 
     R: np.ndarray
@@ -152,15 +158,10 @@ class SensitivityModel:
         for name in ("v0", "H", "P0", "R", "X"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} must be finite")
-        pair = (self.R, self.X)
-        shifted = np.array(pair)
-        shifted.reshape(2, -1)[:, :: n + 1] -= 1e-12
-        if all(np.array_equal(M, M.T) for M in pair) and _has_cholesky(shifted):
-            return
-        for name, M, S in zip(("R", "X"), pair, shifted):
+        for name, M in (("R", self.R), ("X", self.X)):
             if not np.array_equal(M, M.T):
                 raise ValueError(f"{name} must be symmetric")
-            if not _has_cholesky(S):
+            if not _has_cholesky(M - 1e-12 * np.eye(n)):
                 raise ValueError(f"{name} must be positive definite")
 
     @property
@@ -180,7 +181,7 @@ def build_rx(model: NetworkModel) -> tuple[np.ndarray, np.ndarray]:
     plan = model.plan()  # built when the model was constructed
     pos = plan.pos[:, None]
     B = (np.arange(len(pos)) <= pos) & (pos < plan.end)
-    R, X = ((B * w) @ B.T for w in plan.rx)
+    R, X = ((B * w) @ B.T for w in plan.rxz[:2])
     # force exact symmetry despite the floating matmul
     return (R + R.T) / 2.0, (X + X.T) / 2.0
 
@@ -224,16 +225,15 @@ def build_pcc_sensitivity(
     rho: SchedulingPoint,
     p_base: np.ndarray,
     q_base: np.ndarray,
-    p_sched: float | None = None,
 ) -> tuple[np.ndarray, float]:
     """Central-difference PCC sensitivities and linearization constant.
 
     ``H[k]`` is d p_pcc / d p_(k+1) for k < n and d p_pcc / d q_(k+1-n)
     for k >= n, evaluated at the base injections.  ``P0`` is the base
-    exchange minus the scheduled exchange ``p_sched``; when no schedule
-    is supplied the base point itself is the schedule and P0 = 0.
-    ``rho`` is not read; it stays while callers pass it by position.
-    Raises ValueError, before any flow, when ``p_sched`` is not finite.
+    exchange minus the scheduled one; the base point is the schedule, so
+    P0 is 0.0 (a caller's own P0 goes through build_sensitivity_model's
+    ``hp0``).  ``rho`` is not read; it stays while callers pass it by
+    position.
 
     Every flow solves to ``_FD_TOL``: first the base point, then per
     injection, p before q and bus by bus, a +step and a -step flow.
@@ -244,8 +244,6 @@ def build_pcc_sensitivity(
     refilled before each, which is safe because solve_power_flow reads
     ``warm`` once and keeps nothing of it.
     """
-    if p_sched is not None and not np.isfinite(p_sched):
-        raise ValueError("p_sched must be finite")
     n = model.n
     p_base = np.asarray(p_base, dtype=float)
     q_base = np.asarray(q_base, dtype=float)
@@ -266,8 +264,7 @@ def build_pcc_sensitivity(
             warm.i_sq[...] = starts[k][j]
             pcc[k, j] = solve_power_flow(model, *inj, tol=_FD_TOL, warm=warm).p_pcc
     H = (pcc[0] - pcc[1]) / (2 * _FD_STEP)
-    P0 = base.p_pcc - (p_sched if p_sched is not None else base.p_pcc)
-    return H, float(P0)
+    return H, 0.0
 
 
 def build_sensitivity_model(

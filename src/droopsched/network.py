@@ -61,6 +61,9 @@ _MAX_ITER = 100  # sweep iterations before solve_power_flow gives up
 _DIVERGED = 1e100
 
 
+_BUS_ID = (int, np.integer)  # the types of a bus id, bool excepted
+
+
 class NetworkDataError(ValueError):
     """Raised for malformed network topology or branch data."""
 
@@ -81,9 +84,10 @@ class NetworkModel:
     """Radial feeder of n branches over buses 0..n (0 = substation), immutable.
 
     Construction checks ``v_sub`` and that the branches form a tree over
-    buses 0..n, stores them in the caller's order pointing away from the
-    substation (a child-first row becomes a new ``Branch``), and builds
-    the sweep plan.
+    buses 0..n, stores them in the caller's order as ``Branch`` rows
+    (sender, receiver, r, x) pointing away from the substation, whatever
+    (frm, to, r, x) sequence each row was given as, and builds the sweep
+    plan.
     """
 
     branches: tuple[Branch, ...]
@@ -93,10 +97,11 @@ class NetworkModel:
     def __post_init__(self):
         if not 0.0 < self.v_sub < np.inf:
             raise NetworkDataError("v_sub must be finite and positive")
-        pre, senders = _preorder(self.branches)
-        branches = tuple(
-            b if b.frm == s else Branch(b.to, b.frm, b.r, b.x) for b, s in zip(self.branches, senders)
-        )
+        pre, ends = _preorder(self.branches)
+        # a row that already is its Branch(sender, receiver, r, x) is kept: at
+        # n = 5000 a NamedTuple call per row would cost 2 ms, a fifth of the build
+        rows = zip(ends, self.branches)
+        branches = tuple(b if type(b) is Branch and b.frm == s else Branch(s, t, b[2], b[3]) for (s, t), b in rows)
         object.__setattr__(self, "branches", branches)
         object.__setattr__(self, "_plan", _build_plan(branches, pre))
 
@@ -159,10 +164,10 @@ class _SweepPlan:
     ``bus[k]`` is the row (bus id - 1) of the bus the branch feeds,
     ``pos[j]`` the position of the branch feeding bus j + 1, and
     ``order[k]`` the caller's index of the branch, with ``inv`` its
-    inverse.  ``rxz`` holds the rows ``[r, x, r^2 + x^2]``, ``rx`` is a
-    view of its first two rows and ``rx2`` is ``2 rx``, which doubles
-    exactly, so ``rx2 * S`` summed over rows is ``2 (rx * S)`` summed
-    over rows bit for bit.  These three impedance arrays are read-only.
+    inverse.  ``rxz`` holds the rows ``[r, x, r^2 + x^2]``, and ``rx2``
+    is ``2 rxz[:2]``, which doubles exactly, so ``rx2 * S`` summed over
+    rows is ``2 (rxz[:2] * S)`` summed over rows bit for bit.  These two
+    impedance arrays are read-only.
     The index arrays are not: numpy's ``take`` and ``bincount`` copy a
     read-only index array on every call, several times per iteration.
     """
@@ -177,7 +182,6 @@ class _SweepPlan:
     par2: np.ndarray
     root: np.ndarray
     rxz: np.ndarray
-    rx: np.ndarray
     rx2: np.ndarray
 
 
@@ -201,25 +205,27 @@ def _build_plan(branches: tuple[Branch, ...], pre: list[int]) -> _SweepPlan:
     rx = rxz[:2]
     rxz[2] = (rx * rx).sum(axis=0)
     rx2 = 2.0 * rx
-    for a in (rxz, rx, rx2):
+    for a in (rxz, rx2):
         a.setflags(write=False)
     return _SweepPlan(
         order, np.argsort(order), bus, pos, end, end - 1, par,
         np.concatenate((np.where(par > 0, par - 1, 2 * nb), np.where(par > 0, par - 1 + nb, 2 * nb + 1))),
-        np.flatnonzero(par == 0), rxz, rx, rx2,
+        np.flatnonzero(par == 0), rxz, rx2,
     )
 
 
-def _preorder(branches) -> tuple[list[int], list[int]]:
+def _preorder(branches) -> tuple[list[int], list[tuple[int, int]]]:
     """Check the n branches form a tree over buses 0..n and return its preorder.
 
     Returns the branch indices in depth-first preorder from the
     substation, so every subtree is contiguous in it and its reverse runs
-    leaves-to-root, and the sending bus of each branch, the end nearer
-    the substation.  Reads its arguments only.  Raises NetworkDataError
-    on cycles, disconnected buses, duplicate branches, unknown bus ids,
-    impedances that are negative, zero in both parts or not finite, or a
-    feeder with no bus besides the substation.
+    leaves-to-root, and the (sender, receiver) buses of each branch, the
+    sender the end nearer the substation.  Reads its arguments only.
+    Raises NetworkDataError, naming the row, for a bus id that is a bool
+    or not an integer (numpy integers are integers); and on cycles,
+    disconnected buses, duplicate branches, unknown bus ids, impedances
+    that are negative, zero in both parts or not finite, or a feeder with
+    no bus besides the substation.
     """
     n_bus = len(branches) + 1
     if n_bus < 2:
@@ -227,6 +233,8 @@ def _preorder(branches) -> tuple[list[int], list[int]]:
     seen_pairs = set()
     adj: dict[int, list[tuple[int, int]]] = {i: [] for i in range(n_bus)}
     for e, (frm, to, r, x) in enumerate(branches):
+        if type(frm) is bool or type(to) is bool or not (isinstance(frm, _BUS_ID) and isinstance(to, _BUS_ID)):
+            raise NetworkDataError(f"branch ({frm},{to}) needs integer bus ids")
         if frm not in adj or to not in adj:
             raise NetworkDataError(f"branch ({frm},{to}) references unknown bus")
         if not (0.0 <= r < np.inf and 0.0 <= x < np.inf) or (r == 0 and x == 0):
@@ -243,20 +251,20 @@ def _preorder(branches) -> tuple[list[int], list[int]]:
     # tree, and a cycle always leaves some bus unreached
     visited = {0}
     pre: list[int] = []
-    senders = [0] * len(branches)
+    ends = [(0, 0)] * len(branches)
     stack = [(0, other, e) for other, e in adj[0]]
     while stack:
         node, other, e = stack.pop()
         if other in visited:
             continue
         visited.add(other)
-        senders[e] = node
+        ends[e] = (node, other)
         pre.append(e)
         stack.extend([(other, nxt, f) for nxt, f in adj[other]])
     if len(visited) != n_bus:
         missing = sorted(set(adj) - visited)
         raise NetworkDataError(f"cycle detected or disconnected node {missing[0]}")
-    return pre, senders
+    return pre, ends
 
 
 def solve_power_flow(

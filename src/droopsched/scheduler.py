@@ -123,13 +123,13 @@ class SchedulerConfig:
                 raise ValueError(f"{name} must be finite and positive, and so must its square")
         if not 0.0 < self.beta < 1.0:
             raise ValueError("beta must lie in (0, 1)")
+        for name in ("v_min", "v_max", "e_min", "e_max"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not self.v_min < self.v_max:
             raise ValueError("v_min must be below v_max")
         if not self.e_min < self.e_max:
             raise ValueError("e_min must be below e_max")
-        for name in ("v_min", "v_max", "e_min", "e_max"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
         if not 0.0 <= self.noise_std < np.inf:
             raise ValueError("noise_std must be finite and nonnegative")
 
@@ -150,29 +150,35 @@ class SchedulerState:
 
     @classmethod
     def initial(cls, der_nodes: list[int], n_bus: int, cfg: SchedulerConfig, seed: int = 0):
-        _check_nodes(der_nodes, n_bus)
-        m = len(der_nodes)
-        return cls(
-            der_nodes=list(der_nodes),
-            kappa_v=np.zeros(2 * m),
-            kappa_f=np.zeros(2 * m),
-            mu=np.zeros(2 * n_bus),
-            lam=np.zeros(2),
-            w_f=_freq_weights(der_nodes, cfg, seed),
-            seed=seed,
-        )
+        """Zero gains and multipliers for ``der_nodes`` on a feeder of ``n_bus`` buses.
+
+        The empty state (no units) realigned to ``der_nodes``, so the
+        nodes are checked there.  Raises ValueError unless they are
+        distinct integer buses 1..n_bus.
+        """
+        empty = cls([], np.zeros(0), np.zeros(0), np.zeros(2 * n_bus), np.zeros(2), np.zeros(0), seed)
+        return empty.realigned(der_nodes, cfg)
 
     def realigned(self, der_nodes: list[int], cfg: SchedulerConfig) -> "SchedulerState":
-        """Carry per-unit slots over to a new online set (plug-and-play)."""
-        if list(der_nodes) == self.der_nodes:
+        """Carry per-unit slots over to a new online set (plug-and-play).
+
+        The one place a node list enters a state: an unchanged list
+        returns the state itself, and any other is checked first.
+        Raises ValueError, leaving the state as it was, unless the new
+        nodes are distinct integer buses of the feeder the multipliers
+        are sized for (1..len(mu) / 2).
+        """
+        nodes = list(der_nodes)
+        if nodes == self.der_nodes:
             return self
+        _check_nodes(nodes, len(self.mu) // 2)
         old = {node: i for i, node in enumerate(self.der_nodes)}
         m_old = self.m
-        m = len(der_nodes)
+        m = len(nodes)
 
         def carry(vec):
             out = np.zeros(2 * m)
-            for j, node in enumerate(der_nodes):
+            for j, node in enumerate(nodes):
                 if node in old:
                     i = old[node]
                     out[j] = vec[i]
@@ -181,10 +187,10 @@ class SchedulerState:
 
         return replace(
             self,
-            der_nodes=list(der_nodes),
+            der_nodes=nodes,
             kappa_v=carry(self.kappa_v),
             kappa_f=carry(self.kappa_f),
-            w_f=_freq_weights(der_nodes, cfg, self.seed),
+            w_f=_freq_weights(nodes, cfg, self.seed),
         )
 
 
@@ -200,16 +206,11 @@ def _check_nodes(nodes, n_bus: int) -> None:
 
 
 def _freq_weights(der_nodes, cfg: SchedulerConfig, seed: int) -> np.ndarray:
-    """Per-unit frequency-gain cost weights, fixed or drawn per node."""
-    m = len(der_nodes)
-    w = np.empty(2 * m)
-    for j, node in enumerate(der_nodes):
-        if cfg.cost_w_f is not None:
-            w[j] = w[m + j] = cfg.cost_w_f
-        else:
-            rng = np.random.default_rng([seed, _WF_STREAM, node])
-            w[j], w[m + j] = rng.uniform(0.9, 1.1, 2)
-    return w
+    """Per-unit frequency-gain cost weights (k_pf slots, then k_qf), fixed or drawn per node."""
+    if cfg.cost_w_f is not None:
+        return np.full(2 * len(der_nodes), cfg.cost_w_f, dtype=float)
+    draws = [np.random.default_rng([seed, _WF_STREAM, node]).uniform(0.9, 1.1, 2) for node in der_nodes]
+    return np.reshape(draws, (-1, 2)).T.ravel()
 
 
 def draw_samples(v_meas: np.ndarray, cfg: SchedulerConfig, seed, n_samples: int) -> np.ndarray:
@@ -341,15 +342,15 @@ def schedule_step(
 
     Realigns the gain slots to the currently online units, performs one
     primal-dual cycle on the frozen measurement, and returns the per-unit
-    broadcast.  Raises ValueError, before any work, when an online unit's
-    node is not an integer bus of the feeder or holds another online
-    unit.  ``sample_seed`` is not read: the CVaR
-    rows are exact, so the step draws no samples; it stays while callers
-    pass it by position.
+    broadcast.  Raises ValueError, before any work, when the online
+    units' nodes differ from the state's and are not distinct integer
+    buses of the feeder (``SchedulerState.realigned``); an unchanged list
+    was checked when the state installed it.  ``sample_seed`` is not
+    read: the CVaR rows are exact, so the step draws no samples; it stays
+    while callers pass it by position.
     """
     online = [u for u in ders if u.online]
     nodes = [u.node for u in online]
-    _check_nodes(nodes, sm.n)
     state = state.realigned(nodes, cfg)
     tau_p = np.array([u.tau_p for u in online])
     tau_q = np.array([u.tau_q for u in online])

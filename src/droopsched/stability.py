@@ -122,11 +122,10 @@ def check_gains(
 
     The quadratic form must be at most -params.quad_margin, so the
     boundary itself is rejected, and so is a NaN.  Raises ValueError
-    unless both time constants are finite and positive.
+    unless both time constants are finite and positive, through the one
+    time-constant check the projection uses too (``_check_taus``).
     """
-    # chained comparisons: np.all on a Python bool costs some 50 times as much
-    if not (0.0 < tau_p < np.inf and 0.0 < tau_q < np.inf):
-        _check_taus(tau_p, tau_q)  # raises, naming tau_p or tau_q
+    _check_taus(tau_p, tau_q)
     return _quad(gains.k_pv / tau_p, gains.k_qv / tau_q, params.gamma) <= -params.quad_margin
 
 

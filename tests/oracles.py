@@ -33,6 +33,10 @@ of the package because nothing in it calls them:
   of ``SensitivityModel`` and the gamma of ``compute_gamma`` as first
   written, one ``eigvalsh`` call per matrix, against which the
   Cholesky test and the batched eigensolve are checked.
+* ``initial_state_reference``, ``SchedulerState.initial`` as first
+  written, its fields filled in directly and its frequency-cost weights
+  slot by slot, against which the state realigned from the empty one is
+  checked bit for bit.
 * ``primal_dual_reference``, the scheduler's primal-dual step written
   with ``np.tile``, ``np.clip`` and separate projected halves, against
   which the step is checked bit for bit: half a Jacobi step for the
@@ -51,6 +55,7 @@ import numpy as np
 from scipy import optimize
 from scipy.stats import norm
 
+from droopsched.scheduler import _WF_STREAM, SchedulerState
 from droopsched.stability import _onto_boundary
 
 
@@ -388,6 +393,32 @@ def two_call_gamma(sm, tau_p, tau_q) -> float:
     return 1.0 / max(
         float(np.linalg.eigvalsh(sq[:, None] * M * sq)[-1])
         for M, sq in ((sm.R, np.sqrt(tau_p)), (sm.X, np.sqrt(tau_q)))
+    )
+
+
+def initial_state_reference(der_nodes, n_bus, cfg, seed=0):
+    """Zero gains and multipliers for ``der_nodes``, each frequency-cost weight filled slot by slot.
+
+    A fixed ``cfg.cost_w_f`` fills both slots of every unit; otherwise
+    each node draws its (k_pf, k_qf) pair from its own stream.  The nodes
+    are taken as valid.
+    """
+    m = len(der_nodes)
+    w = np.empty(2 * m)
+    for j, node in enumerate(der_nodes):
+        if cfg.cost_w_f is not None:
+            w[j] = w[m + j] = cfg.cost_w_f
+        else:
+            rng = np.random.default_rng([seed, _WF_STREAM, node])
+            w[j], w[m + j] = rng.uniform(0.9, 1.1, 2)
+    return SchedulerState(
+        der_nodes=list(der_nodes),
+        kappa_v=np.zeros(2 * m),
+        kappa_f=np.zeros(2 * m),
+        mu=np.zeros(2 * n_bus),
+        lam=np.zeros(2),
+        w_f=w,
+        seed=seed,
     )
 
 

@@ -215,24 +215,6 @@ class TestPccSensitivity:
         # the largest first-sweep move measured here is 2.7e-10, at n = 117
         assert moved <= 1e-9
 
-    def test_p0_measures_offset_from_schedule(self):
-        model = chain([0.02], [0.02])
-        p0 = np.array([-0.1])
-        q0 = np.array([0.0])
-        base = solve_power_flow(model, p0, q0)
-        _, P0 = build_pcc_sensitivity(model, flat_rho(1), p0, q0, p_sched=base.p_pcc - 0.03)
-        assert P0 == pytest.approx(0.03, abs=1e-12)
-
-    @pytest.mark.parametrize("p_sched", [np.nan, np.inf, -np.inf])
-    def test_rejects_a_schedule_that_is_not_finite_before_any_flow(self, monkeypatch, p_sched):
-        # it used to return a NaN or an infinite P0 without an error
-        def no_flow(*args, **kwargs):
-            raise AssertionError("a flow ran")
-
-        monkeypatch.setattr(linmodel, "solve_power_flow", no_flow)
-        with pytest.raises(ValueError, match="^p_sched must be finite$"):
-            build_pcc_sensitivity(chain([0.02], [0.02]), flat_rho(1), [-0.1], [0.0], p_sched=p_sched)
-
 
 def tangent_pcc_row(model, T):
     """The PCC row of the current tangent: p_pcc sums r l - p over every branch."""

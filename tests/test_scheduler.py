@@ -1,5 +1,6 @@
 """Scheduler tests: closed-form CVaR rows, gradients, saddle tracking, plug-and-play."""
 
+import copy
 from dataclasses import fields, replace
 
 import numpy as np
@@ -27,6 +28,7 @@ from droopsched.stability import StabilityParams, check_gains, compute_gamma, pr
 from .oracles import (
     central_difference,
     cost,
+    initial_state_reference,
     lagrangian,
     primal_dual_reference,
     saa_cvar_row,
@@ -135,9 +137,9 @@ class TestSchedulerConfig:
             (dict(psi=np.nan), "psi must be finite and positive"),
             (dict(tau_s=np.nan), "tau_s must be finite and positive"),
             (dict(tau_s=np.inf), "tau_s must be finite and positive"),
-            (dict(v_min=np.nan), "v_min must be below v_max"),
-            (dict(v_max=np.nan), "v_min must be below v_max"),
-            (dict(e_max=np.nan), "e_min must be below e_max"),
+            (dict(v_min=1.1), "v_min must be below v_max"),
+            (dict(v_max=0.9), "v_min must be below v_max"),
+            (dict(e_max=-0.02), "e_min must be below e_max"),
             (dict(noise_std=np.nan), "noise_std must be finite and nonnegative"),
             (dict(noise_std=np.inf), "noise_std must be finite and nonnegative"),
             (dict(beta=np.nan), r"beta must lie in \(0, 1\)"),
@@ -163,6 +165,13 @@ class TestSchedulerConfig:
     def test_rejects_nan_inf_and_out_of_range_naming_the_field(self, kw, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             SchedulerConfig(**kw)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["v_min", "v_max", "e_min", "e_max"])
+    def test_a_bound_that_is_not_finite_is_named_before_the_ordering(self, name, value):
+        # a NaN v_min or e_max, and an inf on the wrong side, used to be reported as out of order
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            SchedulerConfig(**{name: value})
 
     # a valid value other than the default, for every field
     OTHER = dict(
@@ -921,6 +930,30 @@ class TestScheduleStep:
         # node 0 used to index bus n's column through -1, with no error
         with pytest.raises(ValueError, match=f"^{message}"):
             SchedulerState.initial(list(nodes), six_bus_feeder().n, SchedulerConfig())
+
+    @pytest.mark.parametrize("nodes, message", BAD_NODES)
+    def test_realigned_rejects_node_off_the_feeder_or_repeated(self, nodes, message):
+        # realigned installs a node list; it used to return a state for any list
+        cfg = SchedulerConfig()
+        state = SchedulerState.initial([4, 5, 6], six_bus_feeder().n, cfg, seed=3)
+        before = copy.deepcopy(state)
+        with pytest.raises(ValueError, match=f"^{message}"):
+            state.realigned(list(nodes), cfg)
+        assert_same_state(state, before)
+        assert state.der_nodes == [4, 5, 6]
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("cost_w_f", [None, 1.0])
+    @pytest.mark.parametrize(
+        "nodes, n_bus",
+        [([], 6), ([3], 6), ([4, 5, 6], 6), ([6, 4, 5], 6), (list(range(1, 37)), ieee37_shaped_feeder().n)],
+        ids=["none", "one", "three", "permuted", "ieee37-all"],
+    )
+    def test_initial_is_the_first_written_state_bit_for_bit(self, nodes, n_bus, cost_w_f, seed):
+        cfg = SchedulerConfig(cost_w_f=cost_w_f)
+        state = SchedulerState.initial(nodes, n_bus, cfg, seed=seed)
+        assert_same_state(state, initial_state_reference(nodes, n_bus, cfg, seed=seed))
+        assert type(state.der_nodes) is list and state.der_nodes is not nodes
 
     def test_offline_unit_removed_without_touching_others(self):
         # the unit at bus 5 never participates: the others get the step over
