@@ -41,7 +41,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from numbers import Integral
+
+from .network import _is_bus_id
 
 __all__ = [
     "DroopGains",
@@ -51,7 +52,6 @@ __all__ = [
     "droop_input",
     "project_capability",
     "step_der",
-    "tso_requirement",
 ]
 
 PV = "pv-inverter"
@@ -131,11 +131,11 @@ class DerUnit:
 
     def __post_init__(self):
         node = self.node
-        if not node >= 1:
-            raise ValueError(f"node must be >= 1 (bus 0 is the substation), got {node!r}")
-        # a plain int passes on the first comparison; numpy integers are Integral, bools are not buses
-        if type(node) is not int and (type(node) is bool or not isinstance(node, Integral)):
+        # a plain int skips the predicate: step_der builds 1000 units per simulated second of the 5000-bus replay
+        if type(node) is not int and not _is_bus_id(node):
             raise ValueError(f"node must be an integer bus, got {node!r}")
+        if node < 1:
+            raise ValueError(f"node must be >= 1 (bus 0 is the substation), got {node!r}")
         if not 0.0 < self.tau_p < math.inf:
             raise ValueError("tau_p must be finite and positive")
         if not 0.0 < self.tau_q < math.inf:
@@ -156,11 +156,6 @@ def droop_input(
     u_p = unit.p_star + g.k_pv * dv + g.k_pf * dw
     u_q = unit.q_star + g.k_qv * dv + g.k_qf * dw
     return u_p, u_q
-
-
-def tso_requirement(k_agg: float, omega: float, omega_star: float) -> float:
-    """Required PCC active-power adjustment for the measured frequency."""
-    return k_agg * (omega - omega_star)
 
 
 def _seg_project(p: float, q: float, a, b) -> tuple[float, float]:
@@ -196,9 +191,11 @@ def _pv_project(cap: CapabilitySet, p: float, q: float) -> tuple[float, float]:
     q_abs = abs(q)
     candidates = [_seg_project(p, q_abs, (0.0, 0.0), (p_knee, t * p_knee))]
     # the radial point, if it lies on the arc; if not, the nearest arc point is
-    # an arc end, which the cone edge or the chord already holds
+    # an arc end, which the cone edge or the chord already holds.  z must lie in
+    # the cone too: p / r rounds to 1 once p passes about 1e7 |q|, so the arc
+    # test alone admits a radial point off a pf_min = 1 cone by more than 1e-9
     r = math.hypot(p, q_abs)
-    if s * cap.pf_min <= s * (p / r) <= p_cap:
+    if q_abs <= t * p and s * cap.pf_min <= s * (p / r) <= p_cap:
         candidates.append((s * (p / r), s * (q_abs / r)))
     if p_cap < s:
         q_cap = min(t * p_cap, math.sqrt(s * s - p_cap * p_cap))

@@ -57,13 +57,14 @@ lambda = (lower band edge, upper band edge).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
 
-from .droop import DerUnit, DroopGains, tso_requirement
+from .droop import DerUnit, DroopGains
 from .linmodel import SchedulingPoint, SensitivityModel
+from .network import _is_bus_id
 from .stability import StabilityParams, _project_in_place
 from .stability import project_gains  # noqa: F401  perfbench/spans.py wraps scheduler.project_gains by name
 
@@ -72,7 +73,6 @@ __all__ = [
     "SchedulerState",
     "draw_samples",
     "freq_error",
-    "band_residual",
     "primal_dual_step",
     "schedule_step",
 ]
@@ -94,7 +94,11 @@ class SchedulerConfig:
     ``noise_std`` is the per-bus disturbance std per unit of measured
     voltage, so bus i's std is noise_std * v_i.  The cost weights and
     their squares must be finite and positive, since each one's curvature
-    scales a step; ``cost_w_f`` None draws a weight per node.
+    scales a step; ``cost_w_f`` None draws a weight per node.  The
+    frequency weights are set when a node list is installed
+    (``SchedulerState.initial`` and ``realigned``), so a state keeps the
+    ones it was built with: a ``cost_w_f`` passed later to an unchanged
+    node list is not read.
     """
 
     phi: float = 3e-4
@@ -134,9 +138,19 @@ class SchedulerConfig:
             raise ValueError("noise_std must be finite and nonnegative")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SchedulerState:
-    der_nodes: list[int]
+    """The scheduler's iterate: online nodes, gains, multipliers and frequency weights.
+
+    Frozen, with ``der_nodes`` a tuple, so a state's node list and its
+    per-unit arrays change only together, as a new state.  A node list
+    is checked where it is installed, by ``initial`` and ``realigned``;
+    the bare constructor checks nothing (a check there would cost each
+    step about 2.5% at 36 units), so a state built by hand is taken as
+    valid.
+    """
+
+    der_nodes: tuple[int, ...]
     kappa_v: np.ndarray
     kappa_f: np.ndarray
     mu: np.ndarray
@@ -153,22 +167,31 @@ class SchedulerState:
         """Zero gains and multipliers for ``der_nodes`` on a feeder of ``n_bus`` buses.
 
         The empty state (no units) realigned to ``der_nodes``, so the
-        nodes are checked there.  Raises ValueError unless they are
-        distinct integer buses 1..n_bus.
+        nodes are checked there.  Raises ValueError, naming the argument,
+        unless ``n_bus`` is a positive integer, ``seed`` a nonnegative
+        one (bools are neither) and the nodes distinct integer buses
+        1..n_bus.
         """
-        empty = cls([], np.zeros(0), np.zeros(0), np.zeros(2 * n_bus), np.zeros(2), np.zeros(0), seed)
+        # the bus-id type rule: n_bus is the last bus id, and the seed keys each node's weight stream
+        if not (_is_bus_id(n_bus) and n_bus >= 1):
+            raise ValueError(f"n_bus must be a positive integer, got {n_bus!r}")
+        if not (_is_bus_id(seed) and seed >= 0):
+            raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+        empty = cls((), np.zeros(0), np.zeros(0), np.zeros(2 * n_bus), np.zeros(2), np.zeros(0), seed)
         return empty.realigned(der_nodes, cfg)
 
     def realigned(self, der_nodes: list[int], cfg: SchedulerConfig) -> "SchedulerState":
         """Carry per-unit slots over to a new online set (plug-and-play).
 
         The one place a node list enters a state: an unchanged list
-        returns the state itself, and any other is checked first.
-        Raises ValueError, leaving the state as it was, unless the new
-        nodes are distinct integer buses of the feeder the multipliers
-        are sized for (1..len(mu) / 2).
+        returns the state itself, and any other is checked first.  The
+        frequency weights are drawn or filled from ``cfg`` for the new
+        list only, so an unchanged list keeps the state's weights
+        whatever ``cfg.cost_w_f`` says.
+        Raises ValueError unless the new nodes are distinct integer buses
+        of the feeder the multipliers are sized for (1..len(mu) / 2).
         """
-        nodes = list(der_nodes)
+        nodes = tuple(der_nodes)
         if nodes == self.der_nodes:
             return self
         _check_nodes(nodes, len(self.mu) // 2)
@@ -185,20 +208,15 @@ class SchedulerState:
                     out[m + j] = vec[m_old + i]
             return out
 
-        return replace(
-            self,
-            der_nodes=nodes,
-            kappa_v=carry(self.kappa_v),
-            kappa_f=carry(self.kappa_f),
-            w_f=_freq_weights(nodes, cfg, self.seed),
-        )
+        w_f = _freq_weights(nodes, cfg, self.seed)
+        return SchedulerState(nodes, carry(self.kappa_v), carry(self.kappa_f), self.mu, self.lam, w_f, self.seed)
 
 
 def _check_nodes(nodes, n_bus: int) -> None:
     """Raise ValueError unless the nodes are distinct integer buses 1..n_bus (no bools)."""
     seen = set()
     for node in nodes:
-        if not (type(node) is not bool and isinstance(node, (int, np.integer)) and 1 <= node <= n_bus):
+        if not (_is_bus_id(node) and 1 <= node <= n_bus):
             raise ValueError(f"DER node {node!r} is not a bus of the feeder (1..{n_bus})")
         if node in seen:
             raise ValueError(f"DER node {node} holds more than one online unit")
@@ -245,7 +263,7 @@ def _affine(sm: SensitivityModel, state: SchedulerState, rho: SchedulingPoint):
     d_omega = rho.d_omega
     x = state.kappa_v * u + state.kappa_f * d_omega
     vm = G @ x + sm.v0
-    e = float(h @ x + sm.P0 - tso_requirement(rho.r_t, rho.omega, rho.omega_star))
+    e = float(h @ x + sm.P0 - rho.r_t * d_omega)  # less the TSO requirement R_T d_omega
     return vm, e, G * u, h * d_omega
 
 
@@ -256,11 +274,6 @@ def freq_error(sm: SensitivityModel, state: SchedulerState, rho: SchedulingPoint
     ``_affine``.
     """
     return _affine(sm, state, rho)[1]
-
-
-def band_residual(e: float, cfg: SchedulerConfig) -> np.ndarray:
-    """Two-sided band rows [e_min - e, e - e_max]; positive = violated."""
-    return np.array([cfg.e_min - e, e - cfg.e_max])
 
 
 def primal_dual_step(
@@ -304,7 +317,7 @@ def primal_dual_step(
     # inv_cdf(beta), not inv_cdf(1 - beta): the density is even, and 1 - beta rounds to 1 for tiny beta
     tail = cfg.noise_std * rho.v_meas * NormalDist().pdf(NormalDist().inv_cdf(beta))
     l_val = beta * np.concatenate((vm - cfg.v_max, cfg.v_min - vm)) + np.concatenate((tail, tail))
-    r_val = band_residual(e, cfg)
+    r_val = np.array([cfg.e_min - e, e - cfg.e_max])  # the band rows, positive = violated
 
     curv = np.empty(2 * m)  # the cost's curvature 2 w^2 in each voltage gain
     curv[:m] = 2.0 * cfg.cost_w_pv**2
@@ -320,12 +333,9 @@ def primal_dual_step(
     kappa_f = (lam[0] - lam[1]) * f_dir
     _project_in_place(kappa_v.reshape(2, m), np.array((tau_p, tau_q), dtype=float), stab)
 
-    return replace(
-        state,
-        kappa_v=kappa_v,
-        kappa_f=kappa_f.clip(-stab.kf_bound, stab.kf_bound),
-        mu=mu,
-        lam=lam,
+    # positional, in field order: half the cost of dataclasses.replace
+    return SchedulerState(
+        state.der_nodes, kappa_v, kappa_f.clip(-stab.kf_bound, stab.kf_bound), mu, lam, state.w_f, state.seed
     )
 
 
@@ -345,9 +355,11 @@ def schedule_step(
     broadcast.  Raises ValueError, before any work, when the online
     units' nodes differ from the state's and are not distinct integer
     buses of the feeder (``SchedulerState.realigned``); an unchanged list
-    was checked when the state installed it.  ``sample_seed`` is not
-    read: the CVaR rows are exact, so the step draws no samples; it stays
-    while callers pass it by position.
+    was checked when the state installed it.  The frequency weights are
+    the state's, set when its node list was installed: while the online
+    nodes stay the same, ``cfg.cost_w_f`` is not read.  ``sample_seed``
+    is not read: the CVaR rows are exact, so the step draws no samples;
+    it stays while callers pass it by position.
     """
     online = [u for u in ders if u.online]
     nodes = [u.node for u in online]

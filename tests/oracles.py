@@ -412,7 +412,7 @@ def initial_state_reference(der_nodes, n_bus, cfg, seed=0):
             rng = np.random.default_rng([seed, _WF_STREAM, node])
             w[j], w[m + j] = rng.uniform(0.9, 1.1, 2)
     return SchedulerState(
-        der_nodes=list(der_nodes),
+        der_nodes=tuple(der_nodes),
         kappa_v=np.zeros(2 * m),
         kappa_f=np.zeros(2 * m),
         mu=np.zeros(2 * n_bus),

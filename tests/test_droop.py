@@ -22,7 +22,6 @@ from droopsched.droop import (
     droop_input,
     project_capability,
     step_der,
-    tso_requirement,
 )
 from droopsched.linmodel import SchedulingPoint, SensitivityModel
 from droopsched.scenarios import load_der_units
@@ -77,23 +76,19 @@ class TestDroopInput:
         assert uq == 0.0
 
 
-class TestTsoRequirement:
-    def test_nominal_frequency_zero(self):
-        assert tso_requirement(0.02, 1.0, 1.0) == 0.0
-
-    def test_paper_scale_arithmetic(self):
-        assert tso_requirement(0.02, 1.001, 1.0) == pytest.approx(2e-5)
-
-    def test_nonpositive_gain_convention(self):
-        # with a nonpositive aggregate gain, over-frequency demands a
-        # nonpositive adjustment
-        assert tso_requirement(-0.02, 1.001, 1.0) <= 0.0
-
-
 class TestProjectCapability:
     def test_interior_point_unchanged(self):
         cap = pv_cap()
         assert project_capability(cap, 0.5, 0.1) == (0.5, 0.1)
+
+    @pytest.mark.parametrize("q", [1.0, -1.0, 1.0 - 2.0**-24])
+    def test_far_point_at_unit_power_factor_lands_on_the_chord(self, q):
+        # p / r rounds to 1 here, which used to admit the radial point
+        # (1, q / r), 1.49e-8 off the line q = 0; test_output_is_feasible
+        # found it, a step from (0, 1) toward (2^50, 0) with dt = 2^-24 tau
+        cap = pv_cap(pf_min=1.0)
+        p, q_out = project_capability(cap, 2.0**26, q)
+        assert (p, q_out) == (1.0, 0.0) and cap.contains(p, q_out, tol=1e-12)
 
     def test_pure_reactive_request_lands_on_cone(self):
         # at p = 0 the power-factor cone admits only q = 0, so a pure-q
@@ -546,14 +541,17 @@ class TestStepDer:
         with pytest.raises(ValueError, match=f"^{name} must be finite and positive$"):
             pv_unit(**{name: bad})
 
-    @pytest.mark.parametrize("node", [0, -3, np.nan])
+    @pytest.mark.parametrize("node", [0, -3, np.int64(0)], ids=repr)
     def test_rejects_node_outside_the_feeder(self, node):
         with pytest.raises(ValueError, match="^node must be >= 1"):
             pv_unit(node=node)
 
-    @pytest.mark.parametrize("node", [1.5, 4.0, True, np.float64(2.0), np.True_], ids=repr)
+    @pytest.mark.parametrize(
+        "node", [1.5, 4.0, True, np.float64(2.0), np.True_, np.nan, -1.0, "3", None], ids=repr
+    )
     def test_rejects_node_that_is_not_an_integer_bus(self, node):
-        # 1.5 used to construct and fail later at an array index; True stood for bus 1
+        # 1.5 used to construct and fail later at an array index; True stood for bus 1;
+        # "3" and None died on the range comparison with a bare TypeError
         with pytest.raises(ValueError, match=rf"^node must be an integer bus, got {re.escape(repr(node))}$"):
             pv_unit(node=node)
 

@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import re
 import tempfile
 import warnings
 from dataclasses import FrozenInstanceError, fields, replace
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from droopsched.droop import PV, CapabilitySet, DerUnit
 from droopsched.network import (
     Branch,
     NetworkDataError,
@@ -21,8 +23,24 @@ from droopsched.network import (
     solve_power_flow,
 )
 from droopsched.scenarios import ieee37_shaped_feeder, load_network, six_bus_feeder
+from droopsched.scheduler import SchedulerConfig, SchedulerState
 
 from .oracles import distflow_residual, distflow_root
+
+# (id, whether it is a bus id): Python and numpy integers of every width
+# naming bus 1, 2 or 3, then bools, numpy bools, floats, strings and None
+NUMPY_INTS = (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64)
+BUS_IDS = st.one_of(
+    st.integers(1, 3).map(lambda v: (v, True)),
+    st.tuples(st.sampled_from(NUMPY_INTS), st.integers(1, 3)).map(lambda tv: (tv[0](tv[1]), True)),
+    st.booleans().map(lambda b: (b, False)),
+    st.booleans().map(lambda b: (np.bool_(b), False)),
+    st.sampled_from([3.0, float("nan"), np.float64(2.0)]).map(lambda f: (f, False)),
+    st.floats().map(lambda f: (f, False)),
+    st.integers(1, 3).map(lambda v: (str(v), False)),
+    st.text(max_size=3).map(lambda t: (t, False)),
+    st.none().map(lambda n: (n, False)),
+)
 
 # Exact single-branch solution (r=x=0.01, v_sub=1), computed beforehand with
 # a 50-digit scalar fixed point on the branch current equation.
@@ -142,6 +160,31 @@ class TestValidateRadial:
         assert model.branches == tuple(Branch(*row) for row in rows)
         p, q = np.array([-0.1, 0.02, -0.05]), np.array([-0.02, 0.01, 0.0])
         assert_same_solution(solve_power_flow(model, p, q), solve_power_flow(model_of(rows), p, q))
+
+    @settings(max_examples=200, deadline=None)
+    @given(BUS_IDS)
+    def test_one_bus_id_rule_for_branches_units_and_scheduler_states(self, case):
+        # the rule has one owner, network._is_bus_id: a feeder's branch ends,
+        # DerUnit.node and the nodes a scheduler state installs accept the
+        # same ids, and each refuses the others by its own named error.
+        # DerUnit used to die on "3" and None with a bare TypeError.
+        bus, is_id = case
+        slot = int(bus) if is_id else 3  # an id names bus 1, 2 or 3 of a 3-bus star
+        rows = [Branch(0, bus if k == slot else k, 0.01 * k, 0.02) for k in (1, 2, 3)]
+        cap = CapabilitySet(kind=PV, s_max=0.5, pf_min=0.9)
+        cfg = SchedulerConfig(cost_w_f=1.0)
+        if is_id:
+            assert NetworkModel(rows).branches[slot - 1] == Branch(0, slot, 0.01 * slot, 0.02)
+            assert DerUnit(node=bus, cap=cap).node == bus
+            assert SchedulerState.initial([bus], 3, cfg).der_nodes == (bus,)
+            return
+        shown = re.escape(repr(bus))
+        with pytest.raises(NetworkDataError, match=rf"^branch \(0,{re.escape(str(bus))}\) needs integer bus ids$"):
+            NetworkModel(rows)
+        with pytest.raises(ValueError, match=rf"^node must be an integer bus, got {shown}$"):
+            DerUnit(node=bus, cap=cap)
+        with pytest.raises(ValueError, match=rf"^DER node {shown} is not a bus of the feeder \(1\.\.3\)$"):
+            SchedulerState.initial([bus], 3, cfg)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("which", ["r", "x"])

@@ -1,7 +1,8 @@
 """Scheduler tests: closed-form CVaR rows, gradients, saddle tracking, plug-and-play."""
 
 import copy
-from dataclasses import fields, replace
+import re
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
-from droopsched.droop import PV, CapabilitySet, DerUnit, DroopGains, tso_requirement
+from droopsched.droop import PV, CapabilitySet, DerUnit, DroopGains
 from droopsched.linmodel import SchedulingPoint, build_rx, build_sensitivity_model
 from droopsched.network import solve_power_flow
 from droopsched.scenarios import ieee37_shaped_feeder, random_radial_feeder, six_bus_feeder, six_bus_pv_units
@@ -17,7 +18,6 @@ from droopsched.scheduler import (
     SchedulerConfig,
     SchedulerState,
     _affine,
-    band_residual,
     draw_samples,
     freq_error,
     primal_dual_step,
@@ -338,10 +338,31 @@ class TestFreqError:
         e = freq_error(sm, replace(state, kappa_f=kf), rho)
         assert e == pytest.approx(0.0, abs=1e-12)
 
-    def test_band_residual_rows(self):
-        cfg = SchedulerConfig(e_min=-0.01, e_max=0.02)
-        assert band_residual(0.0, cfg) == pytest.approx([-0.01, -0.02])
-        assert band_residual(0.03, cfg) == pytest.approx([-0.04, 0.01])
+    @pytest.mark.parametrize("r_t", [0.02, -0.02])
+    def test_zero_gains_leave_minus_the_tso_requirement(self, r_t):
+        # the PCC adjustment is P0 = 0 here, so the error is -R_T d_omega: with a
+        # nonpositive R_T, over-frequency leaves a nonnegative error
+        _, sm, rho, _, _, state, _ = desk_instance(omega=1.001)
+        e = freq_error(sm, state, replace(rho, r_t=r_t))
+        assert e == pytest.approx(-r_t * 1e-3, rel=1e-9)
+        assert np.sign(e) == -np.sign(r_t)
+
+    @pytest.mark.parametrize("kf", [0.0, 0.01, -0.01])
+    def test_band_rows_read_back_from_one_dual_update(self, kf):
+        # lam0 = 1 / d_lam keeps both band multipliers positive after the
+        # update lam0 + (r - psi lam0) / (2 d_lam), so the rows read back as
+        # [e_min - e, e - e_max]
+        _, sm, rho, _, stab, state, _ = desk_instance()
+        cfg = SchedulerConfig(e_min=-0.01, e_max=0.02, cost_w_f=1.0)
+        state = replace(state, kappa_f=np.full(2 * state.m, kf))
+        e = freq_error(sm, state, rho)
+        grad_e = _affine(sm, state, rho)[3]
+        d_lam = grad_e @ (grad_e / (2.0 * state.w_f**2)) + cfg.psi
+        lam0 = np.full(2, 1.0 / d_lam)
+        taus = np.full(state.m, 100.0)
+        out = primal_dual_step(replace(state, lam=lam0), sm, rho, cfg, stab, taus, taus)
+        rows = (out.lam - lam0) * (2.0 * d_lam) + cfg.psi * lam0
+        assert rows == pytest.approx([cfg.e_min - e, e - cfg.e_max], abs=1e-12)
 
 
 class TestCost:
@@ -406,7 +427,7 @@ class TestLagrangian:
         )
         _, e, _, _ = _affine(sm, state, rho)
         l_val = step_rows(state, sm, rho, cfg)
-        r_val = band_residual(e, cfg)
+        r_val = np.array([cfg.e_min - e, e - cfg.e_max])
         expected = (
             cost(state, cfg)
             + state.mu @ l_val
@@ -574,7 +595,8 @@ def reference_step(state, sm, rho, cfg, stab, tau_p, tau_q):
     vm = voltage_model(sm, state, rho)
     spread = cfg.noise_std * rho.v_meas * norm.pdf(norm.isf(cfg.beta))
     l_val = np.concatenate([cfg.beta * (vm - cfg.v_max) + spread, cfg.beta * (cfg.v_min - vm) + spread])
-    r_val = band_residual(freq_error(sm, state, rho), cfg)
+    e = freq_error(sm, state, rho)
+    r_val = np.array([cfg.e_min - e, e - cfg.e_max])
     ge = np.concatenate([sm.H[:n][idx], sm.H[n:][idx]]) * rho.d_omega
     mu = np.maximum(state.mu + (l_val - cfg.phi * state.mu) / (2 * row_curvature(state, sm, rho, cfg)), 0.0)
     lam = np.maximum(state.lam + (r_val - cfg.psi * state.lam) / (2 * (np.sum(ge**2 / (2 * state.w_f**2)) + cfg.psi)), 0.0)
@@ -620,7 +642,7 @@ class TestGatheredModel:
         for state in (full, dropped, full.realigned([], cfg)):
             p, q = scattered_response(state, rho, n, state.kappa_v, state.kappa_f)
             assert np.max(np.abs(voltage_model(sm, state, rho) - (sm.R @ p + sm.X @ q + sm.v0))) <= 1e-12
-            e = sm.P0 + sm.H @ np.concatenate([p, q]) - tso_requirement(rho.r_t, rho.omega, rho.omega_star)
+            e = sm.P0 + sm.H @ np.concatenate([p, q]) - rho.r_t * (rho.omega - rho.omega_star)
             assert abs(freq_error(sm, state, rho) - e) <= 1e-12
 
 
@@ -717,7 +739,7 @@ class TestStepPinnedToReference:
             )
             for j, node in enumerate(ref.der_nodes)
         }
-        assert list(broadcast) == ref.der_nodes
+        assert tuple(broadcast) == ref.der_nodes
         assert all(type(v) is float for g in broadcast.values() for v in vars(g).values())
 
 
@@ -755,7 +777,7 @@ class TestFusedStep:
         state, _ = schedule_step(state, sm, rho, units, cfg, stab, sample_seed=9)
         units[1].online = False
         out, broadcast = schedule_step(state, sm, rho, units, cfg, stab, sample_seed=10)
-        assert out.der_nodes == [4, 6]
+        assert out.der_nodes == (4, 6)
         m = out.m
         expected = {}
         for node in (4, 6):
@@ -940,7 +962,7 @@ class TestScheduleStep:
         with pytest.raises(ValueError, match=f"^{message}"):
             state.realigned(list(nodes), cfg)
         assert_same_state(state, before)
-        assert state.der_nodes == [4, 5, 6]
+        assert state.der_nodes == (4, 5, 6)
 
     @pytest.mark.parametrize("seed", [0, 7])
     @pytest.mark.parametrize("cost_w_f", [None, 1.0])
@@ -953,7 +975,44 @@ class TestScheduleStep:
         cfg = SchedulerConfig(cost_w_f=cost_w_f)
         state = SchedulerState.initial(nodes, n_bus, cfg, seed=seed)
         assert_same_state(state, initial_state_reference(nodes, n_bus, cfg, seed=seed))
-        assert type(state.der_nodes) is list and state.der_nodes is not nodes
+        assert type(state.der_nodes) is tuple
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "x", None, True, np.float64(2.0)], ids=repr)
+    def test_initial_names_a_seed_that_is_not_a_nonnegative_integer(self, seed):
+        # each used to pass until a unit plugged in, then fail with numpy's message
+        with pytest.raises(ValueError, match=rf"^seed must be a nonnegative integer, got {re.escape(repr(seed))}$"):
+            SchedulerState.initial([], 6, SchedulerConfig(), seed=seed)
+
+    @pytest.mark.parametrize("n_bus", [0, -1, 1.5, "6", None, True], ids=repr)
+    def test_initial_names_an_n_bus_that_is_not_a_positive_integer(self, n_bus):
+        with pytest.raises(ValueError, match=rf"^n_bus must be a positive integer, got {re.escape(repr(n_bus))}$"):
+            SchedulerState.initial([], n_bus, SchedulerConfig())
+
+    @pytest.mark.parametrize("seed, n_bus", [(0, 1), (np.int64(7), np.int32(6)), (2**70, 6)], ids=repr)
+    def test_initial_accepts_integer_seeds_and_sizes_numpy_ones_included(self, seed, n_bus):
+        state = SchedulerState.initial([1], n_bus, SchedulerConfig(), seed=seed)
+        assert state.seed == seed and state.mu.shape == (2 * n_bus,)
+
+    def test_frequency_weights_are_set_when_a_node_list_is_installed(self):
+        # an unchanged list returns the state itself, so a cost_w_f passed
+        # with it is not read; a new list fills or draws them from its config
+        drawn = SchedulerState.initial([4, 5, 6], 6, SchedulerConfig(), seed=3)
+        fixed = SchedulerConfig(cost_w_f=1.0)
+        assert drawn.realigned([4, 5, 6], fixed) is drawn
+        assert not np.any(drawn.w_f == 1.0)
+        assert drawn.realigned([4, 5], fixed).w_f.tolist() == [1.0] * 4
+        _, sm, rho, _, stab, _, _ = desk_instance()
+        out, _ = schedule_step(drawn, sm, rho, six_bus_pv_units(), fixed, stab, sample_seed=0)
+        assert out.w_f is drawn.w_f
+
+    def test_state_is_frozen_with_a_tuple_of_nodes(self):
+        # a list could grow beside the per-unit arrays: m read 4 beside 6-entry gains
+        state = simple_state()
+        with pytest.raises(AttributeError):
+            state.der_nodes.append(7)
+        with pytest.raises(FrozenInstanceError):
+            state.der_nodes = (4, 5, 6, 7)
+        assert state.m == 3 and state.kappa_v.shape == (6,)
 
     def test_offline_unit_removed_without_touching_others(self):
         # the unit at bus 5 never participates: the others get the step over
@@ -963,7 +1022,7 @@ class TestScheduleStep:
         units = six_bus_pv_units()
         units[1].online = False
         out, broadcast = schedule_step(state, sm, rho, units, cfg, stab, sample_seed=9)
-        assert out.der_nodes == [4, 6]
+        assert out.der_nodes == (4, 6)
         assert 5 not in broadcast
         remaining = state.realigned([4, 6], cfg)
         assert remaining.kappa_v.tolist() == [-0.1, -0.3, 0.1, 0.3]

@@ -50,4 +50,19 @@ def test_prints_one_row_per_file_and_a_total_per_folder(tmp_path, capsys):
         ["9", "src/droopsched/ total"],
         ["1", "tests/b.py"],
         ["1", "tests/ total"],
+        ["0", "src/droopsched/ __all__ names ()"],
     ]
+
+
+def test_last_row_counts_the_all_names_of_each_package_module(tmp_path, capsys):
+    # read with ast: the second module's import would fail if it were run
+    package = tmp_path / "src/droopsched"
+    package.mkdir(parents=True)
+    (tmp_path / "tests").mkdir()
+    (package / "__init__.py").write_text('"""No public names."""\n')
+    (package / "b.py").write_text('import not_installed\n\n__all__ = ("f", "g")\n')
+    (package / "a.py").write_text('__all__ = [\n    "x",\n    "y",\n    "z",\n]\nx = y = z = 1\n')
+    code_lines.main(["code_lines.py", str(tmp_path)])
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last.split(None, 1) == ["5", "src/droopsched/ __all__ names (a 3, b 2)"]
+    assert code_lines.exported_names("x = 1\n") is None

@@ -1,9 +1,12 @@
-"""Count code lines per Python file under src/droopsched/ and tests/.
+"""Count code lines per Python file under src/droopsched/ and tests/, and public names.
 
 A code line holds at least one token other than a comment or a
 docstring; blank lines, comment-only lines and docstring lines do not
 count.  A token that spans several lines (a multi-line string or
-bracket continuation) counts each line it covers.  Standard library only.
+bracket continuation) counts each line it covers.  A last row gives the
+number of ``__all__`` names of each package module and their total,
+read from the source with ``ast``, so the package is not imported and
+any checkout can be counted.  Standard library only.
 
 Usage: python tools/code_lines.py [ROOT]   (ROOT defaults to the repository)
 """
@@ -17,6 +20,7 @@ import tokenize
 from pathlib import Path
 
 DIRS = ("src/droopsched", "tests")
+PACKAGE = DIRS[0]
 _LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
 
 
@@ -41,6 +45,14 @@ def code_lines(source: str) -> int:
     return len(lines)
 
 
+def exported_names(source: str) -> int | None:
+    """Length of the module-level ``__all__`` literal of ``source``, None without one."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return len(ast.literal_eval(node.value))
+    return None
+
+
 def main(argv: list[str]) -> None:
     root = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parent.parent
     for folder in DIRS:
@@ -50,6 +62,10 @@ def main(argv: list[str]) -> None:
             total += count
             print(f"{count:6d}  {path.relative_to(root)}")
         print(f"{total:6d}  {folder}/ total")
+    counts = {path.stem: exported_names(path.read_text()) for path in sorted((root / PACKAGE).glob("*.py"))}
+    counts = {name: count for name, count in counts.items() if count is not None}
+    per_module = ", ".join(f"{name} {count}" for name, count in counts.items())
+    print(f"{sum(counts.values()):6d}  {PACKAGE}/ __all__ names ({per_module})")
 
 
 if __name__ == "__main__":
