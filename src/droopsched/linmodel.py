@@ -197,8 +197,8 @@ def _current_tangent(model: NetworkModel, base: PowerFlowSolution) -> np.ndarray
     T = (I - dg/dl)^-1 dg/d(p, q), with both Jacobians read off the base.
     A loss r l enters P as a load of r l does, so dg/dl is
     -r dg/dp - x dg/dq, less the loss term's own share of the drops.
-    Rows follow ``model.branches``; columns are d/dp_j for every bus,
-    then d/dq_j, as in H.
+    Row j is the branch feeding bus j + 1, as in ``model.branches``;
+    columns are d/dp_j for every bus, then d/dq_j, as in H.
     """
     plan = model.plan()
     n = model.n
@@ -206,7 +206,7 @@ def _current_tangent(model: NetworkModel, base: PowerFlowSolution) -> np.ndarray
     # preorder positions: sub[a, b] iff b is in the subtree of a, up[a, b] iff b is a strict ancestor of a
     sub = ((k[:, None] <= k) & (k < plan.end[:, None])).astype(float)
     up = sub.T - np.eye(n)
-    l, P, Q = (a.take(plan.order) for a in (base.i_sq, base.p_flow, base.q_flow))
+    l, P, Q = (a.take(plan.bus) for a in (base.i_sq, base.p_flow, base.q_flow))
     # squared sending-end voltages: the substation's, then the voltage of the bus each position feeds
     v_from = np.concatenate((base.v[:1], base.v[1:].take(plan.bus))).take(plan.par) ** 2
     r, x, z = plan.rxz
@@ -217,7 +217,7 @@ def _current_tangent(model: NetworkModel, base: PowerFlowSolution) -> np.ndarray
     eye_less_gl = gp * r + gq * x + lv * (up * z)
     eye_less_gl.flat[:: n + 1] += 1.0
     T = np.linalg.solve(eye_less_gl, np.concatenate((gp, gq), axis=1))
-    return T.take(plan.inv, axis=0).take(np.concatenate((plan.pos, plan.pos + n)), axis=1)
+    return T.take(plan.pos, axis=0).take(np.concatenate((plan.pos, plan.pos + n)), axis=1)
 
 
 def build_pcc_sensitivity(

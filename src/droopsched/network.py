@@ -3,6 +3,9 @@
 A feeder is its branch table: n branches joining buses 0..n into a tree
 rooted at the substation (bus 0), which is modelled as an infinite bus
 at fixed voltage; ``scenarios.load_network`` reads one from a CSV file.
+Every bus but the substation is fed by exactly one branch, so the table
+is stored by receiving bus: row j is the branch that feeds bus j + 1,
+and branch flows and currents share one index with the injections.
 The nonlinear power flow is solved with the Backward-Forward Sweep:
 branch active/reactive flows are accumulated from the leaves toward the
 root using the loss terms of the previous iterate, squared voltage
@@ -90,10 +93,11 @@ class NetworkModel:
     """Radial feeder of n branches over buses 0..n (0 = substation), immutable.
 
     Construction checks ``v_sub`` and that the branches form a tree over
-    buses 0..n, stores them in the caller's order as ``Branch`` rows
-    (sender, receiver, r, x) pointing away from the substation, whatever
-    (frm, to, r, x) sequence each row was given as, and builds the sweep
-    plan.
+    buses 0..n, stores them by receiving bus as ``Branch`` rows
+    (sender, receiver, r, x) pointing away from the substation, so
+    ``branches[j]`` feeds bus j + 1 whatever order and orientation the
+    (frm, to, r, x) rows came in, and builds the sweep plan.  Two
+    tables of one tree thus give equal models.
     """
 
     branches: tuple[Branch, ...]
@@ -103,11 +107,7 @@ class NetworkModel:
     def __post_init__(self):
         if not 0.0 < self.v_sub < np.inf:
             raise NetworkDataError("v_sub must be finite and positive")
-        pre, ends = _preorder(self.branches)
-        # a row that already is its Branch(sender, receiver, r, x) is kept: at
-        # n = 5000 a NamedTuple call per row would cost 2 ms, a fifth of the build
-        rows = zip(ends, self.branches)
-        branches = tuple(b if type(b) is Branch and b.frm == s else Branch(s, t, b[2], b[3]) for (s, t), b in rows)
+        pre, branches = _preorder(self.branches)
         object.__setattr__(self, "branches", branches)
         object.__setattr__(self, "_plan", _build_plan(branches, pre))
 
@@ -133,6 +133,10 @@ class NetworkModel:
 @dataclass(slots=True)
 class PowerFlowSolution:
     """Converged sweep result.  ``v`` covers all buses, index 0 = substation.
+
+    Branch arrays are indexed by receiving bus, as ``model.branches``:
+    entry j of ``p_flow``, ``q_flow`` and ``i_sq`` is the branch feeding
+    bus j + 1, the bus of ``v[j + 1]``.
 
     ``residual`` is the largest flow-balance and voltage-drop residual of
     the returned iterate, the value the sweep stopped at (<= its tol).
@@ -167,19 +171,17 @@ class _SweepPlan:
     entry in the same row, an entry of a branch leaving the substation
     to 2n (first row) or 2n + 1 (second row), so the first 2n bins of
     one ``np.bincount`` are the child sums of both rows, contiguous.
-    ``bus[k]`` is the row (bus id - 1) of the bus the branch feeds,
-    ``pos[j]`` the position of the branch feeding bus j + 1, and
-    ``order[k]`` the caller's index of the branch, with ``inv`` its
-    inverse.  ``rxz`` holds the rows ``[r, x, r^2 + x^2]``, and ``rx2``
-    is ``2 rxz[:2]``, which doubles exactly, so ``rx2 * S`` summed over
-    rows is ``2 (rxz[:2] * S)`` summed over rows bit for bit.  These two
+    ``bus[k]`` is the row (bus id - 1) of the bus the branch feeds, which
+    is also its row in ``model.branches``, and ``pos[j]`` the position of
+    the branch feeding bus j + 1, so ``pos`` is the inverse of ``bus``.
+    ``rxz`` holds the rows ``[r, x, r^2 + x^2]``, and ``rx2`` is
+    ``2 rxz[:2]``, which doubles exactly, so ``rx2 * S`` summed over rows
+    is ``2 (rxz[:2] * S)`` summed over rows bit for bit.  These two
     impedance arrays are read-only.
     The index arrays are not: numpy's ``take`` and ``bincount`` copy a
     read-only index array on every call, several times per iteration.
     """
 
-    order: np.ndarray
-    inv: np.ndarray
     bus: np.ndarray
     pos: np.ndarray
     end: np.ndarray
@@ -192,11 +194,11 @@ class _SweepPlan:
 
 
 def _build_plan(branches: tuple[Branch, ...], pre: list[int]) -> _SweepPlan:
-    # branches point away from the substation; pre is their preorder
+    # branches point away from the substation, row j feeding bus j + 1; pre
+    # is the preorder of their rows
     nb = len(pre)
-    order = np.array(pre, dtype=np.intp)
-    frm, to, r, x = zip(*(branches[e] for e in pre))
-    bus = np.array(to, dtype=np.intp) - 1
+    bus = np.array(pre, dtype=np.intp)
+    frm, _, r, x = zip(*(branches[j] for j in pre))
     pos = np.argsort(bus)
     # parent position + 1 (0 = substation), via the branch feeding the sender
     par = np.concatenate(([0], pos + 1)).take(frm)
@@ -214,24 +216,27 @@ def _build_plan(branches: tuple[Branch, ...], pre: list[int]) -> _SweepPlan:
     for a in (rxz, rx2):
         a.setflags(write=False)
     return _SweepPlan(
-        order, np.argsort(order), bus, pos, end, end - 1, par,
+        bus, pos, end, end - 1, par,
         np.concatenate((np.where(par > 0, par - 1, 2 * nb), np.where(par > 0, par - 1 + nb, 2 * nb + 1))),
         np.flatnonzero(par == 0), rxz, rx2,
     )
 
 
-def _preorder(branches) -> tuple[list[int], list[tuple[int, int]]]:
-    """Check the n branches form a tree over buses 0..n and return its preorder.
+def _preorder(branches) -> tuple[list[int], tuple[Branch, ...]]:
+    """Check the n branches form a tree over buses 0..n; return its preorder and rows.
 
-    Returns the branch indices in depth-first preorder from the
-    substation, so every subtree is contiguous in it and its reverse runs
-    leaves-to-root, and the (sender, receiver) buses of each branch, the
-    sender the end nearer the substation.  Reads its arguments only.
-    Raises NetworkDataError, naming the row, for a bus id that fails
-    ``_is_bus_id`` (a bool, or not a Python or numpy integer); and on cycles,
-    disconnected buses, duplicate branches, unknown bus ids, impedances
-    that are negative, zero in both parts or not finite, or a feeder with
-    no bus besides the substation.
+    Returns the rows (bus id - 1) of the non-substation buses in
+    depth-first preorder from the substation, so every subtree is
+    contiguous in it and its reverse runs leaves-to-root, and the
+    branches by receiving bus: entry j is the ``Branch`` (sender,
+    receiver, r, x) feeding bus j + 1, the sender the end nearer the
+    substation.  Each bus's neighbours are walked in id order, so both
+    depend on the tree alone, not on the order or orientation of the
+    rows.  Reads its arguments only.  Raises NetworkDataError, naming the
+    row, for a bus id that fails ``_is_bus_id`` (a bool, or not a Python
+    or numpy integer); and on cycles, disconnected buses, duplicate
+    branches, unknown bus ids, impedances that are negative, zero in both
+    parts or not finite, or a feeder with no bus besides the substation.
     """
     n_bus = len(branches) + 1
     if n_bus < 2:
@@ -252,26 +257,31 @@ def _preorder(branches) -> tuple[list[int], list[tuple[int, int]]]:
         seen_pairs.add(key)
         adj[frm].append((to, e))
         adj[to].append((frm, e))
+    for nbrs in adj.values():
+        nbrs.sort()
 
-    # depth-first preorder from the substation, recording each sender; with
-    # n branches over n + 1 buses, reaching every bus means the graph is a
-    # tree, and a cycle always leaves some bus unreached
+    # depth-first preorder from the substation, placing each row at the bus
+    # it reaches; with n branches over n + 1 buses, reaching every bus means
+    # the graph is a tree, and a cycle always leaves some bus unreached
     visited = {0}
     pre: list[int] = []
-    ends = [(0, 0)] * len(branches)
+    rows: list = [None] * len(branches)
     stack = [(0, other, e) for other, e in adj[0]]
     while stack:
         node, other, e = stack.pop()
         if other in visited:
             continue
         visited.add(other)
-        ends[e] = (node, other)
-        pre.append(e)
+        b = branches[e]
+        # a row that already is its Branch(sender, receiver, r, x) is kept: at
+        # n = 5000 a NamedTuple call per row would cost 2 ms, a fifth of the build
+        rows[other - 1] = b if type(b) is Branch and b.frm == node else Branch(node, other, b[2], b[3])
+        pre.append(other - 1)
         stack.extend([(other, nxt, f) for nxt, f in adj[other]])
     if len(visited) != n_bus:
         missing = sorted(set(adj) - visited)
         raise NetworkDataError(f"cycle detected or disconnected node {missing[0]}")
-    return pre, ends
+    return pre, tuple(rows)
 
 
 def solve_power_flow(
@@ -291,7 +301,8 @@ def solve_power_flow(
     currents, which must have shape (n,); they are read once, on entry,
     and the result keeps no reference to them, so a caller may refill
     and reuse one warm record.  A cold start begins from zero currents.
-    Branch arrays of the result follow ``model.branches``.
+    Branch arrays of the result follow ``model.branches``: entry j is
+    the branch feeding bus j + 1.
 
     Raises ValueError for a bad tol, shape or non-finite injection, and
     PowerFlowError for a negative squared voltage, a diverging sweep (an
@@ -324,7 +335,7 @@ def solve_power_flow(
     v_ext = np.empty(n + 1)
     v_ext[0] = v_sub_sq
     v_sq = v_ext[1:]
-    i_sq = np.zeros(n) if warm is None else warm.i_sq.take(plan.order)
+    i_sq = np.zeros(n) if warm is None else warm.i_sq.take(plan.bus)
     zi = rxz * i_sq  # loss terms r i, x i and |z|^2 i of the current iterate, kept in place
     zi_rx, zi_z = zi[:2], zi[2]
     t = np.empty((2, n))  # scratch: 2 rx S, then S^2
@@ -373,8 +384,8 @@ def solve_power_flow(
     v[0] = model.v_sub
     np.sqrt(v_sq.take(plan.pos), v[1:])
     p_pcc = float(np.add.reduce(S[0].take(plan.root)))
-    P, Q = S[0].take(plan.inv), S[1].take(plan.inv)
-    return PowerFlowSolution(v, P, Q, i_sq.take(plan.inv), p_pcc, True, iterations, residual)
+    P, Q = S[0].take(plan.pos), S[1].take(plan.pos)
+    return PowerFlowSolution(v, P, Q, i_sq.take(plan.pos), p_pcc, True, iterations, residual)
 
 
 def _residuals(plan, inj, S, zi_rx, zi_z, v_sq, v_from, drop2) -> float:

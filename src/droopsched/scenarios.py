@@ -39,16 +39,18 @@ __all__ = [
 def _read_table(path, first: tuple[str, ...], header: str, n_fields: int, parse, error=ValueError) -> list:
     """``parse(fields)`` of every row of the CSV table at ``path``, in order.
 
-    The first line is the header: its first field, in any case, must be
-    one of ``first``, or ``error`` is raised saying the ``header`` is
-    missing.  Blank lines and ``#`` comments are skipped; every other
-    row must have ``n_fields`` comma-separated fields.  A row with
-    another count, or a ValueError from ``parse``, raises with a
-    ``path:line:`` prefix, as ``error`` unless it already is one (a
-    subclass keeps its type).
+    The file is read as UTF-8, whatever the locale, and a leading
+    byte-order mark is dropped.  The first line is the header: its first
+    field, in any case, must be one of ``first``, or ``error`` is raised
+    saying the ``header`` is missing.  Blank lines and ``#`` comments are
+    skipped; every other row must have ``n_fields`` comma-separated
+    fields.  A row with another count, or a ValueError from ``parse``,
+    raises with a ``path:line:`` prefix, as ``error`` unless it already
+    is one (a subclass keeps its type).
     """
     records = []
-    with open(path) as fh:
+    # utf-8-sig: a spreadsheet's "CSV UTF-8" export starts with a byte-order mark
+    with open(path, encoding="utf-8-sig") as fh:
         line = fh.readline()
         if not line or line.strip().split(",")[0].lower() not in first:
             raise error(f"{path}: missing '{header}' header")
@@ -70,8 +72,9 @@ def load_network(path) -> NetworkModel:
     """Feeder from a branch table ``from,to,r_pu,x_pu``, one row per branch.
 
     A header row is required; blank lines and ``#`` comments are skipped.
-    The n rows must join buses 0..n, 0 the substation, into a tree.
-    Raises NetworkDataError.
+    The n rows must join buses 0..n, 0 the substation, into a tree; they
+    may come in any order, each either way round, and the model stores
+    them by receiving bus.  Raises NetworkDataError.
     """
     return NetworkModel(_read_table(path, ("from", "frm"), "from,to,r_pu,x_pu", 4, _branch, NetworkDataError))
 

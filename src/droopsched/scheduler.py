@@ -187,7 +187,8 @@ class SchedulerState:
         returns the state itself, and any other is checked first.  The
         frequency weights are drawn or filled from ``cfg`` for the new
         list only, so an unchanged list keeps the state's weights
-        whatever ``cfg.cost_w_f`` says.
+        whatever ``cfg.cost_w_f`` says.  A new state shares no array with
+        this one: the multipliers are carried over as copies.
         Raises ValueError unless the new nodes are distinct integer buses
         of the feeder the multipliers are sized for (1..len(mu) / 2).
         """
@@ -209,7 +210,7 @@ class SchedulerState:
             return out
 
         w_f = _freq_weights(nodes, cfg, self.seed)
-        return SchedulerState(nodes, carry(self.kappa_v), carry(self.kappa_f), self.mu, self.lam, w_f, self.seed)
+        return SchedulerState(nodes, carry(self.kappa_v), carry(self.kappa_f), self.mu.copy(), self.lam.copy(), w_f, self.seed)
 
 
 def _check_nodes(nodes, n_bus: int) -> None:
@@ -300,7 +301,7 @@ def primal_dual_step(
     tau_p and tau_q have shape (m,), one entry per online unit, finite
     and positive, or when an updated voltage-gain pair is not finite or
     clips with a scaled gain past 2^64 gamma (a diverged iteration,
-    refused by stability.project_voltage_gains).
+    refused by stability._project_in_place).
     """
     if sm.rho is not rho:
         raise ValueError("stale sensitivity model: built at another scheduling point")

@@ -50,7 +50,6 @@ __all__ = [
     "compute_gamma",
     "check_gains",
     "project_gains",
-    "project_voltage_gains",
 ]
 
 _SQRT2 = np.sqrt(2.0)
@@ -187,17 +186,25 @@ def _onto_boundary(a: np.ndarray, b: np.ndarray, params: StabilityParams) -> tup
 
 
 def _project_in_place(k: np.ndarray, tau: np.ndarray, params: StabilityParams) -> None:
-    """project_voltage_gains on the stacked pairs k = (k_pv, k_qv), overwritten in place.
+    """Exact Euclidean projection of the stacked pairs k = (k_pv, k_qv) onto the certified region.
 
     ``k`` and ``tau`` = (tau_p, tau_q) are float arrays of one shape
-    (2, ...), and the caller owns ``k``.  All time constants are checked
-    in one pass.  A pair clips exactly where check_gains rejects it: a
+    (2, ...), one column per unit; the caller owns ``k``, which is
+    overwritten in place.  The projection is taken in the scaled pairs
+    (k_pv / tau_p, k_qv / tau_q), and its result passes check_gains: a
+    pair that already passes is kept bit for bit, at any magnitude, and
+    a clipped pair lands a rounding-sized step inside the boundary, no
+    farther from the pair than the region's apex is.  All time
+    constants are checked in one pass.  A pair clips exactly where
+    check_gains rejects it: a
     quadratic that overflows to inf or NaN clips, and so does every
     non-finite gain or scaled pair, so the gains are checked on the
-    clipped pairs only.  A clipped pair with a scaled gain past 2^64
-    gamma, an infinite k / tau included, is refused before any pair is
-    projected, and so is a result whose gains round out of the region
-    (products k = a tau in subnormals); ``k`` is then left unchanged.
+    clipped pairs only.  Raises ValueError unless every time constant
+    is finite and positive and every clipped gain is finite; when a
+    clipped pair has a scaled gain past 2^64 gamma, an infinite k / tau
+    included (a diverged iteration), before any pair is projected; and
+    when a result's gains round out of the region (products k = a tau in
+    subnormals).  ``k`` is then left unchanged.
     """
     # the reductions propagate NaN, which fails the comparisons
     if not (0.0 < tau.min(initial=np.inf) and tau.max(initial=0.0) < np.inf):
@@ -221,34 +228,6 @@ def _project_in_place(k: np.ndarray, tau: np.ndarray, params: StabilityParams) -
         k[:, clip] = out
 
 
-def project_voltage_gains(
-    k_pv: np.ndarray,
-    k_qv: np.ndarray,
-    tau_p: np.ndarray,
-    tau_q: np.ndarray,
-    params: StabilityParams,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact Euclidean projection of every unit's voltage-gain pair onto the certified region.
-
-    Arrays of one shape, one entry per unit; the projection is taken in
-    the scaled pairs (k_pv / tau_p, k_qv / tau_q), and its result passes
-    check_gains.  A pair that already passes is returned bit-for-bit, at
-    any magnitude; a clipped pair lands a rounding-sized step inside the
-    boundary, no farther from the pair than the region's apex is.
-    Returns new arrays.  Raises ValueError unless the four arrays share
-    one shape, every time constant is finite and positive and every gain
-    is finite; for the whole array when one clipped pair has a scaled
-    gain past 2^64 gamma, an infinite one included (a diverged
-    iteration); and when a projected gain underflows out of the region
-    (subnormal k).
-    """
-    if not np.shape(k_pv) == np.shape(k_qv) == np.shape(tau_p) == np.shape(tau_q):
-        raise ValueError("k_pv, k_qv, tau_p and tau_q must share one shape")
-    k = np.array((k_pv, k_qv), dtype=float)
-    _project_in_place(k, np.array((tau_p, tau_q), dtype=float), params)
-    return k[0, ...], k[1, ...]
-
-
 def project_gains(
     gains: DroopGains,
     tau_p: float,
@@ -257,14 +236,15 @@ def project_gains(
 ) -> DroopGains:
     """Repair a candidate gain set so it passes check_gains.
 
-    Voltage gains go through project_voltage_gains; frequency gains are
-    clamped to the configured box.
+    Voltage gains go through _project_in_place as one (2, 1) stack;
+    frequency gains are clamped to the configured box.
     """
-    k_pv, k_qv = project_voltage_gains([gains.k_pv], [gains.k_qv], [tau_p], [tau_q], params)
+    k = np.array(((gains.k_pv,), (gains.k_qv,)), dtype=float)
+    _project_in_place(k, np.array(((tau_p,), (tau_q,)), dtype=float), params)
     kf = params.kf_bound
     return DroopGains(
-        k_pv=float(k_pv[0]),
+        k_pv=float(k[0, 0]),
         k_pf=min(kf, max(-kf, gains.k_pf)),
-        k_qv=float(k_qv[0]),
+        k_qv=float(k[1, 0]),
         k_qf=min(kf, max(-kf, gains.k_qf)),
     )

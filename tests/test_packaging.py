@@ -33,15 +33,14 @@ EXPORTS = {
                   "daily_load_shape", "square_wave_frequency"],
     "scheduler": ["SchedulerConfig", "SchedulerState", "draw_samples", "freq_error", "primal_dual_step",
                   "schedule_step"],
-    "stability": ["StabilityParams", "compute_gamma", "check_gains", "project_gains",
-                  "project_voltage_gains"],
+    "stability": ["StabilityParams", "compute_gamma", "check_gains", "project_gains"],
 }
 
 
 def test_public_surface_matches_the_snapshot():
     exported = {name: getattr(importlib.import_module(f"droopsched.{name}"), "__all__", None) for name in MODULES}
     assert exported == EXPORTS
-    assert sum(map(len, EXPORTS.values())) == 38
+    assert sum(map(len, EXPORTS.values())) == 37
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -16,19 +16,26 @@ from droopsched.scenarios import (
 )
 
 
-def test_bundled_feeder_round_trips_through_its_table(tmp_path):
+# "utf-8-sig" writes the byte-order mark that a spreadsheet's "CSV UTF-8"
+# export starts with; both readers took it for part of the header's first field
+ENCODINGS = pytest.mark.parametrize("encoding", ["utf-8", "utf-8-sig"], ids=["plain", "byte-order-mark"])
+
+
+@ENCODINGS
+def test_bundled_feeder_round_trips_through_its_table(tmp_path, encoding):
     model = six_bus_feeder()
     path = tmp_path / "net.csv"
     rows = "".join(f"{b.frm},{b.to},{b.r!r},{b.x!r}\n" for b in model.branches)
-    path.write_text(f"from,to,r_pu,x_pu\n# the bundled 6-bus feeder\n\n{rows}")
+    path.write_text(f"from,to,r_pu,x_pu\n# the bundled 6-bus feeder, Zürich-Süd\n\n{rows}", encoding=encoding)
     assert load_network(path) == model
 
 
-def test_bundled_pv_units_round_trip_through_their_table(tmp_path):
+@ENCODINGS
+def test_bundled_pv_units_round_trip_through_their_table(tmp_path, encoding):
     units = six_bus_pv_units()
     path = tmp_path / "ders.csv"
     rows = "".join(f"{u.node},{u.cap.kind},{u.cap.s_max!r},{u.tau_p!r},{u.tau_q!r},{u.cap.pf_min!r}\n" for u in units)
-    path.write_text(f"node,kind,s_rating_pu,tau_p_s,tau_q_s,pf_min\n{rows}")
+    path.write_text(f"node,kind,s_rating_pu,tau_p_s,tau_q_s,pf_min\n{rows}", encoding=encoding)
     assert load_der_units(path) == units
 
 

@@ -1005,6 +1005,17 @@ class TestScheduleStep:
         out, _ = schedule_step(drawn, sm, rho, six_bus_pv_units(), fixed, stab, sample_seed=0)
         assert out.w_f is drawn.w_f
 
+    def test_realigned_state_shares_no_array_with_its_source(self):
+        # realigned handed on mu and lam: writing s.mu[0] changed t.mu[0]
+        cfg = SchedulerConfig()
+        s = SchedulerState.initial([4, 5], 6, cfg)
+        t = s.realigned([4, 5, 6], cfg)
+        s.mu[0] = 7.0
+        s.lam[0] = 7.0
+        assert t.mu[0] == 0.0 and t.lam[0] == 0.0
+        for name in ("kappa_v", "kappa_f", "mu", "lam", "w_f"):
+            assert not np.shares_memory(getattr(s, name), getattr(t, name)), name
+
     def test_state_is_frozen_with_a_tuple_of_nodes(self):
         # a list could grow beside the per-unit arrays: m read 4 beside 6-entry gains
         state = simple_state()

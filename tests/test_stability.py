@@ -14,10 +14,10 @@ from droopsched.linmodel import SchedulingPoint, SensitivityModel, build_rx
 from droopsched.scenarios import six_bus_feeder
 from droopsched.stability import (
     StabilityParams,
+    _project_in_place,
     check_gains,
     compute_gamma,
     project_gains,
-    project_voltage_gains,
 )
 
 from .oracles import (
@@ -32,6 +32,13 @@ from .oracles import (
 BOUND = 2.0**64
 REFUSED = r"^k / tau must lie within 2\*\*64 gamma where it clips: refused as diverged$"
 GAMMA_ENDS = [2.0**-400, 2.0**400]
+
+
+def projected(k_pv, k_qv, tau_p, tau_q, params):
+    """The pairs (k_pv, k_qv) of one shape, projected by ``_project_in_place`` on a stacked copy."""
+    k = np.array((k_pv, k_qv), dtype=float)
+    _project_in_place(k, np.array((tau_p, tau_q), dtype=float), params)
+    return k
 
 
 def make_sm(R, X):
@@ -211,18 +218,6 @@ class TestProjectGains:
         out = project_gains(gains, 0.2, 0.2, self.params)
         assert (out.k_pv, out.k_qv) == (gains.k_pv, gains.k_qv)
 
-    @pytest.mark.parametrize("clip", [False, True], ids=["nothing-clips", "one-clips"])
-    @pytest.mark.parametrize("short", ["k_pv", "k_qv", "tau_p", "tau_q"])
-    def test_vector_projection_rejects_mismatched_shapes(self, short, clip):
-        # a length-1 array used to broadcast silently, or to fail with a bare
-        # boolean-index IndexError once a pair clipped
-        arrays = {"k_pv": np.full(3, -0.1), "k_qv": np.full(3, -0.1), "tau_p": np.full(3, 0.2), "tau_q": np.full(3, 0.2)}
-        if clip:
-            arrays["k_qv"][1] = 10.0
-        arrays[short] = arrays[short][:1]
-        with pytest.raises(ValueError, match="^k_pv, k_qv, tau_p and tau_q must share one shape$"):
-            project_voltage_gains(params=self.params, **arrays)
-
     @pytest.mark.parametrize("name", ["tau_p", "tau_q"])
     @pytest.mark.parametrize("tau", [np.nan, np.inf, 0.0, -0.2])
     def test_vector_projection_rejects_time_constant_not_finite_and_positive(self, name, tau):
@@ -231,7 +226,7 @@ class TestProjectGains:
         arrays = {"k_pv": np.full(3, 5.0), "k_qv": np.full(3, 5.0), "tau_p": np.full(3, 0.2), "tau_q": np.full(3, 0.2)}
         arrays[name][0] = tau
         with pytest.raises(ValueError, match=f"^{name} must be finite and positive$"):
-            project_voltage_gains(params=self.params, **arrays)
+            projected(params=self.params, **arrays)
 
     @pytest.mark.parametrize("name", ["k_pv", "k_qv"])
     @pytest.mark.parametrize("gain", [np.nan, np.inf, -np.inf])
@@ -243,7 +238,7 @@ class TestProjectGains:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="^k_pv and k_qv must be finite$"):
-                project_voltage_gains(params=self.params, **arrays)
+                projected(params=self.params, **arrays)
 
     @pytest.mark.parametrize(
         "k_pv, k_qv, tau",
@@ -258,7 +253,7 @@ class TestProjectGains:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=REFUSED):
-                project_voltage_gains(params=self.params, **arrays)
+                projected(params=self.params, **arrays)
             with pytest.raises(ValueError, match=REFUSED):
                 project_gains(DroopGains(k_pv=k_pv, k_qv=k_qv), tau, tau, self.params)
 
@@ -274,7 +269,7 @@ class TestProjectGains:
 
     def test_zero_dimensional_pair_is_projected(self):
         g, tau = self.params.gamma, 0.2
-        k_pv, k_qv = project_voltage_gains(np.float64(10 * g * tau), 10 * g * tau, tau, np.array(tau), self.params)
+        k_pv, k_qv = projected(np.float64(10 * g * tau), 10 * g * tau, tau, np.array(tau), self.params)
         assert k_pv.shape == k_qv.shape == ()
         assert check_gains(DroopGains(k_pv=float(k_pv), k_qv=float(k_qv)), tau, tau, self.params)
 
@@ -364,7 +359,8 @@ class TestProjectGains:
         k = ab * tau
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = np.array(project_voltage_gains(k[0], k[1], tau[0], tau[1], params))
+            out = k.copy()
+            _project_in_place(out, tau, params)
         assert np.isfinite(out).all()
         for k_pv, k_qv in out.T:
             assert check_gains(DroopGains(k_pv=k_pv, k_qv=k_qv), tau_p, tau_q, params)
@@ -386,7 +382,7 @@ class TestProjectGains:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=REFUSED):
-                project_voltage_gains([-0.1, k_pv], [-0.1, k_qv], [1.0, 1.0], [1.0, 1.0], params)
+                projected([-0.1, k_pv], [-0.1, k_qv], [1.0, 1.0], [1.0, 1.0], params)
             with pytest.raises(ValueError, match=REFUSED):
                 project_gains(DroopGains(k_pv=k_pv, k_qv=k_qv), 1.0, 1.0, params)
 
@@ -396,7 +392,7 @@ class TestProjectGains:
         # outgrew the inward step: the result failed check_gains
         message = "^the projected gains underflow out of the certified region: tau too small$"
         with pytest.raises(ValueError, match=message):
-            project_voltage_gains([0.0], [1e-300], [tau], [tau], StabilityParams(gamma=gamma))
+            projected([0.0], [1e-300], [tau], [tau], StabilityParams(gamma=gamma))
 
 
 SQRT2 = np.sqrt(2.0)
@@ -443,7 +439,7 @@ def projection_cases(draw, count=6):
 def project_scaled(a, b, tau_p, tau_q, params):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        k_pv, k_qv = project_voltage_gains(a * tau_p, b * tau_q, tau_p, tau_q, params)
+        k_pv, k_qv = projected(a * tau_p, b * tau_q, tau_p, tau_q, params)
     return k_pv / tau_p, k_qv / tau_q
 
 
@@ -455,8 +451,8 @@ class TestProjectionProperties:
         k_pv, k_qv = a * tau_p, b * tau_q
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out_pv, out_qv = project_voltage_gains(k_pv, k_qv, tau_p, tau_q, params)
-            again_pv, again_qv = project_voltage_gains(out_pv, out_qv, tau_p, tau_q, params)
+            out_pv, out_qv = projected(k_pv, k_qv, tau_p, tau_q, params)
+            again_pv, again_qv = projected(out_pv, out_qv, tau_p, tau_q, params)
             scalar = [
                 project_gains(DroopGains(k_pv=kp, k_qv=kq), tp, tq, params)
                 for kp, kq, tp, tq in zip(k_pv, k_qv, tau_p, tau_q)
@@ -516,7 +512,7 @@ OVERFLOW_PRONE = [
 
 
 def assert_clip_rule(a, b, tau_p, tau_q, params):
-    """project_voltage_gains keeps bit for bit exactly the pairs check_gains accepts, certifies
+    """The projection keeps bit for bit exactly the pairs check_gains accepts, certifies
     the other pairs within 2^64 gamma no farther than the apex, and refuses the rest by name."""
     k_pv, k_qv = a * tau_p, b * tau_q
     g = params.gamma
@@ -529,11 +525,11 @@ def assert_clip_rule(a, b, tau_p, tau_q, params):
         warnings.simplefilter("error")
         if past.any():
             with pytest.raises(ValueError, match=REFUSED):
-                project_voltage_gains(k_pv, k_qv, tau_p, tau_q, params)
+                projected(k_pv, k_qv, tau_p, tau_q, params)
         for i in np.flatnonzero(past):
             with pytest.raises(ValueError, match=REFUSED):
-                project_voltage_gains(k_pv[i], k_qv[i], tau_p[i], tau_q[i], params)
-        out_pv, out_qv = project_voltage_gains(*(x[~past] for x in (k_pv, k_qv, tau_p, tau_q)), params)
+                projected(k_pv[i], k_qv[i], tau_p[i], tau_q[i], params)
+        out_pv, out_qv = projected(*(x[~past] for x in (k_pv, k_qv, tau_p, tau_q)), params)
     for (kp, kq, tp, tq), keep, out_p, out_q in zip(
         (row for row, p in zip(rows, past) if not p), kept[~past], out_pv.tolist(), out_qv.tolist()
     ):

@@ -1,7 +1,12 @@
 """Tests of the repository's tools: ``tools/code_lines.py``."""
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "code_lines.py"
 _spec = importlib.util.spec_from_file_location("code_lines", TOOL)
@@ -66,3 +71,15 @@ def test_last_row_counts_the_all_names_of_each_package_module(tmp_path, capsys):
     last = capsys.readouterr().out.splitlines()[-1]
     assert last.split(None, 1) == ["5", "src/droopsched/ __all__ names (a 3, b 2)"]
     assert code_lines.exported_names("x = 1\n") is None
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_a_reader_that_closes_the_pipe_ends_the_count_quietly(unbuffered):
+    # `python tools/code_lines.py | head -2` ended in a BrokenPipeError traceback and status 1
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    proc = subprocess.Popen([sys.executable, str(TOOL)], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()  # before the interpreter is up, so its first write finds no reader
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (0, b"")

@@ -9,12 +9,16 @@ read from the source with ``ast``, so the package is not imported and
 any checkout can be counted.  Standard library only.
 
 Usage: python tools/code_lines.py [ROOT]   (ROOT defaults to the repository)
+
+A reader that closes the pipe early (``| head -2``) ends the count
+quietly, with exit status 0.
 """
 
 from __future__ import annotations
 
 import ast
 import io
+import os
 import sys
 import tokenize
 from pathlib import Path
@@ -69,4 +73,10 @@ def main(argv: list[str]) -> None:
 
 
 if __name__ == "__main__":
-    main(sys.argv)
+    try:
+        main(sys.argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone: send what is still buffered to devnull, so the
+        # interpreter's own flush at exit does not raise a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
