@@ -230,9 +230,9 @@ def _preorder(branches) -> tuple[list[int], tuple[Branch, ...]]:
     contiguous in it and its reverse runs leaves-to-root, and the
     branches by receiving bus: entry j is the ``Branch`` (sender,
     receiver, r, x) feeding bus j + 1, the sender the end nearer the
-    substation.  Each bus's neighbours are walked in id order, so both
-    depend on the tree alone, not on the order or orientation of the
-    rows.  Reads its arguments only.  Raises NetworkDataError, naming the
+    substation.  Each bus's neighbours are stacked in id order, so the
+    highest id is visited first, and both depend on the tree alone, not
+    on the order or orientation of the rows.  Reads its arguments only.  Raises NetworkDataError, naming the
     row, for a bus id that fails ``_is_bus_id`` (a bool, or not a Python
     or numpy integer); and on cycles, disconnected buses, duplicate
     branches, unknown bus ids, impedances that are negative, zero in both

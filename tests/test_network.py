@@ -116,6 +116,39 @@ class TestValidateRadial:
         assert backward.index(1) < backward.index(0)
         assert backward.index(2) < backward.index(0)
 
+    def test_preorder_depends_on_the_tree_alone(self):
+        # the substation's neighbours are buses 2 and 3; stacked in id order,
+        # bus 3 and its subtree {1} are visited first, then bus 2 and {4}.
+        # Any order or orientation of the rows gives this one plan
+        rows = [(0, 3, 0.01, 0.02), (3, 1, 0.02, 0.01), (0, 2, 0.03, 0.01), (2, 4, 0.01, 0.03)]
+        for perm in ([0, 1, 2, 3], [3, 2, 1, 0], [1, 3, 0, 2]):
+            for flip in (False, True):
+                table = [(rows[e][1], rows[e][0], *rows[e][2:]) if flip else rows[e] for e in perm]
+                plan = model_of(table).plan()
+                assert plan.bus.tolist() == [2, 0, 1, 3]
+                assert plan.pos.tolist() == [1, 2, 0, 3]
+                assert plan.par.tolist() == [0, 1, 0, 3]
+                assert plan.end.tolist() == [2, 2, 4, 4]
+
+    @settings(max_examples=40, deadline=None)
+    @given(radial_cases())
+    def test_plan_is_the_tree_in_preorder_by_receiving_bus(self, case):
+        """bus and pos are inverse permutations, each branch follows the one
+        feeding its sending bus, and each subtree is the range k:end[k]."""
+        model = model_of(case[0])
+        plan, n = model.plan(), model.n
+        assert np.array_equal(np.sort(plan.bus), np.arange(n))
+        assert np.array_equal(plan.pos[plan.bus], np.arange(n))
+        size = np.ones(n, dtype=int)
+        for k in range(n - 1, -1, -1):
+            branch = model.branches[plan.bus[k]]
+            assert branch.to == plan.bus[k] + 1
+            expected_par = 0 if branch.frm == 0 else plan.pos[branch.frm - 1] + 1
+            assert plan.par[k] == expected_par <= k
+            if branch.frm:
+                size[branch.frm - 1] += size[branch.to - 1]
+        assert np.array_equal(plan.end - np.arange(n), size[plan.bus])
+
     def test_disconnected(self):
         # an isolated substation beside a triangle over buses 1..3
         with pytest.raises(NetworkDataError, match="^cycle detected or disconnected node 1$"):

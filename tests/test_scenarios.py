@@ -39,6 +39,24 @@ def test_bundled_pv_units_round_trip_through_their_table(tmp_path, encoding):
     assert load_der_units(path) == units
 
 
+@ENCODINGS
+@pytest.mark.parametrize(
+    "load, header, n_fields",
+    [(load_network, "from,to,r_pu,x_pu", 4), (load_der_units, "node,kind,...", 6)],
+    ids=["network", "der-units"],
+)
+def test_bad_tables_are_refused_by_file_line_whatever_the_encoding(tmp_path, encoding, load, header, n_fields):
+    # the mark is dropped before the header is read: a headerless file names
+    # the header, and a short row is line 2 of the file, as without a mark
+    path = tmp_path / "table.csv"
+    path.write_text("1,2,3\n", encoding=encoding)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: missing '{re.escape(header)}' header$"):
+        load(path)
+    path.write_text(f"{header.split(',')[0]},x\n1,2,3\n", encoding=encoding)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: expected {n_fields} fields, got 3$"):
+        load(path)
+
+
 GENERATORS = {
     "clear_sky": (clear_sky_availability, dict(duration_s=10.0, peak=1.0, t_mid=5.0, half_width=4.0)),
     "load_shape": (daily_load_shape, dict(duration_s=10.0, base=1.0, swing=0.3, period_s=20.0)),
