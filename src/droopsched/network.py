@@ -31,7 +31,9 @@ temporaries: the subtree sums and the residual rows are formed in place.
 A sweep that diverges is stopped before its squared flows can overflow:
 an injection or a change in squared current past ``_DIVERGED`` raises
 PowerFlowError.  A ``NetworkModel``
-is validated, oriented and planned once, when constructed, and is
+is validated, oriented and planned once, when constructed, by one pass
+over its rows and one depth-first walk of its tree, which places each
+row at the bus it feeds and records the plan as it goes.  The model is
 immutable, so no plan goes stale; ``dataclasses.replace`` changes one.
 
 Sign convention: bus injections are positive for generation and negative
@@ -107,9 +109,9 @@ class NetworkModel:
     def __post_init__(self):
         if not 0.0 < self.v_sub < np.inf:
             raise NetworkDataError("v_sub must be finite and positive")
-        pre, branches = _preorder(self.branches)
+        branches, plan = _plan_tree(self.branches)
         object.__setattr__(self, "branches", branches)
-        object.__setattr__(self, "_plan", _build_plan(branches, pre))
+        object.__setattr__(self, "_plan", plan)
 
     @property
     def n(self) -> int:
@@ -159,12 +161,15 @@ class PowerFlowSolution:
 class _SweepPlan:
     """Branches laid out in depth-first preorder for O(n) sweeps.
 
-    Every array is indexed by preorder position k, except ``pos`` and
-    ``par2``.  The subtree hanging from the branch at k (inclusive) is
-    the contiguous range ``k:end[k]``, and ``last[k] = end[k] - 1`` its
-    final position, so a subtree sum is a difference of prefix sums and
-    the branches on the root path of position k are the j <= k with
-    ``end[j] > k``.  ``par[k]`` is the position of the parent branch
+    Built by the one walk that checks and orients the rows
+    (``_plan_tree``): ``bus``, ``par``, ``pos`` and the impedance rows
+    are recorded as it reaches each bus, and the subtree ends in one
+    reverse pass after it.  Every array is indexed by preorder position
+    k, except ``pos`` and ``par2``.  The subtree hanging from the branch
+    at k (inclusive) is the contiguous range ``k:end[k]``, and
+    ``last[k] = end[k] - 1`` its final position, so a subtree sum is a
+    difference of prefix sums and the branches on the root path of
+    position k are the j <= k with ``end[j] > k``.  ``par[k]`` is the position of the parent branch
     plus one, or 0 for a branch leaving the substation, and indexes an
     array that carries the substation value in slot 0.  ``par2`` indexes
     a flattened (2, n) array: entry k of a row goes to its parent's
@@ -193,61 +198,37 @@ class _SweepPlan:
     rx2: np.ndarray
 
 
-def _build_plan(branches: tuple[Branch, ...], pre: list[int]) -> _SweepPlan:
-    # branches point away from the substation, row j feeding bus j + 1; pre
-    # is the preorder of their rows
-    nb = len(pre)
-    bus = np.array(pre, dtype=np.intp)
-    frm, _, r, x = zip(*(branches[j] for j in pre))
-    pos = np.argsort(bus)
-    # parent position + 1 (0 = substation), via the branch feeding the sender
-    par = np.concatenate(([0], pos + 1)).take(frm)
-    # subtree sizes in one reverse pass: children sit after their parent
-    size = [1] * nb
-    parents = par.tolist()
-    for k in range(nb - 1, -1, -1):
-        if parents[k]:
-            size[parents[k] - 1] += size[k]
-    end = np.arange(nb) + size
-    rxz = np.array((r, x, (0.0,) * nb))
-    rx = rxz[:2]
-    rxz[2] = (rx * rx).sum(axis=0)
-    rx2 = 2.0 * rx
-    for a in (rxz, rx2):
-        a.setflags(write=False)
-    return _SweepPlan(
-        bus, pos, end, end - 1, par,
-        np.concatenate((np.where(par > 0, par - 1, 2 * nb), np.where(par > 0, par - 1 + nb, 2 * nb + 1))),
-        np.flatnonzero(par == 0), rxz, rx2,
-    )
+def _plan_tree(branches) -> tuple[tuple[Branch, ...], _SweepPlan]:
+    """Check the n branches form a tree over buses 0..n; return its rows and sweep plan.
 
+    One pass over the rows checks each and files it at both of its ends
+    as a (bus, neighbour, row) triple, in a list per bus sorted once.
+    One depth-first walk from the substation then pops a triple, and the
+    first time it reaches a bus places the row there as a ``Branch``
+    (sender, receiver, r, x), the sender the end nearer the substation,
+    and pushes that bus's list as it stands.  Each list is sorted by
+    neighbour, so the highest id is visited first, and the rows and plan
+    depend on the tree alone, not on the order or orientation of the
+    rows.  Reads its arguments only.
 
-def _preorder(branches) -> tuple[list[int], tuple[Branch, ...]]:
-    """Check the n branches form a tree over buses 0..n; return its preorder and rows.
-
-    Returns the rows (bus id - 1) of the non-substation buses in
-    depth-first preorder from the substation, so every subtree is
-    contiguous in it and its reverse runs leaves-to-root, and the
-    branches by receiving bus: entry j is the ``Branch`` (sender,
-    receiver, r, x) feeding bus j + 1, the sender the end nearer the
-    substation.  Each bus's neighbours are stacked in id order, so the
-    highest id is visited first, and both depend on the tree alone, not
-    on the order or orientation of the rows.  Reads its arguments only.  Raises NetworkDataError, naming the
-    row, for a bus id that fails ``_is_bus_id`` (a bool, or not a Python
-    or numpy integer); and on cycles, disconnected buses, duplicate
-    branches, unknown bus ids, impedances that are negative, zero in both
-    parts or not finite, or a feeder with no bus besides the substation.
+    Raises NetworkDataError for a feeder with no bus besides the
+    substation; then for the first faulty row, in row order, checking
+    its bus ids against ``_is_bus_id`` (a bool, or not a Python or numpy
+    integer), then for an unknown bus id, then for an impedance that is
+    negative, zero in both parts or not finite, then for a duplicate
+    branch; then, naming the lowest unreached bus, for a cycle or a
+    disconnected bus.
     """
-    n_bus = len(branches) + 1
-    if n_bus < 2:
+    nb = len(branches)
+    if nb < 1:
         raise NetworkDataError("feeder needs at least one bus besides the substation")
     seen_pairs = set()
-    adj: dict[int, list[tuple[int, int]]] = {i: [] for i in range(n_bus)}
+    adj: list[list[tuple]] = [[] for _ in range(nb + 1)]
     for e, (frm, to, r, x) in enumerate(branches):
         # plain ints skip the predicate: a call per row would cost 0.8 ms of a 10 ms 5000-bus build
         if not (type(frm) is int and type(to) is int or _is_bus_id(frm) and _is_bus_id(to)):
             raise NetworkDataError(f"branch ({frm},{to}) needs integer bus ids")
-        if frm not in adj or to not in adj:
+        if not (0 <= frm <= nb and 0 <= to <= nb):
             raise NetworkDataError(f"branch ({frm},{to}) references unknown bus")
         if not (0.0 <= r < np.inf and 0.0 <= x < np.inf) or (r == 0 and x == 0):
             raise NetworkDataError(f"branch ({frm},{to}) needs finite r,x >= 0, not both zero")
@@ -255,33 +236,56 @@ def _preorder(branches) -> tuple[list[int], tuple[Branch, ...]]:
         if key in seen_pairs:
             raise NetworkDataError(f"duplicate branch {key}")
         seen_pairs.add(key)
-        adj[frm].append((to, e))
-        adj[to].append((frm, e))
-    for nbrs in adj.values():
+        adj[frm].append((frm, to, e))
+        adj[to].append((to, frm, e))
+    for nbrs in adj:
         nbrs.sort()
 
-    # depth-first preorder from the substation, placing each row at the bus
-    # it reaches; with n branches over n + 1 buses, reaching every bus means
-    # the graph is a tree, and a cycle always leaves some bus unreached
-    visited = {0}
-    pre: list[int] = []
-    rows: list = [None] * len(branches)
-    stack = [(0, other, e) for other, e in adj[0]]
+    # at[bus] is the preorder position + 1 of a reached bus and 0 of an
+    # unreached one, so it is the visited set, par and pos in one list; the
+    # substation reads -1: reached, and no branch feeds it.  With n branches
+    # over n + 1 buses, reaching every bus means the graph is a tree, and a
+    # cycle always leaves some bus unreached
+    at = [-1] + [0] * nb
+    pre, par, r, x = [], [], [], []
+    rows: list = [None] * nb
+    stack = adj[0]
     while stack:
         node, other, e = stack.pop()
-        if other in visited:
+        if at[other]:
             continue
-        visited.add(other)
         b = branches[e]
         # a row that already is its Branch(sender, receiver, r, x) is kept: at
         # n = 5000 a NamedTuple call per row would cost 2 ms, a fifth of the build
         rows[other - 1] = b if type(b) is Branch and b.frm == node else Branch(node, other, b[2], b[3])
+        par.append(at[node])
         pre.append(other - 1)
-        stack.extend([(other, nxt, f) for nxt, f in adj[other]])
-    if len(visited) != n_bus:
-        missing = sorted(set(adj) - visited)
-        raise NetworkDataError(f"cycle detected or disconnected node {missing[0]}")
-    return pre, tuple(rows)
+        at[other] = len(pre)
+        r.append(b[2])
+        x.append(b[3])
+        stack.extend(adj[other])
+    if len(pre) != nb:
+        raise NetworkDataError(f"cycle detected or disconnected node {at.index(0)}")
+
+    # subtree sizes in one reverse pass: children sit after their parent
+    size = [1] * nb
+    for k in range(nb - 1, -1, -1):
+        if par[k] > 0:
+            size[par[k] - 1] += size[k]
+    end = np.arange(nb) + size
+    par = np.maximum(par, 0)
+    rxz = np.array((r, x, (0.0,) * nb))
+    rx = rxz[:2]
+    rxz[2] = (rx * rx).sum(axis=0)
+    rx2 = 2.0 * rx
+    for a in (rxz, rx2):
+        a.setflags(write=False)
+    plan = _SweepPlan(
+        np.array(pre, dtype=np.intp), np.subtract(at[1:], 1, dtype=np.intp), end, end - 1, par,
+        np.concatenate((np.where(par > 0, par - 1, 2 * nb), np.where(par > 0, par - 1 + nb, 2 * nb + 1))),
+        np.flatnonzero(par == 0), rxz, rx2,
+    )
+    return tuple(rows), plan
 
 
 def solve_power_flow(

@@ -44,20 +44,27 @@ def _read_table(path, first: tuple[str, ...], header: str, n_fields: int, parse,
     field, in any case, must be one of ``first``, or ``error`` is raised
     saying the ``header`` is missing.  Blank lines and ``#`` comments are
     skipped; every other row must have ``n_fields`` comma-separated
-    fields.  A row with another count, or a ValueError from ``parse``,
-    raises with a ``path:line:`` prefix, as ``error`` unless it already
-    is one (a subclass keeps its type).
+    fields.  A line that is not UTF-8 or a row with another count raises
+    ``error``, and a ValueError from ``parse`` raises as ``error`` unless
+    it already is one (a subclass keeps its type), each with a
+    ``path:line:`` prefix.
     """
+    # bytes, split into lines as text mode splits them, each decoded where its
+    # row is read: text mode decodes in chunks, so it cannot name the line of
+    # a byte that is not UTF-8.  An empty file has one empty line, no header
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines() or [b""]
     records = []
-    # utf-8-sig: a spreadsheet's "CSV UTF-8" export starts with a byte-order mark
-    with open(path, encoding="utf-8-sig") as fh:
-        line = fh.readline()
-        if not line or line.strip().split(",")[0].lower() not in first:
-            raise error(f"{path}: missing '{header}' header")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
+    for lineno, line in enumerate(lines, start=1):
+        try:
+            # utf-8-sig: a spreadsheet's "CSV UTF-8" export starts with a byte-order mark
+            line = line.decode("utf-8-sig" if lineno == 1 else "utf-8").strip()
+        except UnicodeDecodeError as exc:
+            raise error(f"{path}:{lineno}: {exc}") from exc
+        if lineno == 1:
+            if line.split(",")[0].lower() not in first:
+                raise error(f"{path}: missing '{header}' header")
+        elif line and not line.startswith("#"):
             fields = line.split(",")
             if len(fields) != n_fields:
                 raise error(f"{path}:{lineno}: expected {n_fields} fields, got {len(fields)}")
@@ -130,11 +137,15 @@ def six_bus_pv_units() -> list[DerUnit]:
 
 
 def random_radial_feeder(n_bus: int, rng: np.random.Generator) -> NetworkModel:
-    """Random tree: bus j attaches to a uniformly chosen earlier bus, r and x uniform on [0.005, 0.05]."""
+    """Random tree: bus j attaches to a uniformly chosen earlier bus, r and x uniform on [0.005, 0.05].
+
+    Per bus, in stream order: the parent, then r and x from one
+    two-value draw, which yields the same floats as two scalar draws.
+    """
     branches = []
     for j in range(1, n_bus + 1):
         parent = int(rng.integers(0, j))
-        branches.append(Branch(parent, j, float(rng.uniform(0.005, 0.05)), float(rng.uniform(0.005, 0.05))))
+        branches.append(Branch(parent, j, *rng.uniform(0.005, 0.05, 2).tolist()))
     return NetworkModel(branches)
 
 

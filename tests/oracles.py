@@ -37,6 +37,10 @@ of the package because nothing in it calls them:
   written, its fields filled in directly and its frequency-cost weights
   slot by slot, against which the state realigned from the empty one is
   checked bit for bit.
+* ``dfs_plan``, the sweep plan of a feeder from a recursive depth-first
+  search, against which the preorder, parents, subtree ranges and
+  oriented rows of ``NetworkModel`` are checked exactly: the preorder
+  sets the order of the sweep's sums, so it sets its rounding.
 * ``primal_dual_reference``, the scheduler's primal-dual step written
   with ``np.tile``, ``np.clip`` and separate projected halves, against
   which the step is checked bit for bit: half a Jacobi step for the
@@ -130,6 +134,45 @@ def distflow_residual(model, p_inj, q_inj, sol):
         i_sq - (P * P + Q * Q) / v_sq[frm],
     )
     return max(float(np.abs(part).max()) for part in res)
+
+
+def dfs_plan(rows):
+    """The sweep plan of a tree, by a recursive depth-first search from bus 0.
+
+    ``rows`` are (frm, to, r, x) tuples over buses 0..n in any order and
+    orientation.  The search enters each bus's children highest id
+    first and counts each subtree's size on its way back, so it shares
+    no code and no stack discipline with ``NetworkModel``'s walk.
+    Returns ``bus``, ``pos``, ``par``, ``end`` and ``root`` as lists with
+    the meaning of the ``_SweepPlan`` fields, and the branches as
+    (sender, receiver, r, x) tuples by receiving bus.
+    """
+    n = len(rows)
+    neighbours = {i: [] for i in range(n + 1)}
+    for frm, to, r, x in rows:
+        neighbours[frm].append((to, r, x))
+        neighbours[to].append((frm, r, x))
+    bus, par, end = [], [], []
+    branches = [None] * n
+
+    def visit(sender, receiver, r, x, parent_pos):
+        k = len(bus)
+        bus.append(receiver - 1)
+        par.append(parent_pos)
+        end.append(None)
+        branches[receiver - 1] = (sender, receiver, r, x)
+        size = 1
+        for child, cr, cx in sorted(neighbours[receiver], key=lambda nbr: -nbr[0]):
+            if child != sender:
+                size += visit(receiver, child, cr, cx, k + 1)
+        end[k] = k + size
+        return size
+
+    for child, r, x in sorted(neighbours[0], key=lambda nbr: -nbr[0]):
+        visit(0, child, r, x, 0)
+    pos = [bus.index(j) for j in range(n)]
+    root = [k for k in range(n) if par[k] == 0]
+    return bus, pos, par, end, root, branches
 
 
 def grid_project(feasible, point, lo, hi, resolution):

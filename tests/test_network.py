@@ -25,7 +25,7 @@ from droopsched.network import (
 from droopsched.scenarios import ieee37_shaped_feeder, load_network, six_bus_feeder
 from droopsched.scheduler import SchedulerConfig, SchedulerState
 
-from .oracles import distflow_residual, distflow_root
+from .oracles import dfs_plan, distflow_residual, distflow_root
 
 # (id, whether it is a bus id): Python and numpy integers of every width
 # naming bus 1, 2 or 3, then bools, numpy bools, floats, strings and None
@@ -148,6 +148,51 @@ class TestValidateRadial:
             if branch.frm:
                 size[branch.frm - 1] += size[branch.to - 1]
         assert np.array_equal(plan.end - np.arange(n), size[plan.bus])
+
+    @settings(max_examples=60, deadline=None)
+    @given(radial_cases(), st.booleans())
+    def test_plan_matches_the_recursive_search_oracle(self, case, reverse):
+        """The walk's preorder, parents, subtree ends, root branches and rows
+        are those of a recursive search entering children highest id first,
+        for rows in any order, and reversed."""
+        rows = case[0][::-1] if reverse else case[0]
+        bus, pos, par, end, root, branches = dfs_plan(rows)
+        model = model_of(rows)
+        plan = model.plan()
+        assert plan.bus.tolist() == bus
+        assert plan.pos.tolist() == pos
+        assert plan.par.tolist() == par
+        assert plan.end.tolist() == end
+        assert plan.root.tolist() == root
+        assert model.branches == tuple(Branch(*row) for row in branches)
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            # one row with every fault: its ids are checked first, then its
+            # ends, then its impedance, then whether it repeats a branch
+            ([(0, 1, 0.01, 0.01), (1.0, 9, -1.0, 0.0)], r"branch \(1\.0,9\) needs integer bus ids"),
+            ([(0, 1, 0.01, 0.01), (1, 9, -1.0, 0.0)], r"branch \(1,9\) references unknown bus"),
+            ([(0, 1, 0.01, 0.01), (1, 0, -1.0, 0.0)], r"branch \(1,0\) needs finite r,x >= 0, not both zero"),
+            ([(0, 1, 0.01, 0.01), (1, 0, 0.01, 0.0)], r"duplicate branch \(0, 1\)"),
+            # several faulty rows: the first in row order is named, whatever its fault
+            ([(0, 1, 0.01, 0.01), (1, 2, 0.0, 0.0), (0, 7, 0.01, 0.01), (True, 3, 0.01, 0.01)],
+             r"branch \(1,2\) needs finite r,x >= 0, not both zero"),
+            ([(0, 1, 0.01, 0.01), (True, 3, 0.01, 0.01), (0, 7, 0.01, 0.01), (1, 2, 0.0, 0.0)],
+             r"branch \(True,3\) needs integer bus ids"),
+            ([(0, 1, 0.01, 0.01), (0, 7, 0.01, 0.01), (1, 2, 0.0, 0.0), (True, 3, 0.01, 0.01)],
+             r"branch \(0,7\) references unknown bus"),
+            # a faulty row is named before the tree is walked: the cycle 0-1-2 is not
+            ([(0, 1, 0.01, 0.01), (1, 2, 0.01, 0.01), (2, 0, 0.01, 0.01), (0, 3, np.nan, 0.01)],
+             r"branch \(0,3\) needs finite r,x >= 0, not both zero"),
+            ([(0, 1, 0.01, 0.01), (1, 2, 0.01, 0.01), (2, 0, 0.01, 0.01), (0, 3, 0.01, 0.01)],
+             r"cycle detected or disconnected node 4"),
+        ],
+    )
+    def test_the_first_faulty_row_is_named(self, rows, message):
+        for table in (rows, [Branch(*row) for row in rows]):
+            with pytest.raises(NetworkDataError, match=f"^{message}$"):
+                NetworkModel(table)
 
     def test_disconnected(self):
         # an isolated substation beside a triangle over buses 1..3

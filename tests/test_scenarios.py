@@ -5,11 +5,13 @@ import re
 import numpy as np
 import pytest
 
+from droopsched.network import Branch, NetworkDataError, NetworkModel
 from droopsched.scenarios import (
     clear_sky_availability,
     daily_load_shape,
     load_der_units,
     load_network,
+    random_radial_feeder,
     six_bus_feeder,
     six_bus_pv_units,
     square_wave_frequency,
@@ -41,11 +43,11 @@ def test_bundled_pv_units_round_trip_through_their_table(tmp_path, encoding):
 
 @ENCODINGS
 @pytest.mark.parametrize(
-    "load, header, n_fields",
-    [(load_network, "from,to,r_pu,x_pu", 4), (load_der_units, "node,kind,...", 6)],
+    "load, header, n_fields, error",
+    [(load_network, "from,to,r_pu,x_pu", 4, NetworkDataError), (load_der_units, "node,kind,...", 6, ValueError)],
     ids=["network", "der-units"],
 )
-def test_bad_tables_are_refused_by_file_line_whatever_the_encoding(tmp_path, encoding, load, header, n_fields):
+def test_bad_tables_are_refused_by_file_line_whatever_the_encoding(tmp_path, encoding, load, header, n_fields, error):
     # the mark is dropped before the header is read: a headerless file names
     # the header, and a short row is line 2 of the file, as without a mark
     path = tmp_path / "table.csv"
@@ -55,6 +57,31 @@ def test_bad_tables_are_refused_by_file_line_whatever_the_encoding(tmp_path, enc
     path.write_text(f"{header.split(',')[0]},x\n1,2,3\n", encoding=encoding)
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: expected {n_fields} fields, got 3$"):
         load(path)
+    # a line in cp1252, a spreadsheet's plain "CSV" export on Windows, is
+    # refused by its line as the reader's own error, not a bare UnicodeDecodeError
+    head = f"{header.split(',')[0]},x\n".encode(encoding)
+    for lineno, table in ((2, head + "# Zürich feeder\n".encode("cp1252")), (1, "Zürich\n".encode("cp1252"))):
+        path.write_bytes(table)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{lineno}: 'utf-8' codec can't decode byte 0xfc") as info:
+            load(path)
+        assert type(info.value) is error
+
+
+@pytest.mark.parametrize("seed", [0, 5, 61, 5000])
+@pytest.mark.parametrize("n_bus", [1, 7, 500])
+def test_random_feeder_is_the_scalar_draw_loop(n_bus, seed):
+    # the generator's one two-value draw per bus yields the floats of two
+    # scalar draws, in stream order, and leaves the stream where they do
+    rng = np.random.default_rng(seed)
+    rows = []
+    for j in range(1, n_bus + 1):
+        parent = int(rng.integers(0, j))
+        rows.append(Branch(parent, j, float(rng.uniform(0.005, 0.05)), float(rng.uniform(0.005, 0.05))))
+    drawn = np.random.default_rng(seed)
+    model = random_radial_feeder(n_bus, drawn)
+    assert model.branches == NetworkModel(rows).branches
+    assert all(type(b.r) is float and type(b.x) is float for b in model.branches)
+    assert drawn.bit_generator.state == rng.bit_generator.state
 
 
 GENERATORS = {
