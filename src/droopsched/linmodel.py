@@ -14,6 +14,12 @@ when every branch has x > 0.  A feeder may have a branch with r = 0 or
 x = 0 (not both), and the power flow solves on it, but SensitivityModel
 rejects the singular matrix that results.
 
+R, X and the dense tree matrices of the current tangent depend on the
+topology alone.  They are built together, once per model, by the first
+call that needs one, and kept read-only for as long as the model lives:
+the cache is keyed weakly on the frozen model, so an entry goes with
+it, and equal models share one.
+
 The PCC projection H and the flow constant P0 linearise the active power
 drawn at the substation, H by central finite differences of the
 nonlinear solver.  P0 is the offset of the base exchange from the
@@ -36,6 +42,7 @@ nested flows (ROADMAP items 1a and 5).
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -169,21 +176,51 @@ class SensitivityModel:
         return self.R.shape[0]
 
 
+# the dense products of each live model's tree (``_tree``), keyed weakly: an entry goes with its model
+_TREES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _tree(model: NetworkModel) -> tuple[np.ndarray, ...]:
+    """Dense products of the model's tree, built on its first call and kept read-only.
+
+    R and X; then, in preorder positions, the topology-only operands of
+    ``_current_tangent``: ``sub`` (sub[a, b] iff b is in the subtree of
+    a), ``(up r) @ sub``, ``(up x) @ sub`` and ``up |z|^2``, with
+    up[a, b] iff b is a strict ancestor of a.
+    """
+    tree = _TREES.get(model)
+    if tree is None:
+        plan = model.plan()
+        n = model.n
+        k = np.arange(n)
+        within = (k[:, None] <= k) & (k < plan.end[:, None])
+        # B[j, k]: the branch at position k lies on the root path of bus j + 1
+        B = within.T.take(plan.pos, axis=0)
+        R, X = ((B * w) @ B.T for w in plan.rxz[:2])
+        sub = within.astype(float)
+        up = sub.T - np.eye(n)
+        r, x, z = plan.rxz
+        tree = _TREES[model] = (
+            (R + R.T) / 2.0,  # exact symmetry despite the floating matmul
+            (X + X.T) / 2.0,
+            sub, (up * r) @ sub, (up * x) @ sub, up * z,
+        )
+        for a in tree:
+            a.setflags(write=False)
+    return tree
+
+
 def build_rx(model: NetworkModel) -> tuple[np.ndarray, np.ndarray]:
-    """Common-path sensitivity matrices from the tree structure.
+    """Common-path sensitivity matrices from the tree structure, built once per model.
 
     R[i, j] is the sum of branch resistances shared by the root paths of
     buses i+1 and j+1 (X analogous with reactances).  The dense root-path
-    indicator is built here from the sweep plan's preorder ranges: the
-    branch at position k lies on the path of the bus fed from position
-    pos[j] iff k <= pos[j] < end[k].
+    indicator is built from the sweep plan's preorder ranges: the branch
+    at position k lies on the path of the bus fed from position pos[j]
+    iff k <= pos[j] < end[k].  The pair is built on the model's first
+    call and returned, read-only, on every call after it.
     """
-    plan = model.plan()  # built when the model was constructed
-    pos = plan.pos[:, None]
-    B = (np.arange(len(pos)) <= pos) & (pos < plan.end)
-    R, X = ((B * w) @ B.T for w in plan.rxz[:2])
-    # force exact symmetry despite the floating matmul
-    return (R + R.T) / 2.0, (X + X.T) / 2.0
+    return _tree(model)[:2]
 
 
 def _current_tangent(model: NetworkModel, base: PowerFlowSolution) -> np.ndarray:
@@ -198,23 +235,22 @@ def _current_tangent(model: NetworkModel, base: PowerFlowSolution) -> np.ndarray
     A loss r l enters P as a load of r l does, so dg/dl is
     -r dg/dp - x dg/dq, less the loss term's own share of the drops.
     Row j is the branch feeding bus j + 1, as in ``model.branches``;
-    columns are d/dp_j for every bus, then d/dq_j, as in H.
+    columns are d/dp_j for every bus, then d/dq_j, as in H.  The tree
+    matrices come from the model's cache (``_tree``); only the per-flow
+    part is built here.
     """
     plan = model.plan()
     n = model.n
-    k = np.arange(n)
-    # preorder positions: sub[a, b] iff b is in the subtree of a, up[a, b] iff b is a strict ancestor of a
-    sub = ((k[:, None] <= k) & (k < plan.end[:, None])).astype(float)
-    up = sub.T - np.eye(n)
+    sub, upr_sub, upx_sub, upz = _tree(model)[2:]
     l, P, Q = (a.take(plan.bus) for a in (base.i_sq, base.p_flow, base.q_flow))
     # squared sending-end voltages: the substation's, then the voltage of the bus each position feeds
     v_from = np.concatenate((base.v[:1], base.v[1:].take(plan.bus))).take(plan.par) ** 2
-    r, x, z = plan.rxz
+    r, x, _ = plan.rxz
     lv = (l / v_from)[:, None]
     # g moves with the flows it squares, and against its sending-end voltage
-    gp = (-2.0 * P / v_from)[:, None] * sub - 2.0 * lv * ((up * r) @ sub)
-    gq = (-2.0 * Q / v_from)[:, None] * sub - 2.0 * lv * ((up * x) @ sub)
-    eye_less_gl = gp * r + gq * x + lv * (up * z)
+    gp = (-2.0 * P / v_from)[:, None] * sub - 2.0 * lv * upr_sub
+    gq = (-2.0 * Q / v_from)[:, None] * sub - 2.0 * lv * upx_sub
+    eye_less_gl = gp * r + gq * x + lv * upz
     eye_less_gl.flat[:: n + 1] += 1.0
     T = np.linalg.solve(eye_less_gl, np.concatenate((gp, gq), axis=1))
     return T.take(plan.pos, axis=0).take(np.concatenate((plan.pos, plan.pos + n)), axis=1)

@@ -29,8 +29,8 @@ same holds for its accumulations, which call ``np.add.accumulate``, the
 loop behind ``ndarray.cumsum`` without its wrapper, and for the
 temporaries: the subtree sums and the residual rows are formed in place.
 A sweep that diverges is stopped before its squared flows can overflow:
-an injection or a change in squared current past ``_DIVERGED`` raises
-PowerFlowError.  A ``NetworkModel``
+an injection, a warm current or a change in squared current past
+``_DIVERGED`` raises PowerFlowError.  A ``NetworkModel``
 is validated, oriented and planned once, when constructed, by one pass
 over its rows and one depth-first walk of its tree, which places each
 row at the bus it feeds and records the plan as it goes.  The model is
@@ -165,8 +165,8 @@ class _SweepPlan:
     (``_plan_tree``): ``bus``, ``par``, ``pos`` and the impedance rows
     are recorded as it reaches each bus, and the subtree ends in one
     reverse pass after it.  Every array is indexed by preorder position
-    k, except ``pos`` and ``par2``.  The subtree hanging from the branch
-    at k (inclusive) is the contiguous range ``k:end[k]``, and
+    k, except ``pos``, ``vpos`` and ``par2``.  The subtree hanging from
+    the branch at k (inclusive) is the contiguous range ``k:end[k]``, and
     ``last[k] = end[k] - 1`` its final position, so a subtree sum is a
     difference of prefix sums and the branches on the root path of
     position k are the j <= k with ``end[j] > k``.  ``par[k]`` is the position of the parent branch
@@ -179,6 +179,9 @@ class _SweepPlan:
     ``bus[k]`` is the row (bus id - 1) of the bus the branch feeds, which
     is also its row in ``model.branches``, and ``pos[j]`` the position of
     the branch feeding bus j + 1, so ``pos`` is the inverse of ``bus``.
+    ``vpos`` is ``[0, pos + 1]``: bus by bus, substation first, the slot
+    of an array that carries the substation value in slot 0, then one
+    entry per position.
     ``rxz`` holds the rows ``[r, x, r^2 + x^2]``, and ``rx2`` is
     ``2 rxz[:2]``, which doubles exactly, so ``rx2 * S`` summed over rows
     is ``2 (rxz[:2] * S)`` summed over rows bit for bit.  These two
@@ -189,6 +192,7 @@ class _SweepPlan:
 
     bus: np.ndarray
     pos: np.ndarray
+    vpos: np.ndarray
     end: np.ndarray
     last: np.ndarray
     par: np.ndarray
@@ -280,8 +284,10 @@ def _plan_tree(branches) -> tuple[tuple[Branch, ...], _SweepPlan]:
     rx2 = 2.0 * rx
     for a in (rxz, rx2):
         a.setflags(write=False)
+    at[0] = 0
+    vpos = np.array(at, dtype=np.intp)
     plan = _SweepPlan(
-        np.array(pre, dtype=np.intp), np.subtract(at[1:], 1, dtype=np.intp), end, end - 1, par,
+        np.array(pre, dtype=np.intp), vpos[1:] - 1, vpos, end, end - 1, par,
         np.concatenate((np.where(par > 0, par - 1, 2 * nb), np.where(par > 0, par - 1 + nb, 2 * nb + 1))),
         np.flatnonzero(par == 0), rxz, rx2,
     )
@@ -304,14 +310,17 @@ def solve_power_flow(
     with max residual <= tol.  ``warm`` contributes only its branch
     currents, which must have shape (n,); they are read once, on entry,
     and the result keeps no reference to them, so a caller may refill
-    and reuse one warm record.  A cold start begins from zero currents.
-    Branch arrays of the result follow ``model.branches``: entry j is
-    the branch feeding bus j + 1.
+    and reuse one warm record.  They are checked as a third row of the
+    injections' magnitude check: finite, and within ``_DIVERGED``.  A
+    cold start begins from zero currents.  Branch arrays of the result
+    follow ``model.branches``: entry j is the branch feeding bus j + 1.
 
-    Raises ValueError for a bad tol, shape or non-finite injection, and
-    PowerFlowError for a negative squared voltage, a diverging sweep (an
-    injection or a change in squared currents past ``_DIVERGED``) or no
-    convergence within ``_MAX_ITER`` sweeps.
+    Raises ValueError for a bad tol or shape, or a non-finite injection
+    or warm current (``warm.i_sq must be finite``), and PowerFlowError
+    for a negative squared voltage, a diverging sweep (an injection, a
+    warm current or a change in squared currents past ``_DIVERGED``) or
+    no convergence within ``_MAX_ITER`` sweeps.  Of several bad entries
+    the first NaN is named, or else the largest magnitude.
     """
     if not 0.0 < tol < np.inf:
         raise ValueError("tol must be finite and positive")
@@ -321,15 +330,18 @@ def solve_power_flow(
     q = np.asarray(q_inj, dtype=float)
     if p.shape != (n,) or q.shape != (n,):
         raise ValueError(f"injections must have shape ({n},)")
-    inj = np.array((p, q))
-    mag = np.abs(inj).ravel()
-    mag = mag[mag.argmax()]  # NaN if any entry is NaN
-    if not mag <= _DIVERGED:
-        if not np.isfinite(mag):
-            raise ValueError("injections must be finite")
-        raise PowerFlowError(f"injection of magnitude {mag:.3g} p.u. diverges the sweep")
     if warm is not None and warm.i_sq.shape != (n,):
         raise ValueError(f"warm.i_sq must have shape ({n},): the warm solution is of another feeder")
+    # the warm currents, a third row, share the injections' magnitude check
+    inj = np.array((p, q) if warm is None else (p, q, warm.i_sq))
+    mag = np.abs(inj).ravel()
+    peak = mag.argmax()  # the first NaN if any entry is NaN
+    mag = mag[peak]
+    if not mag <= _DIVERGED:
+        name, what = ("injections", "injection") if peak < 2 * n else ("warm.i_sq", "warm squared current")
+        if not np.isfinite(mag):
+            raise ValueError(f"{name} must be finite")
+        raise PowerFlowError(f"{what} of magnitude {mag:.3g} p.u. diverges the sweep")
 
     # everything below is in preorder position
     inj = inj.take(plan.bus, axis=1)
@@ -339,12 +351,12 @@ def solve_power_flow(
     v_ext = np.empty(n + 1)
     v_ext[0] = v_sub_sq
     v_sq = v_ext[1:]
-    i_sq = np.zeros(n) if warm is None else warm.i_sq.take(plan.bus)
+    i_sq = np.zeros(n) if warm is None else inj[2]
+    inj = inj[:2]
     zi = rxz * i_sq  # loss terms r i, x i and |z|^2 i of the current iterate, kept in place
     zi_rx, zi_z = zi[:2], zi[2]
     t = np.empty((2, n))  # scratch: 2 rx S, then S^2
-    t0, t1 = t
-    low = np.empty(n, dtype=bool)  # where v_sq <= 0, refilled every iteration
+    t0, t1 = t[0], t[1]
 
     for iterations in range(1, _MAX_ITER + 1):
         # backward: subtree sums of injections and previous-iterate losses
@@ -359,9 +371,8 @@ def solve_power_flow(
         drop = drop2 - zi_z
         drop -= np.bincount(end, drop, minlength=n + 1)[:n]
         np.subtract(v_sub_sq, np.add.accumulate(drop, out=drop), v_sq)
-        # (v_sq <= 0).any(), NaN entries not counted
-        np.less_equal(v_sq, 0.0, low)
-        if low[low.argmax()]:
+        # (v_sq <= 0).any(): v_sq holds no NaN, since injections and warm currents are checked finite
+        if v_sq[v_sq.argmin()] <= 0.0:
             raise PowerFlowError(
                 "negative squared voltage encountered: operating point infeasible"
             )
@@ -384,9 +395,9 @@ def solve_power_flow(
     else:
         raise PowerFlowError(f"no convergence within {_MAX_ITER} iterations")
 
-    v = np.empty(n + 1)
-    v[0] = model.v_sub
-    np.sqrt(v_sq.take(plan.pos), v[1:])
+    v = v_ext.take(plan.vpos)
+    np.sqrt(v, v)
+    v[0] = model.v_sub  # the substation's own value, not the root of its square
     p_pcc = float(np.add.reduce(S[0].take(plan.root)))
     P, Q = S[0].take(plan.pos), S[1].take(plan.pos)
     return PowerFlowSolution(v, P, Q, i_sq.take(plan.pos), p_pcc, True, iterations, residual)

@@ -29,6 +29,10 @@ of the package because nothing in it calls them:
 * ``two_clause_check_gains``, the stability gate as first written: the
   quadratic inequality and the linear clause (a or b below gamma with a
   1e-6 gamma margin), against which the one-inequality gate is checked.
+* ``dense_rx``, ``build_rx`` as first written: the dense root-path
+  indicator and both products rebuilt on every call, against which the
+  pair ``build_rx`` builds once per model and then returns read-only is
+  checked bit for bit.
 * ``eigvalsh_definite`` and ``two_call_gamma``, the definiteness rule
   of ``SensitivityModel`` and the gamma of ``compute_gamma`` as first
   written, one ``eigvalsh`` call per matrix, against which the
@@ -424,6 +428,19 @@ def two_clause_check_gains(k_pv, k_qv, tau_p, tau_q, gamma):
     if (a - b) * (a - b) + 4.0 * gamma * (a + b) - 4.0 * gamma * gamma > -(4.0 * gamma * margin):
         return False
     return a <= gamma - margin or b <= gamma - margin
+
+
+def dense_rx(model):
+    """R and X from the root-path indicator B, rebuilt on every call: (B r) B^T, symmetrized.
+
+    The branch at preorder position k lies on the root path of bus j + 1
+    iff k <= pos[j] < end[k].
+    """
+    plan = model.plan()
+    pos = plan.pos[:, None]
+    B = (np.arange(len(pos)) <= pos) & (pos < plan.end)
+    R, X = ((B * w) @ B.T for w in plan.rxz[:2])
+    return (R + R.T) / 2.0, (X + X.T) / 2.0
 
 
 def eigvalsh_definite(M) -> bool:

@@ -1,8 +1,10 @@
 """Sensitivity-model tests: analytic R/X vs finite differences of the solver."""
 
 import copy
+import gc
 import pickle
 import re
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -21,8 +23,8 @@ from droopsched.linmodel import (
 from droopsched.network import Branch, NetworkModel, solve_power_flow
 from droopsched.scenarios import ieee37_shaped_feeder, random_radial_feeder, six_bus_feeder
 
-from .oracles import central_difference, eigvalsh_definite
-from .test_network import chain, random_feeder
+from .oracles import central_difference, dense_rx, eigvalsh_definite
+from .test_network import chain, model_of, radial_cases, random_feeder
 
 
 def flat_rho(n, k_agg=0.02, omega=1.0):
@@ -95,6 +97,33 @@ def fd_voltage_jacobian(model, p0, q0, step=1e-5):
 
 
 class TestBuildRx:
+    @settings(max_examples=40, deadline=None)
+    @given(radial_cases())
+    def test_cached_pair_is_the_dense_oracle_and_read_only(self, case):
+        model = model_of(case[0])
+        for _ in range(2):  # the call that builds the pair, then one that reads it back
+            R, X = build_rx(model)
+            for got, want in zip((R, X), dense_rx(model)):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert build_rx(model)[0] is R
+        for a in linmodel._tree(model):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1.0
+
+    def test_cache_entry_goes_with_its_model(self):
+        model = random_feeder(np.random.default_rng(8), 7)
+        R, _ = build_rx(model)
+        base = solve_power_flow(model, np.full(7, -0.02), np.zeros(7))
+        linmodel._current_tangent(model, base)
+        gone = [weakref.ref(a) for a in (model, *linmodel._tree(model))]
+        gc.collect()  # so that only this model's entry can go below
+        entries = len(linmodel._TREES)
+        del model, R, _, base
+        gc.collect()
+        assert [ref() for ref in gone] == [None] * len(gone)
+        assert len(linmodel._TREES) == entries - 1
+
     def test_single_branch(self):
         model = chain([0.013], [0.021])
         R, X = build_rx(model)

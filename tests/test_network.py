@@ -161,6 +161,7 @@ class TestValidateRadial:
         plan = model.plan()
         assert plan.bus.tolist() == bus
         assert plan.pos.tolist() == pos
+        assert plan.vpos.tolist() == [0] + [k + 1 for k in pos]
         assert plan.par.tolist() == par
         assert plan.end.tolist() == end
         assert plan.root.tolist() == root
@@ -468,18 +469,61 @@ class TestSolvePowerFlow:
 
     @pytest.mark.parametrize("branch", [0, 3, 5])
     def test_nan_in_warm_currents_is_not_reduced_away(self, branch):
-        # the sweep's arg-reductions must propagate NaN as ndarray.max did
+        # the magnitude check's arg-reduction must propagate NaN as ndarray.max did
         model = six_bus_feeder()
         p, q = np.full(6, -0.01), np.zeros(6)
         warm = solve_power_flow(model, p, q)
         warm.i_sq[branch] = np.nan
-        with pytest.raises(PowerFlowError, match="sweep diverged"):
+        with pytest.raises(ValueError, match="^warm.i_sq must be finite$"):
             solve_power_flow(model, p, q, warm=warm)
 
-    def test_nonconvergence_raises(self):
-        # absurd load collapses the voltage
-        with pytest.raises(PowerFlowError):
-            solve_power_flow(two_bus(r=0.2, x=0.2), np.array([-3.0]), np.array([-3.0]))
+    @pytest.mark.parametrize("branch", [0, 3, 5])
+    @pytest.mark.parametrize(
+        "value, error, message",
+        [
+            (np.inf, ValueError, "^warm.i_sq must be finite$"),
+            (-np.inf, ValueError, "^warm.i_sq must be finite$"),
+            (1e300, PowerFlowError, r"^warm squared current of magnitude 1e\+300 p.u. diverges the sweep$"),
+            (-1e300, PowerFlowError, r"^warm squared current of magnitude 1e\+300 p.u. diverges the sweep$"),
+        ],
+        ids=["inf", "-inf", "1e300", "-1e300"],
+    )
+    def test_bad_warm_currents_are_refused_by_name(self, branch, value, error, message):
+        # inf warned "invalid value encountered in subtract" and then called a
+        # point that solves cold infeasible; -inf read "sweep diverged"
+        model = six_bus_feeder()
+        p, q = np.full(6, -0.01), np.zeros(6)
+        cold = solve_power_flow(model, p, q)
+        warm = replace(cold, i_sq=cold.i_sq.copy())
+        warm.i_sq[branch] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error, match=message):
+                solve_power_flow(model, p, q, warm=warm)
+
+    def test_a_nonfinite_injection_is_named_before_the_warm_currents(self):
+        model = six_bus_feeder()
+        p, q = np.full(6, -0.01), np.zeros(6)
+        warm = solve_power_flow(model, p, q)
+        warm.i_sq[:] = np.nan
+        q[5] = np.nan
+        with pytest.raises(ValueError, match="^injections must be finite$"):
+            solve_power_flow(model, p, q, warm=warm)
+
+    @pytest.mark.parametrize(
+        "feeder, load",
+        [(lambda: two_bus(r=0.2, x=0.2), 3.0), (ieee37_shaped_feeder, 0.2), (ieee37_shaped_feeder, 100.0)],
+        ids=["2-bus", "37-bus", "37-bus-absurd"],
+    )
+    def test_nonconvergence_raises(self, feeder, load):
+        # a load past the feeder's capacity collapses the voltage; the
+        # negative-voltage check names it, not the divergence or iteration bound
+        model = feeder()
+        p, q = np.full(model.n, -load), np.full(model.n, -load)
+        with pytest.raises(PowerFlowError, match="^negative squared voltage encountered: operating point infeasible$"):
+            solve_power_flow(model, p, q)
+        with pytest.raises(PowerFlowError, match="^negative squared voltage encountered: operating point infeasible$"):
+            solve_power_flow(model, p, q, warm=solve_power_flow(model, 0.01 * p, 0.01 * q))
 
     def test_bad_shapes(self):
         with pytest.raises(ValueError):

@@ -11,7 +11,7 @@ from scipy.linalg import block_diag
 
 from droopsched.droop import DroopGains
 from droopsched.linmodel import SchedulingPoint, SensitivityModel, build_rx
-from droopsched.scenarios import six_bus_feeder
+from droopsched.scenarios import ieee37_shaped_feeder, six_bus_feeder
 from droopsched.stability import (
     StabilityParams,
     _project_in_place,
@@ -88,6 +88,33 @@ class TestComputeGamma:
             # the batched eigensolve gives the one-call-per-block gamma bit for bit
             ref = two_call_gamma(sm, tau_p, tau_q)
             assert type(g) is float and g.hex() == ref.hex()
+
+    def test_memo_is_exact_across_feeders_and_time_constants(self):
+        # one entry: each call must match the eigensolve of its own inputs,
+        # whether it repeats the last call's inputs or not
+        sms = [six_bus_sm(), make_sm(*build_rx(ieee37_shaped_feeder()))]
+        rng = np.random.default_rng(12)
+        cases = []
+        for sm in sms:
+            tau_p, tau_q = rng.uniform(0.1, 0.2, sm.n), rng.uniform(0.3, 0.4, sm.n)
+            # the first case, then R, X, tau_p and tau_q each changed alone, then R and X swapped
+            cases += [
+                (sm, tau_p, tau_q),
+                (make_sm(4.0 * sm.R, sm.X), tau_p, tau_q),
+                (make_sm(sm.R, 3.0 * sm.X), tau_p, tau_q),
+                (sm, 3.0 * tau_q, tau_q),
+                (sm, tau_p, 2.0 * tau_q),
+                (make_sm(sm.X, sm.R), tau_p, tau_q),
+            ]
+        one = [0, 0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 5, 1, 2, 3, 4, 5]
+        order = one + [6 + i for i in one] + [0, 6, 1, 7, 2, 8, 3, 9, 4, 10, 5, 11]
+        gammas = []
+        for i in order:
+            sm, tau_p, tau_q = cases[i]
+            g = compute_gamma(sm, tau_p.copy(), tau_q.copy())
+            assert type(g) is float and g.hex() == two_call_gamma(sm, tau_p, tau_q).hex()
+            gammas.append(g)
+        assert len(set(gammas)) == len(cases)  # every case has its own gamma
 
     def test_rejects_bad_taus(self):
         sm = make_sm(np.eye(1), np.eye(1))
